@@ -37,6 +37,7 @@ from .engine import (
 )
 from .estimates import (
     EnergyFunctional,
+    _sims_for,
     build_test_process,
     check_svi,
     contraction_experiment,
@@ -474,28 +475,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
             rep = contraction_experiment(base, y0, decay_rate=decay)
             rep.write(out, "report_contraction")
             reports.append(rep)
-        elif exp == "energy":
-            for eps in eps_values:
-                ens = simulate(base.with_eps(eps))
-                rep = energy_budget(ens)
-                rep.write(out, f"report_energy_eps{_eps_tag(eps)}")
-                reports.append(rep)
-                _dump_run(ens, out, f"trajectories_eps{_eps_tag(eps)}")
-            if len(eps_values) >= 2:
-                rep = energy_uniformity(base, eps_values)
-                rep.write(out, "report_energy_uniformity")
-                reports.append(rep)
-        elif exp == "regularity":
+        elif exp in ("energy", "regularity"):
             functional = EnergyFunctional(space, potential)
+            sims = _sims_for(base, eps_values, None)
             for eps in eps_values:
-                ens = simulate(base.with_eps(eps))
-                rep = regularity_budget(ens, functional)
-                rep.write(out, f"report_regularity_eps{_eps_tag(eps)}")
+                ens = sims[eps]
+                rep = (energy_budget(ens) if exp == "energy"
+                       else regularity_budget(ens, functional))
+                rep.write(out, f"report_{exp}_eps{_eps_tag(eps)}")
                 reports.append(rep)
                 _dump_run(ens, out, f"trajectories_eps{_eps_tag(eps)}")
             if len(eps_values) >= 2:
-                rep = regularity_uniformity(base, eps_values)
-                rep.write(out, "report_regularity_uniformity")
+                uniformity = (energy_uniformity if exp == "energy"
+                              else regularity_uniformity)
+                rep = uniformity(base, eps_values, sims=sims)
+                rep.write(out, f"report_{exp}_uniformity")
                 reports.append(rep)
         else:  # svi
             functional = EnergyFunctional(space, potential)

@@ -15,7 +15,6 @@ size.  Paths evolve independently and are solved as one batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -120,7 +119,9 @@ def _implicit_step_batch(space: DirichletSpace, smoother: MoreauYosida,
 
     Newton on the residual equals Newton on the strongly convex dual-norm
     objective, so Armijo backtracking on that objective is globally
-    convergent; for piecewise-linear slopes the iteration is finite.
+    convergent; for piecewise-linear slopes the iteration is finite.  The
+    accepted line-search trial supplies the next pass's residual, Jacobian
+    and Armijo base, so each trial costs one Moreau-Yosida solve.
     """
     mu = space.measure
     L = space.generator
@@ -131,22 +132,23 @@ def _implicit_step_batch(space: DirichletSpace, smoother: MoreauYosida,
     def mu_norm(a):
         return np.sqrt(a**2 @ mu)
 
-    def drift_term(x):
-        return smoother.yosida(x) + eps * x
-
-    def objective(x):
+    def newton_terms(x):
+        # Drift, its slope derivative and the dual-norm merit at x, all
+        # from one Moreau-Yosida solve.
+        my = smoother.evaluate(x)
         quad = 0.5 * np.einsum("pi,ij,pj->p", x, MG, x) \
             - np.einsum("pi,ij,pj->p", x, MG, rhs)
-        local = (smoother.envelope(x) + 0.5 * eps * x**2) @ mu
-        return quad + dt * local
+        local = (my.envelope + 0.5 * eps * x**2) @ mu
+        return my.slope + eps * x, my.slope_derivative + eps, quad + dt * local
 
     x = rhs.copy()
+    drift, slope, merit = newton_terms(x)
     tol_vec = tol * (1.0 + mu_norm(rhs))
     iterations = np.zeros(paths, dtype=int)
     residual = np.full(paths, np.inf)
 
     for it in range(max_iter):
-        F = x - dt * (drift_term(x) @ L.T) - rhs
+        F = x - dt * (drift @ L.T) - rhs
         residual = mu_norm(F)
         active = residual > tol_vec
         if not active.any():
@@ -154,27 +156,30 @@ def _implicit_step_batch(space: DirichletSpace, smoother: MoreauYosida,
         iterations[active] += 1
 
         grad = F @ MG                              # MG symmetric
-        slope = smoother.yosida_slope(x) + eps     # (paths, n)
         A = MG[None, :, :] + dt * (mu * slope)[:, :, None] * np.eye(n)[None]
         delta = np.linalg.solve(A, -grad[..., None])[..., 0]
         delta[~active] = 0.0
 
-        base = objective(x)
         slope_dir = np.einsum("pi,pi->p", grad, delta)
         # Near the solution the predicted decrease sits below the roundoff
         # of the objective; the slack keeps full Newton steps acceptable
         # there so the final quadratic phase is never rejected.
-        slack = 1e-14 * (1.0 + np.abs(base))
+        slack = 1e-14 * (1.0 + np.abs(merit))
         step = np.ones(paths)
         for _ in range(40):
-            trial = objective(x + step[:, None] * delta)
-            bad = active & (trial > base + 1e-4 * step * slope_dir + slack)
+            trial = x + step[:, None] * delta
+            t_drift, t_slope, t_merit = newton_terms(trial)
+            bad = active & (t_merit > merit + 1e-4 * step * slope_dir + slack)
             if not bad.any():
                 break
             step[bad] *= 0.5
-        x = x + step[:, None] * delta
+        else:
+            # Out of halvings: take the last halved step, never evaluated.
+            trial = x + step[:, None] * delta
+            t_drift, t_slope, t_merit = newton_terms(trial)
+        x, drift, slope, merit = trial, t_drift, t_slope, t_merit
     else:
-        F = x - dt * (drift_term(x) @ L.T) - rhs
+        F = x - dt * (drift @ L.T) - rhs
         residual = mu_norm(F)
         if np.any(residual > tol_vec):
             worst = int(np.argmax(residual - tol_vec))

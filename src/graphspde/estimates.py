@@ -174,9 +174,6 @@ def build_test_process(ensemble: TrajectoryEnsemble, initial,
         t = k * dt
         inc = noise.apply(t, Z[:, k], ensemble.increments[:, k])
         Z[:, k + 1] = Z[:, k] + (0.0 if G is None else dt * G[:, k]) + inc
-        gap = Z[:, k + 1] - Z[:, k] - (0.0 if G is None else dt * G[:, k]) - inc
-        if np.abs(gap).max() > 1e-12:
-            raise AssertionError("test process recursion violated")
     return TestProcess(ensemble, initial, G, Z, mode)
 
 
@@ -327,15 +324,22 @@ def contraction_experiment(config: SimulationConfig, second_initial,
 # -- smoothing-level convergence ----------------------------------------------------
 
 
+def _sims_for(config: SimulationConfig, eps_list, sims: dict | None) -> dict:
+    # The one cache of smoothing-ladder runs: simulates the levels missing
+    # from ``sims`` (keyed by smoothing level) and returns it.
+    sims = sims if sims is not None else {}
+    for e in eps_list:
+        if e not in sims:
+            sims[e] = simulate(config.with_eps(e))
+    return sims
+
+
 def pairwise_smoothing_gap(config: SimulationConfig, eps_a: float,
                            eps_b: float, decay_rate: float,
                            sims: dict | None = None) -> np.ndarray:
     """Per-path supremum over the grid of the weighted squared dual distance
     between two coupled runs at different smoothing levels."""
-    sims = sims if sims is not None else {}
-    for e in (eps_a, eps_b):
-        if e not in sims:
-            sims[e] = simulate(config.with_eps(e))
+    sims = _sims_for(config, (eps_a, eps_b), sims)
     space = config.space
     dsq = space.dual_norm(sims[eps_a].states - sims[eps_b].states) ** 2
     weights = np.exp(-decay_rate * config.times)
@@ -457,18 +461,14 @@ def _uniformity_report(name: str, eps_list, constants, cis,
     )
 
 
-def _sims_for(config: SimulationConfig, eps_list, sims: dict | None) -> dict:
-    sims = sims if sims is not None else {}
-    for e in eps_list:
-        if e not in sims:
-            sims[e] = simulate(config.with_eps(e))
-    return sims
-
-
 def energy_uniformity(config: SimulationConfig, eps_list, band: float = 2.0,
                       sims: dict | None = None) -> EstimateReport:
     """Implied uniform-bound constants across a smoothing ladder must stay
-    inside a fixed multiplicative band."""
+    inside a fixed multiplicative band.
+
+    ``sims`` carries runs keyed by smoothing level and gains the missing
+    ones; ``run_experiment`` passes in its per-level runs, so no level is
+    simulated twice."""
     from .engine import energy_budget
 
     sims = _sims_for(config, eps_list, sims)
@@ -484,7 +484,11 @@ def regularity_uniformity(config: SimulationConfig, eps_list,
                           band: float = 2.0,
                           sims: dict | None = None) -> EstimateReport:
     """Implied regularity-budget constants across a smoothing ladder must
-    stay inside a fixed multiplicative band."""
+    stay inside a fixed multiplicative band.
+
+    ``sims`` carries runs keyed by smoothing level and gains the missing
+    ones; ``run_experiment`` passes in its per-level runs, so no level is
+    simulated twice."""
     functional = EnergyFunctional(config.space, config.potential)
     sims = _sims_for(config, eps_list, sims)
     reports = [regularity_budget(sims[e], functional) for e in eps_list]

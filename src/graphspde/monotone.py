@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ConvexPotential",
     "MoreauYosida",
+    "MoreauYosidaValues",
     "CrossMonotonicityDefect",
     "AssumptionCheck",
     "AssumptionReport",
@@ -247,6 +249,15 @@ class ResolventError(RuntimeError):
     """Scalar monotone solve failed; carries the worst residual."""
 
 
+class MoreauYosidaValues(NamedTuple):
+    """Everything the smoothing gives at one argument, from one solve."""
+
+    resolvent: np.ndarray
+    slope: np.ndarray
+    slope_derivative: np.ndarray
+    envelope: np.ndarray
+
+
 @dataclass(frozen=True)
 class MoreauYosida:
     """Resolvent, Lipschitz slope and smoothed envelope of a potential at a
@@ -308,6 +319,18 @@ class MoreauYosida:
         return np.where(on_knot, np.asarray(pot.knots)[
             np.minimum(idx // 2, len(pot.knots) - 1)], s)
 
+    def evaluate(self, r) -> MoreauYosidaValues:
+        """Resolvent, slope, slope derivative and envelope from one
+        resolvent solve; each equals the matching method bit for bit."""
+        r = np.asarray(r, dtype=float)
+        s = self.resolvent(r)
+        return MoreauYosidaValues(
+            resolvent=s,
+            slope=(r - s) / self.eps,
+            slope_derivative=self._slope_derivative(r, s),
+            envelope=(r - s) ** 2 / (2.0 * self.eps) + self.potential.value(s),
+        )
+
     def yosida(self, r):
         """Single-valued Lipschitz slope ``(r - resolvent(r)) / eps``; its
         value lies in the subdifferential at the resolvent point."""
@@ -323,17 +346,23 @@ class MoreauYosida:
         return (r - s) ** 2 / (2.0 * self.eps) + self.potential.value(s)
 
     def yosida_slope(self, r):
-        """Almost-everywhere derivative of the Lipschitz slope, used by the
-        implicit time stepper; bounded by ``1/eps``."""
+        """Almost-everywhere derivative of the Lipschitz slope, the Newton
+        Jacobian of the implicit time stepper; bounded by ``1/eps``."""
         r = np.asarray(r, dtype=float)
+        power = self.potential.kind in ("fast_diffusion", "porous_medium")
+        return self._slope_derivative(r, self.resolvent(r) if power else None)
+
+    def _slope_derivative(self, r, s):
+        # Power kinds differentiate through the resolvent point ``s``; the
+        # zhang and piecewise formulas depend on ``r`` alone.
         pot, eps = self.potential, self.eps
         if pot.kind in ("fast_diffusion", "porous_medium"):
             p = pot.exponent
-            s = np.abs(self.resolvent(r))
-            with np.errstate(divide="ignore", over="ignore"):
+            s = np.abs(s)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 t = p * np.where(s > 0, s ** (p - 1.0), np.inf)
-            return np.where(np.isfinite(t), t / (1.0 + eps * t),
-                            (1.0 / eps) if p < 1.0 else 0.0)
+                return np.where(np.isfinite(t), t / (1.0 + eps * t),
+                                (1.0 / eps) if p < 1.0 else 0.0)
         if pot.kind == "zhang":
             return np.where(r <= 0, 0.0,
                             np.where(r <= eps, 1.0 / eps, 1.0 / (1.0 + eps)))

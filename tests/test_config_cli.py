@@ -199,6 +199,33 @@ def test_run_energy_and_svi_artifacts(tmp_path):
         assert (tmp_path / "svi" / f"report_svi_{tag}_eps0p1.txt").exists()
 
 
+@pytest.mark.parametrize("kind", ["energy", "regularity"])
+def test_ladder_experiment_simulates_each_level_once(tmp_path, monkeypatch,
+                                                      kind):
+    import graphspde.config
+    import graphspde.estimates
+    from graphspde.engine import simulate
+
+    levels = []
+
+    def counting_simulate(config):
+        levels.append(config.eps)
+        return simulate(config)
+
+    monkeypatch.setattr(graphspde.config, "simulate", counting_simulate)
+    monkeypatch.setattr(graphspde.estimates, "simulate", counting_simulate)
+    cfg = parse_config("space.preset = path_4\n"
+                       f"experiment.kind = {kind}\n"
+                       "potential.kind = zhang\n"
+                       "run.epsilon_list = 0.2, 0.1, 0.05\n"
+                       "run.horizon = 0.5\n"
+                       "run.steps = 8\n"
+                       "run.paths = 12\n")
+    assert run_experiment(cfg, tmp_path) == 0
+    assert sorted(levels) == [0.05, 0.1, 0.2]
+    assert (tmp_path / f"report_{kind}_uniformity.txt").exists()
+
+
 def test_run_contraction_experiment(tmp_path):
     cfg = parse_config("space.preset = path_4\n"
                        "experiment.kind = contraction\n"

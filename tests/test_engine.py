@@ -9,13 +9,19 @@ from graphspde.engine import (
     SimulationConfig,
     StepSolverError,
     TrajectoryEnsemble,
+    _implicit_step_batch,
     energy_budget,
     simulate,
     step_semi_implicit,
     write_metadata,
     write_trajectories,
 )
-from graphspde.monotone import MoreauYosida, fast_diffusion, zhang
+from graphspde.monotone import (
+    MoreauYosida,
+    fast_diffusion,
+    piecewise_quadratic,
+    zhang,
+)
 from graphspde.noise import (
     additive_noise,
     brownian_increments,
@@ -135,6 +141,39 @@ def test_step_matches_exact_linear_solve_on_affine_branch():
                              0.0, dt, np.zeros(2))
     assert smoother.resolvent(got).min() > 0  # stayed on the affine branch
     assert np.abs(got - expected).max() <= 1e-10
+
+
+def test_step_evaluates_the_step_taken_after_exhausted_line_search():
+    # The first pass rejects all 40 halvings; the stepper must then take
+    # and evaluate the once-more-halved step, not reuse the last trial.
+    class RejectingSmoother:
+        def __init__(self, inner):
+            self.inner, self.eps, self.args = inner, inner.eps, []
+
+        def evaluate(self, r):
+            self.args.append(np.array(r))
+            values = self.inner.evaluate(r)
+            if 2 <= len(self.args) <= 41:
+                return values._replace(envelope=values.envelope + 1e6)
+            return values
+
+    # Unit slope at the origin, so a zero right side is not yet solved and
+    # every trial point is an exact power-of-two multiple of the step.
+    linear = piecewise_quadratic([10.0], [(0.5, 1.0, 0.0), (0.5, 1.0, 0.0)])
+    inner = MoreauYosida(linear, 0.1)
+    space = path_space(4)
+    rhs = np.zeros((1, 4))
+    smoother = RejectingSmoother(inner)
+    x, residual, _ = _implicit_step_batch(space, smoother, 0.1, rhs, 0.05,
+                                          1e-10, 100)
+    delta = smoother.args[1]
+    assert np.abs(delta).max() > 0
+    assert np.array_equal(smoother.args[40], 0.5**39 * delta)
+    assert np.array_equal(smoother.args[41], 0.5**40 * delta)
+    expected, _, _ = _implicit_step_batch(space, inner, 0.1, rhs, 0.05,
+                                          1e-10, 100)
+    assert residual[0] <= 1e-10
+    assert np.abs(x - expected).max() <= 1e-9
 
 
 def test_step_rejects_bad_dt():

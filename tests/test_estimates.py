@@ -165,6 +165,22 @@ def test_constant_drift_is_linear_ramp():
     assert proc.mode == "constant"
 
 
+def test_large_state_test_process_builds():
+    # States near 1e4 once tripped a 1e-12 absolute self-check of the
+    # recursion; the recursion itself must hold to relative roundoff.
+    space = path_space(8)
+    cfg = make_config(space, zhang(), paths=3, steps=8)
+    ens = simulate(cfg)
+    g = np.full(8, 0.1)
+    proc = build_test_process(ens, np.full(8, 1e4), drift=g)
+    Z = proc.states
+    assert np.array_equal(Z[:, 0], np.full((3, 8), 1e4))
+    for k in range(cfg.step_count):
+        inc = cfg.noise.apply(k * cfg.dt, Z[:, k], ens.increments[:, k])
+        gap = Z[:, k + 1] - Z[:, k] - cfg.dt * g - inc
+        assert np.abs(gap).max() <= 1e-12 * np.abs(Z[:, k]).max()
+
+
 def test_replayed_drift_reproduces_the_run():
     space = path_space(4)
     cfg = make_config(space, fast_diffusion(0.5), sigma=0.2, paths=4, steps=32)

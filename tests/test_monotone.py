@@ -163,6 +163,34 @@ def test_smoothing_parameter_validation():
     MoreauYosida(zhang(), 1.0)  # values above one are legitimate here
 
 
+# -- single-solve evaluation ----------------------------------------------------
+
+
+@pytest.mark.parametrize("pot", [
+    fast_diffusion(0.3), fast_diffusion(0.5), porous_medium(2.0),
+    porous_medium(2.5), zhang(), sample_piecewise(),
+], ids=["fd0.3", "fd0.5", "pm2", "pm2.5", "zhang", "piecewise"])
+@pytest.mark.parametrize("eps", [1e-8, 0.05, 0.5])
+def test_evaluate_matches_separate_methods_bitwise(pot, eps):
+    my = MoreauYosida(pot, eps)
+    kinks = pot.breakpoints
+    r = np.concatenate([
+        [0.0, 1e-300, -1e-300, 1e8, -1e8, eps, -eps],
+        kinks, kinks + eps, kinks - eps,
+        np.linspace(-5.0, 5.0, 41),
+    ])
+    if pot.kind == "piecewise":
+        r = np.concatenate([r, my._piecewise_bands])
+    values = my.evaluate(r)
+    expected = (my.resolvent(r), my.yosida(r), my.yosida_slope(r),
+                my.envelope(r))
+    for got, want in zip(values, expected):
+        assert not np.isnan(want).any()
+        assert np.array_equal(got, want)
+    scalar = my.evaluate(0.25)
+    assert np.array_equal(scalar.envelope, my.envelope(0.25))
+
+
 # -- Yosida slope -------------------------------------------------------------
 
 
