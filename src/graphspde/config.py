@@ -462,17 +462,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
         noise = cfg.build_noise(space)
         eps_values = cfg.epsilon_values()
         base = cfg.sim_config(space, potential, noise, eps_values[0])
-        decay_text = cfg.get("run", "decay_rate")
-        cert = certify_noise(noise, space)
-        decay = float(decay_text) if decay_text else 2.0 * cert.lipschitz + 1.0
+
+        def decay_rate() -> float:
+            # Certifying the noise is costly; only an unset rate needs it.
+            text = cfg.get("run", "decay_rate")
+            if text:
+                return float(text)
+            return 2.0 * certify_noise(noise, space).lipschitz + 1.0
 
         if exp == "eps_convergence":
-            rep = epsilon_convergence(base, eps_values, decay_rate=decay)
+            rep = epsilon_convergence(base, eps_values,
+                                      decay_rate=decay_rate())
             rep.write(out, "report_eps_convergence")
             reports.append(rep)
         elif exp == "contraction":
             y0 = cfg.initial_state(space, key="y0")
-            rep = contraction_experiment(base, y0, decay_rate=decay)
+            rep = contraction_experiment(base, y0, decay_rate=decay_rate())
             rep.write(out, "report_contraction")
             reports.append(rep)
         elif exp in ("energy", "regularity"):

@@ -5,7 +5,9 @@ mu-symmetric sub-Markovian generator built from symmetric edge weights and
 per-node killing rates.  Killing makes the generator negative definite, so
 the heat semigroup, Bessel-type norms, dual norms, Gamma-transforms and
 operator norms between weighted Lebesgue spaces are all exact dense spectral
-calculus.  Bernstein-function subordination reuses the eigenbasis.
+calculus.  Bernstein-function subordination reuses the eigenbasis.  The
+space also reports whether its generator is tridiagonal, which the time
+stepper uses to avoid dense linear algebra.
 """
 
 from __future__ import annotations
@@ -208,6 +210,13 @@ class DirichletSpace:
     def dual_metric(self) -> np.ndarray:
         """Symmetric positive matrix representing the dual inner product."""
         return self.measure[:, None] * self.inverse_generator
+
+    @cached_property
+    def is_tridiagonal(self) -> bool:
+        """Whether the generator couples only consecutive node indices, as
+        on path graphs; the time stepper then solves banded systems."""
+        L = self.generator
+        return not (np.triu(L, 2).any() or np.tril(L, -2).any())
 
     # -- quadratic forms and norms ---------------------------------------
 

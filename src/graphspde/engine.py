@@ -9,7 +9,11 @@ left is strongly monotone in the dual-norm geometry (minus the generator is
 positive definite and the smoothed slope plus ``eps`` times the identity is
 strongly monotone), so the step is the gradient of a strongly convex
 objective and a damped semismooth Newton iteration converges for any step
-size.  Paths evolve independently and are solved as one batch.
+size.  With ``K`` minus the generator and ``d`` the slope derivative plus
+``eps``, each Newton direction solves ``(1/d + dt K) z = -F`` and takes
+``delta = z / d``; that system has the sparsity of the generator, so on
+path graphs it is tridiagonal.  Paths evolve independently and are solved
+as one batch.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .dirichlet import DirichletSpace
 from .monotone import ConvexPotential, MoreauYosida
@@ -112,33 +117,124 @@ class TrajectoryEnsemble:
             getattr(self, name).setflags(write=False)
 
 
+def _off_diagonal(band: np.ndarray) -> np.ndarray:
+    # An order-m tridiagonal system has m - 1 off-diagonal entries, but the
+    # LAPACK wrappers take max(m - 1, 1) of them.
+    return band[:max(band.size - 1, 1)]
+
+
+class _NewtonSystem:
+    """Linear algebra of the implicit step for one space and step size.
+
+    The Newton equation ``(I + dt K D) delta = -F``, with ``K`` minus the
+    generator and ``D = diag(d)``, ``d`` the slope derivative plus ``eps``
+    (so ``d >= eps > 0``), is solved as ``(1/d + dt K) z = -F``,
+    ``delta = z / d``.  For a sub-Markovian generator that matrix is
+    strictly row diagonally dominant.  For tridiagonal generators all paths
+    form one block-diagonal tridiagonal system with zero couplings between
+    blocks, solved by one ``gtsv`` call, and the dual metric
+    ``M K^-1 = M E^-1 M`` is applied through an LDL^T factorization of the
+    tridiagonal ``E = M K``; every path's arithmetic is then independent of
+    the rest of the batch.  Other generators use batched dense solves and
+    the dense dual metric.
+    """
+
+    def __init__(self, space: DirichletSpace, dt: float):
+        self.dt = dt
+        self.tridiagonal = space.is_tridiagonal
+        self._mu = mu = space.measure
+        K = -space.generator
+        if self.tridiagonal:
+            # Entry i of each band couples nodes i and i + 1; the trailing
+            # zero is the coupling to the next path's block.
+            self._diag = np.diag(K).copy()
+            self._upper = np.append(np.diag(K, 1), 0.0)
+            self._lower = np.append(np.diag(K, -1), 0.0)
+            self._ldl_d, self._ldl_e, info = lapack.dpttrf(
+                mu * self._diag, _off_diagonal(mu * self._upper))
+            self._check("dpttrf", info)
+        else:
+            self._K = K
+            self._dual = space.dual_metric
+
+    @staticmethod
+    def _check(routine: str, info: int) -> None:
+        if info != 0:
+            raise StepSolverError(
+                f"LAPACK {routine} failed with info = {info} in the Newton "
+                "linear algebra")
+
+    def apply_k(self, y: np.ndarray) -> np.ndarray:
+        """Minus the generator applied to each row of ``y``."""
+        if not self.tridiagonal:
+            return y @ self._K.T
+        out = self._diag * y
+        out[:, :-1] += self._upper[:-1] * y[:, 1:]
+        out[:, 1:] += self._lower[:-1] * y[:, :-1]
+        return out
+
+    def dual(self, a: np.ndarray) -> np.ndarray:
+        """Rows of ``a`` times the dual metric ``M K^-1``."""
+        if not self.tridiagonal:
+            return a @ self._dual
+        w, info = lapack.dpttrs(self._ldl_d, self._ldl_e, (a * self._mu).T,
+                                overwrite_b=True)
+        self._check("dpttrs", info)
+        return w.T * self._mu
+
+    def direction(self, F: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Newton direction ``delta`` with ``(I + dt K diag(d)) delta = -F``
+        for each row of ``F`` and ``d``."""
+        paths, n = F.shape
+        inv_d = 1.0 / d
+        if self.tridiagonal:
+            diag = (inv_d + self.dt * self._diag).ravel()
+            upper = _off_diagonal(np.tile(self.dt * self._upper, paths))
+            lower = _off_diagonal(np.tile(self.dt * self._lower, paths))
+            *_, z, info = lapack.dgtsv(
+                lower, diag, upper, -F.reshape(-1, 1), overwrite_dl=True,
+                overwrite_d=True, overwrite_du=True, overwrite_b=True)
+            self._check("dgtsv", info)
+            z = z.reshape(paths, n)
+        else:
+            A = np.repeat(self.dt * self._K[None], paths, axis=0)
+            idx = np.arange(n)
+            A[:, idx, idx] += inv_d
+            z = np.linalg.solve(A, -F[..., None])[..., 0]
+        return z * inv_d
+
+
 def _implicit_step_batch(space: DirichletSpace, smoother: MoreauYosida,
                          eps: float, rhs: np.ndarray, dt: float,
-                         tol: float, max_iter: int):
+                         tol: float, max_iter: int,
+                         system: _NewtonSystem | None = None):
     """Solve the implicit system for a (paths, nodes) batch of right sides.
 
-    Newton on the residual equals Newton on the strongly convex dual-norm
-    objective, so Armijo backtracking on that objective is globally
-    convergent; for piecewise-linear slopes the iteration is finite.  The
-    accepted line-search trial supplies the next pass's residual, Jacobian
-    and Armijo base, so each trial costs one Moreau-Yosida solve.
+    Newton on the residual ``F = x + dt K drift(x) - rhs`` equals Newton on
+    the strongly convex dual-norm objective, so Armijo backtracking on that
+    objective is globally convergent; for piecewise-linear slopes the
+    iteration is finite.  Each direction solves ``(1/d + dt K) z = -F`` and
+    takes ``delta = z / d`` (see ``_NewtonSystem``); ``system`` is built
+    from the space and ``dt`` when not given.  The accepted line-search
+    trial supplies the next pass's residual, Jacobian and Armijo base, so
+    each trial costs one Moreau-Yosida solve.
     """
+    if system is None:
+        system = _NewtonSystem(space, dt)
     mu = space.measure
-    L = space.generator
-    MG = space.dual_metric          # symmetric positive definite
     rhs = np.atleast_2d(rhs)
-    paths, n = rhs.shape
+    paths = rhs.shape[0]
+    dual_rhs = system.dual(rhs)
 
     def mu_norm(a):
-        return np.sqrt(a**2 @ mu)
+        return np.sqrt((a**2 * mu).sum(-1))
 
     def newton_terms(x):
         # Drift, its slope derivative and the dual-norm merit at x, all
         # from one Moreau-Yosida solve.
         my = smoother.evaluate(x)
-        quad = 0.5 * np.einsum("pi,ij,pj->p", x, MG, x) \
-            - np.einsum("pi,ij,pj->p", x, MG, rhs)
-        local = (my.envelope + 0.5 * eps * x**2) @ mu
+        quad = (x * (0.5 * system.dual(x) - dual_rhs)).sum(-1)
+        local = ((my.envelope + 0.5 * eps * x**2) * mu).sum(-1)
         return my.slope + eps * x, my.slope_derivative + eps, quad + dt * local
 
     x = rhs.copy()
@@ -148,19 +244,20 @@ def _implicit_step_batch(space: DirichletSpace, smoother: MoreauYosida,
     residual = np.full(paths, np.inf)
 
     for it in range(max_iter):
-        F = x - dt * (drift @ L.T) - rhs
+        F = x + dt * system.apply_k(drift) - rhs
         residual = mu_norm(F)
         active = residual > tol_vec
         if not active.any():
             break
         iterations[active] += 1
 
-        grad = F @ MG                              # MG symmetric
-        A = MG[None, :, :] + dt * (mu * slope)[:, :, None] * np.eye(n)[None]
-        delta = np.linalg.solve(A, -grad[..., None])[..., 0]
+        delta = system.direction(F, slope)
         delta[~active] = 0.0
 
-        slope_dir = np.einsum("pi,pi->p", grad, delta)
+        # Gradient of the merit is M K^-1 F; along the Newton direction
+        # its slope is minus the quadratic form of the Newton matrix.
+        slope_dir = -((delta * system.dual(delta)).sum(-1)
+                      + dt * ((slope * delta**2) * mu).sum(-1))
         # Near the solution the predicted decrease sits below the roundoff
         # of the objective; the slack keeps full Newton steps acceptable
         # there so the final quadratic phase is never rejected.
@@ -179,7 +276,7 @@ def _implicit_step_batch(space: DirichletSpace, smoother: MoreauYosida,
             t_drift, t_slope, t_merit = newton_terms(trial)
         x, drift, slope, merit = trial, t_drift, t_slope, t_merit
     else:
-        F = x - dt * (drift @ L.T) - rhs
+        F = x + dt * system.apply_k(drift) - rhs
         residual = mu_norm(F)
         if np.any(residual > tol_vec):
             worst = int(np.argmax(residual - tol_vec))
@@ -211,6 +308,7 @@ def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
     smoother = MoreauYosida(config.potential, config.eps)
     dt = config.dt
     P, N, n = config.path_count, config.step_count, space.node_count
+    system = _NewtonSystem(space, dt)
 
     dW = brownian_increments(config.seed, config.coupling_tag, P, N,
                              noise.mode_count, dt)
@@ -226,7 +324,7 @@ def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
         try:
             nxt, res, its = _implicit_step_batch(
                 space, smoother, config.eps, rhs, dt,
-                config.solver_tol, config.max_newton)
+                config.solver_tol, config.max_newton, system)
         except StepSolverError as err:
             raise StepSolverError(f"step {k} (t = {t:g}): {err}") from err
         states[:, k + 1] = nxt

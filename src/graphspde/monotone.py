@@ -195,7 +195,8 @@ def _power_resolvent(p: float, eps: float, r: np.ndarray) -> np.ndarray:
 def _power_newton(p: float, eps: float, a: np.ndarray) -> np.ndarray:
     # Monotone scalar solve of s + eps s^p = a on [0, a] for p > 1; the
     # root stays comparable to min(a, (a/eps)^(1/p)), so plain Newton with
-    # bracket safeguarding resolves it.
+    # bracket safeguarding resolves it.  Converged elements are frozen, so
+    # each element's result is independent of the rest of the array.
     s = a.copy()
     lo = np.zeros_like(a)
     hi = a.copy()
@@ -204,14 +205,15 @@ def _power_newton(p: float, eps: float, a: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             g = s + eps * s**p - a
             dg = 1.0 + eps * p * np.where(s > 0, s ** (p - 1.0), np.inf)
-        if np.all(np.abs(g) <= tol):
+        done = np.abs(g) <= tol
+        if np.all(done):
             break
         lo = np.where(g < 0, s, lo)
         hi = np.where(g > 0, s, hi)
         step = np.where(np.isfinite(dg), g / np.where(dg > 0, dg, 1.0), 0.0)
         cand = s - step
         outside = (cand <= lo) | (cand >= hi)
-        s = np.where(outside, 0.5 * (lo + hi), cand)
+        s = np.where(done, s, np.where(outside, 0.5 * (lo + hi), cand))
     return s
 
 
@@ -220,7 +222,8 @@ def _power_newton_sublinear(p: float, eps: float, a: np.ndarray) -> np.ndarray:
     # sits near (a/eps)^(1/p)), which defeats bisection in s.  Substituting
     # y = s^p gives y^(1/p) + eps y = a, whose root is comparable to
     # min(a/eps, a^p); Newton in y is monotone and well conditioned since
-    # the derivative is bounded below by eps.
+    # the derivative is bounded below by eps.  Converged elements are
+    # frozen, as in ``_power_newton``.
     q = 1.0 / p
     with np.errstate(invalid="ignore"):
         hi = np.minimum(a / eps, a**p)
@@ -231,13 +234,14 @@ def _power_newton_sublinear(p: float, eps: float, a: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             g = y**q + eps * y - a
             dg = q * y ** (q - 1.0) + eps
-        if np.all(np.abs(g) <= tol):
+        done = np.abs(g) <= tol
+        if np.all(done):
             break
         lo = np.where(g < 0, y, lo)
         hi = np.where(g > 0, y, hi)
         cand = y - g / dg
         outside = (cand <= lo) | (cand >= hi)
-        y = np.where(outside, 0.5 * (lo + hi), cand)
+        y = np.where(done, y, np.where(outside, 0.5 * (lo + hi), cand))
     return y**q
 
 

@@ -4,12 +4,20 @@ certification, the reproducible increment source and trajectory artifacts."""
 import numpy as np
 import pytest
 
-from graphspde.dirichlet import build_graph_space, path_space, single_node_space
+from graphspde.dirichlet import (
+    BernsteinFunction,
+    build_graph_space,
+    complete_space,
+    path_space,
+    single_node_space,
+    subordinate,
+)
 from graphspde.engine import (
     SimulationConfig,
     StepSolverError,
     TrajectoryEnsemble,
     _implicit_step_batch,
+    _NewtonSystem,
     energy_budget,
     simulate,
     step_semi_implicit,
@@ -176,6 +184,40 @@ def test_step_evaluates_the_step_taken_after_exhausted_line_search():
     assert np.abs(x - expected).max() <= 1e-9
 
 
+@pytest.mark.parametrize("make_space, tridiagonal", [
+    pytest.param(lambda: path_space(16), True, id="path_16"),
+    pytest.param(lambda: path_space(96), True, id="path_96"),
+    pytest.param(lambda: complete_space(8), False, id="complete_8"),
+    pytest.param(lambda: subordinate(path_space(16),
+                                     BernsteinFunction.power(0.5)),
+                 False, id="path_16|power(0.5)"),
+])
+def test_newton_system_matches_dense_dual_metric_formulas(make_space,
+                                                          tridiagonal):
+    # Oracle: the dense dual-metric Newton system (MG + dt M D) delta = -MG F
+    # and the dense products with MG and minus the generator.
+    space = make_space()
+    eps, dt, paths = 0.05, 0.02, 7
+    system = _NewtonSystem(space, dt)
+    assert system.tridiagonal is tridiagonal
+
+    rng = np.random.default_rng(11)
+    n = space.node_count
+    F = rng.standard_normal((paths, n))
+    d = np.exp(rng.uniform(np.log(eps), -np.log(eps), size=(paths, n)))
+    MG, mu = space.dual_metric, space.measure
+    expected = np.stack([
+        np.linalg.solve(MG + dt * np.diag(mu * d[p]), -MG @ F[p])
+        for p in range(paths)])
+
+    def rel_err(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    assert rel_err(system.direction(F, d), expected) <= 1e-12
+    assert rel_err(system.dual(F), F @ MG) <= 1e-12
+    assert rel_err(system.apply_k(F), F @ (-space.generator).T) <= 1e-12
+
+
 def test_step_rejects_bad_dt():
     space = single_node_space()
     with pytest.raises(ValueError, match="positive"):
@@ -205,6 +247,25 @@ def test_path_results_independent_of_batch_composition():
     a = simulate(cfg)
     b = simulate(small)
     assert np.array_equal(a.states[:3], b.states)
+
+    # Bitwise, on path graphs of several sizes and for closed-form and
+    # scalar-Newton resolvents, against a 40-path reference run.
+    leaks = []
+    for n in (4, 32, 64):
+        for name, potential in (("zhang", zhang()),
+                                ("fd0.5", fast_diffusion(0.5)),
+                                ("fd0.3", fast_diffusion(0.3))):
+            space = path_space(n)
+            cfg = base_config(space=space, potential=potential,
+                              noise=diagonal_noise(n, 0.2),
+                              initial=np.linspace(1.0, -0.5, n),
+                              path_count=40)
+            reference = simulate(cfg).states
+            for count in (1, 3, 17):
+                part = simulate(dataclasses.replace(cfg, path_count=count))
+                if not np.array_equal(part.states, reference[:count]):
+                    leaks.append((n, name, count))
+    assert not leaks, f"paths depend on the batch at (n, potential, paths) {leaks}"
 
 
 def test_simulate_zero_noise_zero_initial():
