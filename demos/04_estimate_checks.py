@@ -13,9 +13,9 @@ from graphspde import (
     EnergyFunctional,
     SimulationConfig,
     build_test_process,
-    certify_noise,
     check_svi,
     contraction_experiment,
+    default_decay_rate,
     diagonal_noise,
     epsilon_convergence,
     mollify_sequence,
@@ -32,21 +32,23 @@ def banner(title):
 
 space = path_space(16)
 noise = diagonal_noise(16, sigma=0.2)
-cert = certify_noise(noise, space)
 config = SimulationConfig(
     space=space, potential=zhang(), noise=noise, eps=0.1,
     horizon=1.0, step_count=64, path_count=200,
     initial=np.full(16, 0.5), seed=99, coupling_tag="demo4")
+# Twice the certified Lipschitz constant of the noise plus one; certified
+# once here and shared by both experiments.
+rate = default_decay_rate(config)
 
 banner("contraction of initial conditions")
 direction = np.ones(16) / space.dual_norm(np.ones(16))
 report = contraction_experiment(config, config.initial + direction,
-                                certificate=cert)
+                                decay_rate=rate)
 print(report.to_text())
 
 banner("gap decay across smoothing levels")
 report = epsilon_convergence(config, [0.2, 0.1, 0.05, 0.025],
-                             certificate=cert)
+                             decay_rate=rate)
 print(report.to_text())
 print("per-pair gaps:")
 for row in report.series:

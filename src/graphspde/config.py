@@ -53,7 +53,7 @@ from .monotone import (
     porous_medium,
     zhang,
 )
-from .noise import certify_noise, diagonal_noise, eigenmode_noise
+from .noise import diagonal_noise, eigenmode_noise
 from .reports import CheckResult, EstimateReport, bundle_report, format_value
 
 __all__ = [
@@ -128,73 +128,87 @@ class ExperimentConfig:
     def digest(self) -> str:
         return hashlib.sha256(self.normalize().encode()).hexdigest()
 
+    def _number(self, section: str, key: str, kind=float):
+        return _parse_number(f"{section}.{key}", self.get(section, key), kind)
+
+    def _numbers(self, section: str, key: str) -> list[float]:
+        return [_parse_number(f"{section}.{key}", part)
+                for part in _split_list(self.get(section, key))]
+
     # -- builders -------------------------------------------------------
 
     def build_space(self) -> DirichletSpace:
         if ("space", "preset") in self.entries:
             space = preset_space(self.get("space", "preset"))
         else:
-            n = int(self.get("space", "nodes"))
+            n = self._number("space", "nodes", int)
             W = np.zeros((n, n))
             for part in _split_list(self.get("space", "edges", "")):
                 m = re.fullmatch(r"(\d+)-(\d+):(\S+)", part)
                 if not m:
                     raise ValueError(f"edge {part!r} is not of the form "
                                      "'i-j:weight'")
-                i, j, w = int(m.group(1)), int(m.group(2)), float(m.group(3))
+                i, j = int(m.group(1)), int(m.group(2))
+                w = _parse_number("space.edges", m.group(3))
                 if not (0 <= i < n and 0 <= j < n):
                     raise ValueError(f"edge {part!r} references a node "
                                      f"outside 0..{n - 1}")
                 W[i, j] = W[j, i] = w
-            killing = _float_list(self.get("space", "killing"))
-            measure = _float_list(self.get("space", "measure", ""))
-            if not measure:
-                measure = [1.0] * n
+            killing = self._numbers("space", "killing")
+            measure = self._numbers("space", "measure") or [1.0] * n
             space = build_graph_space(W, killing, measure, label="custom")
-        bernstein = self.get("space", "bernstein")
+        bernstein = self.get("space", "bernstein", "").strip()
         if bernstein:
-            space = subordinate(space, _parse_bernstein(bernstein))
+            m = re.fullmatch(r"(power|shifted_power)\(([^)]+)\)", bernstein)
+            if not m:
+                raise ValueError(f"cannot parse Bernstein spec {bernstein!r}")
+            space = subordinate(space, BernsteinFunction(
+                m.group(1), _parse_number("space.bernstein", m.group(2))))
         return space
 
     def build_potential(self):
         kind = self.get("potential", "kind")
         if kind == "fast_diffusion":
-            return fast_diffusion(float(self.get("potential", "theta")))
+            return fast_diffusion(self._number("potential", "theta"))
         if kind == "porous_medium":
-            return porous_medium(float(self.get("potential", "gamma")))
+            return porous_medium(self._number("potential", "gamma"))
         if kind == "zhang":
             return zhang()
-        knots = _float_list(self.get("potential", "knots"))
-        pieces = [tuple(float(x) for x in p.split(":"))
-                  for p in _split_list(self.get("potential", "pieces"))]
-        return piecewise_quadratic(knots, pieces)
+        if kind == "piecewise":
+            pieces = [tuple(_parse_number("potential.pieces", x)
+                            for x in p.split(":"))
+                      for p in _split_list(self.get("potential", "pieces"))]
+            return piecewise_quadratic(self._numbers("potential", "knots"),
+                                       pieces)
+        raise ValueError(f"unknown kind {kind!r}")
 
     def build_noise(self, space: DirichletSpace):
         kind = self.get("noise", "kind")
         if kind == "diagonal":
             return diagonal_noise(space.node_count,
-                                  float(self.get("noise", "sigma")),
-                                  clip_at=float(self.get("noise", "clip")))
-        return eigenmode_noise(space, int(self.get("noise", "modes")),
-                               float(self.get("noise", "amplitude")))
+                                  self._number("noise", "sigma"),
+                                  clip_at=self._number("noise", "clip"))
+        if kind == "additive":
+            return eigenmode_noise(space, self._number("noise", "modes", int),
+                                   self._number("noise", "amplitude"))
+        raise ValueError(f"unknown kind {kind!r}")
 
     def initial_state(self, space: DirichletSpace, key: str = "x0") -> np.ndarray:
         return _parse_state(self.get("run", key), space.node_count)
 
     def epsilon_values(self) -> list[float]:
-        listed = self.get("run", "epsilon_list")
-        if listed:
-            return _float_list(listed)
-        return [float(self.get("run", "epsilon"))]
+        if self.get("run", "epsilon_list"):
+            return self._numbers("run", "epsilon_list")
+        return [self._number("run", "epsilon")]
 
     def sim_config(self, space, potential, noise, eps: float) -> SimulationConfig:
         return SimulationConfig(
             space=space, potential=potential, noise=noise, eps=eps,
-            horizon=float(self.get("run", "horizon")),
-            step_count=int(self.get("run", "steps")),
-            path_count=int(self.get("run", "paths")),
+            horizon=self._number("run", "horizon"),
+            step_count=self._number("run", "steps", int),
+            path_count=self._number("run", "paths", int),
             initial=self.initial_state(space),
-            seed=int(self.get("run", "seed")),
+            seed=self._number("run", "seed", int),
             coupling_tag=self.get("run", "tag"),
         )
 
@@ -228,30 +242,34 @@ def _split_list(text: str | None) -> list[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
 
 
-def _float_list(text: str | None) -> list[float]:
-    return [float(p) for p in _split_list(text)]
-
-
-def _parse_bernstein(text: str) -> BernsteinFunction:
-    m = re.fullmatch(r"(power|shifted_power)\(([^)]+)\)", text.strip())
-    if not m:
-        raise ValueError(f"cannot parse Bernstein spec {text!r}")
-    return BernsteinFunction(m.group(1), float(m.group(2)))
+def _parse_number(name: str, text: str | None, kind=float):
+    # The one parser of config numbers; failures name the field.
+    try:
+        return kind(text)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError([f"{name}: expected {what}, got {text!r}"]) from None
 
 
 def _parse_state(text: str, n: int) -> np.ndarray:
     text = text.strip()
-    if text.startswith("constant:"):
-        return np.full(n, float(text.split(":", 1)[1]))
     if text.startswith("spike:"):
         j = int(text.split(":", 1)[1])
+        if not 0 <= j < n:
+            raise ValueError(f"spike node {j} is outside 0..{n - 1}")
         out = np.zeros(n)
         out[j] = 1.0
         return out
-    values = _float_list(text)
-    if len(values) != n:
-        raise ValueError(f"state has {len(values)} entries, space has {n} nodes")
-    return np.asarray(values)
+    if text.startswith("constant:"):
+        values = np.full(n, float(text.split(":", 1)[1]))
+    else:
+        values = np.array([float(p) for p in _split_list(text)])
+        if values.size != n:
+            raise ValueError(f"state has {values.size} entries, space has "
+                             f"{n} nodes")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("state values must be finite")
+    return values
 
 
 _LINE = re.compile(r"([A-Za-z_]+)\.([A-Za-z0-9_]+)\s*=\s*(.*)")
@@ -296,35 +314,48 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _semantic_problems(cfg: ExperimentConfig,
                        provided: frozenset = frozenset()) -> list[str]:
+    """Every violation of a defaulted config, each as ``<field>: <reason>``.
+
+    The space, potential and noise blocks are valid exactly when their
+    builders succeed, so their rules live there; the noise block is checked
+    only when the space builds.  Kept here are the rules no builder owns:
+    the experiment kind, the run block and the noise block that ``svi`` and
+    ``contraction`` require.
+    """
     problems = []
+
+    def attempt(section: str, build, *args):
+        # The builder's value, or None with its failure recorded.
+        try:
+            return build(*args)
+        except ConfigError as err:
+            problems.extend(err.problems)
+        except ValueError as err:
+            problems.append(f"{section}: {err}")
+        return None
+
     exp = cfg.get("experiment", "kind")
     if exp not in EXPERIMENTS:
         problems.append(f"experiment.kind: unknown experiment {exp!r}, "
                         f"expected one of {', '.join(EXPERIMENTS)}")
 
-    for eps in cfg.epsilon_values() or [np.nan]:
-        if not 0.0 < eps < 1.0:
-            problems.append(f"run.epsilon: epsilon must lie in (0,1), got {eps:g}")
-    if float(cfg.get("run", "horizon")) <= 0:
+    eps_values = attempt("run", cfg.epsilon_values)
+    if eps_values is not None:
+        for eps in eps_values or [np.nan]:
+            if not 0.0 < eps < 1.0:
+                problems.append("run.epsilon: epsilon must lie in (0,1), "
+                                f"got {eps:g}")
+    horizon = attempt("run", cfg._number, "run", "horizon")
+    if horizon is not None and horizon <= 0:
         problems.append("run.horizon: horizon must be positive")
-    if int(cfg.get("run", "steps")) < 1:
-        problems.append("run.steps: need at least one step")
-    if int(cfg.get("run", "paths")) < 1:
-        problems.append("run.paths: need at least one path")
-
-    kind = cfg.get("potential", "kind")
-    if kind not in ("fast_diffusion", "porous_medium", "zhang", "piecewise"):
-        problems.append(f"potential.kind: unknown kind {kind!r}")
-    elif kind == "fast_diffusion":
-        theta = float(cfg.get("potential", "theta"))
-        if not 0 < theta < 1:
-            problems.append("potential.theta: exponent must lie in (0,1)")
-    elif kind == "porous_medium":
-        if float(cfg.get("potential", "gamma")) <= 1:
-            problems.append("potential.gamma: exponent must exceed 1")
-    elif kind == "piecewise":
-        if not cfg.get("potential", "knots") or not cfg.get("potential", "pieces"):
-            problems.append("potential.knots/pieces: piecewise kind needs both")
+    for key, noun in (("steps", "step"), ("paths", "path")):
+        count = attempt("run", cfg._number, "run", key, int)
+        if count is not None and count < 1:
+            problems.append(f"run.{key}: need at least one {noun}")
+    attempt("run", cfg._number, "run", "seed", int)
+    for key in ("drift_const", "decay_rate"):
+        if cfg.get("run", key):
+            attempt("run", cfg._number, "run", key)
 
     if exp in _SIM_EXPERIMENTS:
         if ("noise", "kind") not in provided and exp in ("svi", "contraction"):
@@ -335,41 +366,19 @@ def _semantic_problems(cfg: ExperimentConfig,
         if exp == "contraction" and not cfg.get("run", "y0"):
             problems.append("run.y0: contraction experiment needs a second "
                             "initial state")
-        if exp == "eps_convergence" and len(cfg.epsilon_values()) < 2:
+        if exp == "eps_convergence" and eps_values is not None and (
+                len(eps_values) < 2
+                or any(b >= a for a, b in zip(eps_values, eps_values[1:]))):
             problems.append("run.epsilon_list: eps_convergence needs at "
-                            "least two decreasing levels")
+                            "least two strictly decreasing levels")
 
-    noise_kind = cfg.get("noise", "kind")
-    if noise_kind not in ("diagonal", "additive"):
-        problems.append(f"noise.kind: unknown kind {noise_kind!r}")
-    elif noise_kind == "diagonal" and float(cfg.get("noise", "sigma")) < 0:
-        problems.append("noise.sigma: must be nonnegative")
-
-    space = None
-    if ("space", "preset") in cfg.entries:
-        try:
-            space = preset_space(cfg.get("space", "preset"))
-        except ValueError as err:
-            problems.append(f"space.preset: {err}")
-    else:
-        try:
-            space = cfg.build_space()
-        except Exception as err:  # graph construction reports its own reason
-            problems.append(f"space: {err}")
-    bern = cfg.get("space", "bernstein")
-    if bern:
-        try:
-            _parse_bernstein(bern)
-        except ValueError as err:
-            problems.append(f"space.bernstein: {err}")
+    attempt("potential", cfg.build_potential)
+    space = attempt("space", cfg.build_space)
     if space is not None:
+        attempt("noise", cfg.build_noise, space)
         for key in ("x0", "y0"):
-            value = cfg.get("run", key)
-            if value:
-                try:
-                    _parse_state(value, space.node_count)
-                except ValueError as err:
-                    problems.append(f"run.{key}: {err}")
+            if cfg.get("run", key):
+                attempt(f"run.{key}", cfg.initial_state, space, key)
     return problems
 
 
@@ -454,7 +463,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
             series=tuple((e.name, e.passed, e.margin) for e in rep.entries)))
         reports[-1].write(out, "report_assumptions_summary")
     elif exp == "norms":
-        checks = _norms_checks(space, int(cfg.get("run", "seed")))
+        checks = _norms_checks(space, cfg._number("run", "seed", int))
         rep = bundle_report("norms", checks)
         rep.write(out, "report_norms")
         reports.append(rep)
@@ -462,22 +471,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
         noise = cfg.build_noise(space)
         eps_values = cfg.epsilon_values()
         base = cfg.sim_config(space, potential, noise, eps_values[0])
-
-        def decay_rate() -> float:
-            # Certifying the noise is costly; only an unset rate needs it.
-            text = cfg.get("run", "decay_rate")
-            if text:
-                return float(text)
-            return 2.0 * certify_noise(noise, space).lipschitz + 1.0
+        # Unset, the experiments certify the noise for their default rate.
+        decay_rate = (cfg._number("run", "decay_rate")
+                      if cfg.get("run", "decay_rate") else None)
 
         if exp == "eps_convergence":
-            rep = epsilon_convergence(base, eps_values,
-                                      decay_rate=decay_rate())
+            rep = epsilon_convergence(base, eps_values, decay_rate=decay_rate)
             rep.write(out, "report_eps_convergence")
             reports.append(rep)
         elif exp == "contraction":
             y0 = cfg.initial_state(space, key="y0")
-            rep = contraction_experiment(base, y0, decay_rate=decay_rate())
+            rep = contraction_experiment(base, y0, decay_rate=decay_rate)
             rep.write(out, "report_contraction")
             reports.append(rep)
         elif exp in ("energy", "regularity"):
@@ -498,7 +502,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
                 reports.append(rep)
         else:  # svi
             functional = EnergyFunctional(space, potential)
-            drift_const = float(cfg.get("run", "drift_const"))
+            drift_const = cfg._number("run", "drift_const")
             for eps in eps_values:
                 ens = simulate(base.with_eps(eps))
                 _dump_run(ens, out, f"trajectories_eps{_eps_tag(eps)}")

@@ -142,7 +142,7 @@ class _NewtonSystem:
     def __init__(self, space: DirichletSpace, dt: float):
         self.dt = dt
         self.tridiagonal = space.is_tridiagonal
-        self._mu = mu = space.measure
+        self.mu = mu = space.measure
         K = -space.generator
         if self.tridiagonal:
             # Entry i of each band couples nodes i and i + 1; the trailing
@@ -177,10 +177,10 @@ class _NewtonSystem:
         """Rows of ``a`` times the dual metric ``M K^-1``."""
         if not self.tridiagonal:
             return a @ self._dual
-        w, info = lapack.dpttrs(self._ldl_d, self._ldl_e, (a * self._mu).T,
+        w, info = lapack.dpttrs(self._ldl_d, self._ldl_e, (a * self.mu).T,
                                 overwrite_b=True)
         self._check("dpttrs", info)
-        return w.T * self._mu
+        return w.T * self.mu
 
     def direction(self, F: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Newton direction ``delta`` with ``(I + dt K diag(d)) delta = -F``
@@ -204,25 +204,19 @@ class _NewtonSystem:
         return z * inv_d
 
 
-def _implicit_step_batch(space: DirichletSpace, smoother: MoreauYosida,
-                         eps: float, rhs: np.ndarray, dt: float,
-                         tol: float, max_iter: int,
-                         system: _NewtonSystem | None = None):
+def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
+                         rhs: np.ndarray, tol: float, max_iter: int):
     """Solve the implicit system for a (paths, nodes) batch of right sides.
 
     Newton on the residual ``F = x + dt K drift(x) - rhs`` equals Newton on
     the strongly convex dual-norm objective, so Armijo backtracking on that
     objective is globally convergent; for piecewise-linear slopes the
     iteration is finite.  Each direction solves ``(1/d + dt K) z = -F`` and
-    takes ``delta = z / d`` (see ``_NewtonSystem``); ``system`` is built
-    from the space and ``dt`` when not given.  The accepted line-search
-    trial supplies the next pass's residual, Jacobian and Armijo base, so
-    each trial costs one Moreau-Yosida solve.
+    takes ``delta = z / d`` (see ``_NewtonSystem``, which also fixes ``dt``).
+    The accepted line-search trial supplies the next pass's residual,
+    Jacobian and Armijo base, so each trial costs one Moreau-Yosida solve.
     """
-    if system is None:
-        system = _NewtonSystem(space, dt)
-    mu = space.measure
-    rhs = np.atleast_2d(rhs)
+    mu, dt, eps = system.mu, system.dt, smoother.eps
     paths = rhs.shape[0]
     dual_rhs = system.dual(rhs)
 
@@ -289,16 +283,16 @@ def _implicit_step_batch(space: DirichletSpace, smoother: MoreauYosida,
 
 def step_semi_implicit(space: DirichletSpace, smoother: MoreauYosida,
                        noise: NoiseModel, state: np.ndarray, t: float,
-                       dt: float, dw: np.ndarray, tol: float = 1e-10,
-                       max_iter: int = 100) -> np.ndarray:
-    """One drift-implicit step from ``state`` with the given increment."""
+                       dt: float, dw: np.ndarray) -> np.ndarray:
+    """One drift-implicit step from ``state`` with the given increment, at
+    the solver tolerance and Newton limit of ``SimulationConfig``."""
     if dt <= 0:
         raise ValueError("step size must be positive")
     state = np.asarray(state, dtype=float)
     rhs = state + noise.apply(t, state, np.asarray(dw, dtype=float))
-    eps = smoother.eps
-    new, _, _ = _implicit_step_batch(space, smoother, eps,
-                                     rhs[None, :], dt, tol, max_iter)
+    new, _, _ = _implicit_step_batch(
+        _NewtonSystem(space, dt), smoother, rhs[None, :],
+        SimulationConfig.solver_tol, SimulationConfig.max_newton)
     return new[0]
 
 
@@ -323,8 +317,7 @@ def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
         rhs = current + noise.apply(t, current, dW[:, k])
         try:
             nxt, res, its = _implicit_step_batch(
-                space, smoother, config.eps, rhs, dt,
-                config.solver_tol, config.max_newton, system)
+                system, smoother, rhs, config.solver_tol, config.max_newton)
         except StepSolverError as err:
             raise StepSolverError(f"step {k} (t = {t:g}): {err}") from err
         states[:, k + 1] = nxt
@@ -377,18 +370,18 @@ def energy_budget(ensemble: TrajectoryEnsemble) -> EstimateReport:
 
 
 def write_trajectories(ensemble: TrajectoryEnsemble, path) -> None:
-    """CSV dump with one row per (path, step) and one column per node."""
+    """CSV dump with one row per (path, step) and one column per node,
+    floats at 17 significant digits; written path by path."""
     n = ensemble.config.space.node_count
-    header = "path,step,time," + ",".join(f"node_{i}" for i in range(n))
-    lines = [header]
-    times = ensemble.times
-    for p in range(ensemble.states.shape[0]):
-        for k in range(ensemble.states.shape[1]):
-            row = [str(p), str(k), format_value(times[k])]
-            row += [format_value(x) for x in ensemble.states[p, k]]
-            lines.append(",".join(row))
+    row = "{},{}," + ",".join(["{:.17g}"] * (n + 1)) + "\n"
+    times = ensemble.times.tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("path,step,time,"
+                 + ",".join(f"node_{i}" for i in range(n)) + "\n")
+        for p, states in enumerate(ensemble.states):
+            fh.writelines(row.format(p, k, t, *x)
+                          for k, (t, x) in enumerate(zip(times,
+                                                         states.tolist())))
 
 
 def write_metadata(ensemble: TrajectoryEnsemble, path) -> None:

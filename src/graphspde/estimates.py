@@ -18,10 +18,11 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .dirichlet import DirichletSpace
-from .engine import SimulationConfig, TrajectoryEnsemble, simulate
+from .engine import (SimulationConfig, TrajectoryEnsemble, energy_budget,
+                     simulate)
 from .monotone import ConvexPotential, MoreauYosida
-from .noise import NoiseModel, certify_noise
-from .reports import EstimateReport, batch_mean_ci
+from .noise import certify_noise
+from .reports import CI_Z, EstimateReport, _batch_bounds, batch_mean_ci
 
 __all__ = [
     "EnergyFunctional",
@@ -123,24 +124,17 @@ class TestProcess:
 
 
 def build_test_process(ensemble: TrajectoryEnsemble, initial,
-                       drift=None, noise: NoiseModel | None = None,
-                       coupling_tag: str | None = None) -> TestProcess:
+                       drift=None) -> TestProcess:
     """Integrate a test process on the grid of a reference run.
 
     ``drift`` selects the deterministic part: ``None`` for no drift, a
     node-indexed array for a constant drift density, or a second ensemble
     whose implicit drift is replayed; the latter reproduces that ensemble's
-    own states up to the accumulated solver tolerance.
+    own states up to the accumulated solver tolerance.  The noise is the
+    ensemble's own, driven by its increments.
     """
     cfg = ensemble.config
-    space = cfg.space
-    noise = noise if noise is not None else cfg.noise
-    if coupling_tag is not None and coupling_tag != cfg.coupling_tag:
-        raise ValueError(
-            f"coupling tag {coupling_tag!r} does not match the ensemble "
-            f"tag {cfg.coupling_tag!r}")
-    if noise.mode_count != ensemble.increments.shape[-1]:
-        raise ValueError("noise mode count does not match the ensemble")
+    space, noise = cfg.space, cfg.noise
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (space.node_count,):
         raise ValueError("initial state must be node-indexed")
@@ -151,9 +145,7 @@ def build_test_process(ensemble: TrajectoryEnsemble, initial,
         mode = "zero"
     elif isinstance(drift, TrajectoryEnsemble):
         other = drift.config
-        if (other.coupling_tag, other.seed, other.step_count,
-                other.path_count) != (cfg.coupling_tag, cfg.seed,
-                                      cfg.step_count, cfg.path_count):
+        if not _coupled(other, cfg):
             raise ValueError("drift ensemble is not coupled to the reference")
         smoother = MoreauYosida(other.potential, other.eps)
         post = drift.states[:, 1:]    # drift is implicit in the next state
@@ -180,12 +172,10 @@ def build_test_process(ensemble: TrajectoryEnsemble, initial,
 # -- experiment helpers -----------------------------------------------------------
 
 
-def default_decay_rate(config: SimulationConfig,
-                       certificate=None) -> float:
+def default_decay_rate(config: SimulationConfig) -> float:
     """Exponential weight rate: twice the certified Lipschitz constant of
     the noise plus one, the rate that absorbs the noise difference term."""
-    cert = certificate or certify_noise(config.noise, config.space)
-    return 2.0 * cert.lipschitz + 1.0
+    return 2.0 * certify_noise(config.noise, config.space).lipschitz + 1.0
 
 
 def _cum_trapz(f: np.ndarray, dt: float) -> np.ndarray:
@@ -274,17 +264,16 @@ def check_svi(ensemble: TrajectoryEnsemble, test: TestProcess,
 
 
 def contraction_experiment(config: SimulationConfig, second_initial,
-                           decay_rate: float | None = None,
-                           certificate=None) -> EstimateReport:
+                           decay_rate: float | None = None) -> EstimateReport:
     """Compare two coupled runs started from different states.
 
     Estimates, at every grid time, the exponentially weighted mean squared
     dual distance relative to the squared dual distance of the initial
     states, and asserts the grid supremum stays at or below two with CI
-    slack.
+    slack.  ``decay_rate`` defaults to ``default_decay_rate(config)``.
     """
     if decay_rate is None:
-        decay_rate = default_decay_rate(config, certificate)
+        decay_rate = default_decay_rate(config)
     second_initial = np.asarray(second_initial, dtype=float)
     ens_x = simulate(config)
     ens_y = simulate(config.with_initial(second_initial))
@@ -348,15 +337,15 @@ def pairwise_smoothing_gap(config: SimulationConfig, eps_a: float,
 
 def epsilon_convergence(config: SimulationConfig, eps_list,
                         decay_rate: float | None = None,
-                        certificate=None,
                         sims: dict | None = None) -> EstimateReport:
     """Gap decay across a descending ladder of smoothing levels.
 
     For consecutive pairs the expected weighted supremum gap is estimated
     on coupled noise; the report fits the log-log slope of the gap against
     the sum of the pair and passes when the gaps decrease strictly and the
-    slope is at least 0.8 within the CI.  ``sims`` may carry simulations
-    keyed by smoothing level for reuse across experiments.
+    slope is at least 0.8 within the CI.  ``decay_rate`` defaults to
+    ``default_decay_rate(config)``; ``sims`` may carry simulations keyed by
+    smoothing level for reuse across experiments.
     """
     if config.potential.slope_bound is None:
         raise ValueError(
@@ -368,7 +357,7 @@ def epsilon_convergence(config: SimulationConfig, eps_list,
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("smoothing levels must be strictly decreasing")
     if decay_rate is None:
-        decay_rate = default_decay_rate(config, certificate)
+        decay_rate = default_decay_rate(config)
 
     sims = sims if sims is not None else {}
     pairs = list(zip(eps_list[:-1], eps_list[1:]))
@@ -381,19 +370,15 @@ def epsilon_convergence(config: SimulationConfig, eps_list,
     y = np.log(gaps)
     slope = float(np.polyfit(x, y, 1)[0])
 
-    # CI of the slope through path batches
-    P = samples[0].shape[0]
-    b = min(20, P)
+    # CI of the slope through the path batches of ``batch_mean_ci``
+    bs = []
+    for lo, hi in _batch_bounds(samples[0].shape[0]):
+        means = np.array([s[lo:hi].mean() for s in samples])
+        if np.all(means > 0):
+            bs.append(np.polyfit(x, np.log(means), 1)[0])
     slope_ci = 0.0
-    if b >= 2:
-        edges = np.linspace(0, P, b + 1).astype(int)
-        bs = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            means = np.array([s[lo:hi].mean() for s in samples])
-            if np.all(means > 0):
-                bs.append(np.polyfit(x, np.log(means), 1)[0])
-        if len(bs) >= 2:
-            slope_ci = 1.96 * np.std(bs, ddof=1) / np.sqrt(len(bs))
+    if len(bs) >= 2:
+        slope_ci = CI_Z * np.std(bs, ddof=1) / np.sqrt(len(bs))
 
     decreasing = bool(np.all(np.diff(gaps) < 0))
     passed = decreasing and (slope + slope_ci >= 0.8)
@@ -443,9 +428,11 @@ def regularity_budget(ensemble: TrajectoryEnsemble,
 # -- uniformity over the smoothing ladder ----------------------------------------------
 
 
-def _uniformity_report(name: str, eps_list, constants, cis,
-                       band: float = 2.0) -> EstimateReport:
-    constants = np.asarray(constants, dtype=float)
+def _uniformity_report(name: str, eps_list, reports) -> EstimateReport:
+    # Implied constants across the ladder must stay within a factor of two.
+    band = 2.0
+    constants = np.array([r.constants["implied_constant"] for r in reports])
+    cis = [r.constants["implied_constant_ci"] for r in reports]
     top, bottom = constants.max(), constants.min()
     ratio = float(top / bottom) if bottom > 0 else np.inf
     passed = bool(np.isfinite(ratio) and ratio <= band)
@@ -461,7 +448,7 @@ def _uniformity_report(name: str, eps_list, constants, cis,
     )
 
 
-def energy_uniformity(config: SimulationConfig, eps_list, band: float = 2.0,
+def energy_uniformity(config: SimulationConfig, eps_list,
                       sims: dict | None = None) -> EstimateReport:
     """Implied uniform-bound constants across a smoothing ladder must stay
     inside a fixed multiplicative band.
@@ -469,19 +456,12 @@ def energy_uniformity(config: SimulationConfig, eps_list, band: float = 2.0,
     ``sims`` carries runs keyed by smoothing level and gains the missing
     ones; ``run_experiment`` passes in its per-level runs, so no level is
     simulated twice."""
-    from .engine import energy_budget
-
     sims = _sims_for(config, eps_list, sims)
-    reports = [energy_budget(sims[e]) for e in eps_list]
-    return _uniformity_report(
-        "energy_uniformity", eps_list,
-        [r.constants["implied_constant"] for r in reports],
-        [r.constants["implied_constant_ci"] for r in reports],
-        band=band)
+    return _uniformity_report("energy_uniformity", eps_list,
+                              [energy_budget(sims[e]) for e in eps_list])
 
 
 def regularity_uniformity(config: SimulationConfig, eps_list,
-                          band: float = 2.0,
                           sims: dict | None = None) -> EstimateReport:
     """Implied regularity-budget constants across a smoothing ladder must
     stay inside a fixed multiplicative band.
@@ -491,9 +471,6 @@ def regularity_uniformity(config: SimulationConfig, eps_list,
     simulated twice."""
     functional = EnergyFunctional(config.space, config.potential)
     sims = _sims_for(config, eps_list, sims)
-    reports = [regularity_budget(sims[e], functional) for e in eps_list]
     return _uniformity_report(
         "regularity_uniformity", eps_list,
-        [r.constants["implied_constant"] for r in reports],
-        [r.constants["implied_constant_ci"] for r in reports],
-        band=band)
+        [regularity_budget(sims[e], functional) for e in eps_list])

@@ -15,12 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .reports import CheckResult
+
 __all__ = [
     "ConvexPotential",
     "MoreauYosida",
     "MoreauYosidaValues",
     "CrossMonotonicityDefect",
-    "AssumptionCheck",
     "AssumptionReport",
     "fast_diffusion",
     "porous_medium",
@@ -54,7 +55,6 @@ class ConvexPotential:
     knots: tuple = ()
     pieces: tuple = ()
     slope_bound: float | None = None
-    superlinear: bool = True
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -140,7 +140,7 @@ def zhang() -> ConvexPotential:
     return ConvexPotential("zhang", slope_bound=1.0)
 
 
-def piecewise_quadratic(knots, pieces, superlinear: bool = True) -> ConvexPotential:
+def piecewise_quadratic(knots, pieces) -> ConvexPotential:
     """Continuous piecewise-quadratic potential.
 
     ``knots`` are the ascending junction points; ``pieces`` has one
@@ -168,7 +168,6 @@ def piecewise_quadratic(knots, pieces, superlinear: bool = True) -> ConvexPotent
         knots=tuple(knots.tolist()),
         pieces=tuple(map(tuple, pieces.tolist())),
         slope_bound=bound,
-        superlinear=superlinear,
     )
 
 
@@ -185,64 +184,55 @@ def _power_resolvent(p: float, eps: float, r: np.ndarray) -> np.ndarray:
         s = x * x
     elif p == 2.0:
         s = np.where(a > 0, 2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * eps * a)), 0.0)
-    elif p < 1.0:
-        s = _power_newton_sublinear(p, eps, a)
     else:
         s = _power_newton(p, eps, a)
     return np.sign(r) * s
 
 
 def _power_newton(p: float, eps: float, a: np.ndarray) -> np.ndarray:
-    # Monotone scalar solve of s + eps s^p = a on [0, a] for p > 1; the
-    # root stays comparable to min(a, (a/eps)^(1/p)), so plain Newton with
-    # bracket safeguarding resolves it.  Converged elements are frozen, so
-    # each element's result is independent of the rest of the array.
-    s = a.copy()
-    lo = np.zeros_like(a)
-    hi = a.copy()
-    tol = 1e-13 * (1.0 + a)
-    for _ in range(80):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = s + eps * s**p - a
-            dg = 1.0 + eps * p * np.where(s > 0, s ** (p - 1.0), np.inf)
-        done = np.abs(g) <= tol
-        if np.all(done):
-            break
-        lo = np.where(g < 0, s, lo)
-        hi = np.where(g > 0, s, hi)
-        step = np.where(np.isfinite(dg), g / np.where(dg > 0, dg, 1.0), 0.0)
-        cand = s - step
-        outside = (cand <= lo) | (cand >= hi)
-        s = np.where(done, s, np.where(outside, 0.5 * (lo + hi), cand))
-    return s
+    # Monotone scalar solve of s + eps s^p = a for a >= 0 by Newton kept in
+    # a bracket [0, hi].  For p > 1 the root is comparable to
+    # min(a, (a/eps)^(1/p)) and Newton runs in s.  For p < 1 the root can be
+    # exponentially small in 1/p, which defeats bisection in s, so Newton
+    # runs in y = s^p: y^(1/p) + eps y = a has a root comparable to
+    # min(a/eps, a^p) and a derivative of at least eps.  Converged elements
+    # are frozen, so each element is independent of the rest of the array.
+    if p < 1.0:
+        q = 1.0 / p
 
+        def residual(y):
+            # Residual and Newton step in y.
+            with np.errstate(invalid="ignore"):
+                g = y**q + eps * y - a
+                return g, g / (q * y ** (q - 1.0) + eps)
 
-def _power_newton_sublinear(p: float, eps: float, a: np.ndarray) -> np.ndarray:
-    # For p < 1 the root can be exponentially small in 1/p (for tiny a it
-    # sits near (a/eps)^(1/p)), which defeats bisection in s.  Substituting
-    # y = s^p gives y^(1/p) + eps y = a, whose root is comparable to
-    # min(a/eps, a^p); Newton in y is monotone and well conditioned since
-    # the derivative is bounded below by eps.  Converged elements are
-    # frozen, as in ``_power_newton``.
-    q = 1.0 / p
-    with np.errstate(invalid="ignore"):
-        hi = np.minimum(a / eps, a**p)
-    y = hi.copy()
-    lo = np.zeros_like(a)
-    tol = 1e-13 * (1.0 + a)
-    for _ in range(80):
         with np.errstate(invalid="ignore"):
-            g = y**q + eps * y - a
-            dg = q * y ** (q - 1.0) + eps
+            hi = np.minimum(a / eps, a**p)
+    else:
+        def residual(s):
+            # Residual and Newton step in s; no step where the derivative
+            # is infinite.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = s + eps * s**p - a
+                dg = 1.0 + eps * p * np.where(s > 0, s ** (p - 1.0), np.inf)
+                return g, np.where(np.isfinite(dg),
+                                   g / np.where(dg > 0, dg, 1.0), 0.0)
+
+        hi = a
+    x = hi.copy()
+    lo = np.zeros_like(a)
+    tol = 1e-13 * (1.0 + a)
+    for _ in range(80):
+        g, step = residual(x)
         done = np.abs(g) <= tol
         if np.all(done):
             break
-        lo = np.where(g < 0, y, lo)
-        hi = np.where(g > 0, y, hi)
-        cand = y - g / dg
+        lo = np.where(g < 0, x, lo)
+        hi = np.where(g > 0, x, hi)
+        cand = x - step
         outside = (cand <= lo) | (cand >= hi)
-        y = np.where(done, y, np.where(outside, 0.5 * (lo + hi), cand))
-    return y**q
+        x = np.where(done, x, np.where(outside, 0.5 * (lo + hi), cand))
+    return x**q if p < 1.0 else x
 
 
 def _zhang_resolvent(eps: float, r: np.ndarray) -> np.ndarray:
@@ -430,14 +420,6 @@ def cross_monotonicity_defect(potential: ConvexPotential,
 
 
 @dataclass(frozen=True)
-class AssumptionCheck:
-    name: str
-    passed: bool
-    margin: float
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class AssumptionReport:
     potential_kind: str
     entries: tuple
@@ -469,7 +451,7 @@ def check_assumptions(potential: ConvexPotential, grid) -> AssumptionReport:
     entries = []
 
     zero_val = float(potential.value(0.0))
-    entries.append(AssumptionCheck(
+    entries.append(CheckResult(
         "nonnegative_with_zero_at_origin",
         vals.min() >= -1e-12 and abs(zero_val) <= 1e-12,
         float(min(vals.min(), -abs(zero_val))),
@@ -483,19 +465,19 @@ def check_assumptions(potential: ConvexPotential, grid) -> AssumptionReport:
     mid = potential.value(lam * x + (1 - lam) * y)
     scale = 1.0 + np.abs(mix)
     convex_margin = float(((mix - mid) / scale).min())
-    entries.append(AssumptionCheck(
+    entries.append(CheckResult(
         "convexity", convex_margin >= -1e-12, convex_margin))
 
     # Growth of value(r)/|r| on a geometric ladder.  The ratios must never
-    # decrease, and a declared-superlinear potential must grow on at least
-    # one side (one-sided potentials are flat on the other).
+    # decrease and must grow on at least one side (one-sided potentials are
+    # flat on the other).
     ladder = np.array([1e2, 1e3, 1e4])
     ratios_pos = potential.value(ladder) / ladder
     ratios_neg = potential.value(-ladder) / ladder
     monotone = float(min(np.diff(ratios_pos).min(), np.diff(ratios_neg).min()))
     grows = max(ratios_pos[-1] - ratios_pos[0], ratios_neg[-1] - ratios_neg[0])
-    ok = monotone >= -1e-12 and (grows > 0 or not potential.superlinear)
-    entries.append(AssumptionCheck(
+    ok = monotone >= -1e-12 and grows > 0
+    entries.append(CheckResult(
         "superlinear_growth_on_ladder", ok,
         monotone if monotone < 0 else float(grows),
         detail="declared property, grid evidence only",
@@ -504,13 +486,13 @@ def check_assumptions(potential: ConvexPotential, grid) -> AssumptionReport:
     ms = potential.minimal_section(grid)
     if potential.slope_bound is None:
         worst = float((ms / (np.abs(grid) + 1.0)).max())
-        entries.append(AssumptionCheck(
+        entries.append(CheckResult(
             "linear_minimal_section_bound", False, -worst,
             detail="no linear bound exists for this kind",
         ))
     else:
         slack = potential.slope_bound * (np.abs(grid) + 1.0) - ms
-        entries.append(AssumptionCheck(
+        entries.append(CheckResult(
             "linear_minimal_section_bound",
             bool(slack.min() >= -1e-12),
             float(slack.min()),
@@ -520,7 +502,7 @@ def check_assumptions(potential: ConvexPotential, grid) -> AssumptionReport:
     lo, hi = potential.subdiff(grid)
     step = hi[:-1] - lo[1:]  # upper value must not exceed next lower value
     mono_margin = float((-step).min(initial=0.0))
-    entries.append(AssumptionCheck(
+    entries.append(CheckResult(
         "monotone_subdifferential", mono_margin >= -1e-12, mono_margin))
 
     return AssumptionReport(potential.kind, tuple(entries))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -31,7 +30,10 @@ __all__ = [
     "brownian_increments",
 ]
 
+# Certification evidence: dual-norm shifts, sampled state pairs and seed.
 _SHIFT_GRID = (1.0, 0.5, 0.1, 0.01)
+_PAIR_COUNT = 128
+_PAIR_SEED = 0xB0B
 
 
 @dataclass(frozen=True)
@@ -88,17 +90,6 @@ class NoiseModel:
             return dw @ np.asarray(self.columns).T
         return np.einsum("...ik,...k->...i", self.matrix(t, u), dw)
 
-    def hs_norm_sq_dual(self, space: DirichletSpace, u: np.ndarray,
-                        shift: float) -> np.ndarray:
-        """Squared Hilbert-Schmidt norm into the shifted dual space."""
-        return (_spectral_energy(space, self.matrix(0.0, u))
-                @ (1.0 / (space.eigenvalues + shift)))
-
-    def hs_norm_sq_l2(self, space: DirichletSpace, u: np.ndarray) -> np.ndarray:
-        """Squared Hilbert-Schmidt norm into the weighted L2 space."""
-        B = self.matrix(0.0, u)
-        return np.einsum("i,...im,...im->...", space.measure, B, B)
-
 
 def _spectral_energy(space: DirichletSpace, B: np.ndarray) -> np.ndarray:
     # Squared eigen-coefficients of the columns of B, summed over columns.
@@ -117,6 +108,8 @@ def additive_noise(columns) -> NoiseModel:
 
 
 def diagonal_noise(node_count: int, sigma: float, clip_at: float = 1e3) -> NoiseModel:
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
     if clip_at < 0:
         raise ValueError("clip level must be nonnegative")
     return NoiseModel("diagonal_multiplicative", mode_count=node_count,
@@ -140,6 +133,8 @@ def linear_combination_noise(offsets, gains) -> NoiseModel:
 def eigenmode_noise(space: DirichletSpace, modes: int,
                     amplitude: float) -> NoiseModel:
     """Additive noise whose columns are the lowest eigenfunctions."""
+    if modes < 1:
+        raise ValueError("need at least one mode")
     modes = min(modes, space.node_count)
     return additive_noise(amplitude * space.basis[:, :modes])
 
@@ -181,40 +176,34 @@ class NoiseCertificate:
         ]
 
 
-def _uniform_within(values: Iterable[float], tol: float = 0.05) -> bool:
-    values = [v for v in values]
+def _uniform_within(values: list[float]) -> bool:
+    # Spread across the shift grid within five percent of the largest.
     top = max(values)
     if top <= 0:
         return True
-    return (top - min(values)) / top <= tol
+    return (top - min(values)) / top <= 0.05
 
 
-def certify_noise(model: NoiseModel, space: DirichletSpace,
-                  state_samples: np.ndarray | None = None,
-                  pair_count: int = 128, seed: int = 0xB0B,
-                  shift_grid: tuple = _SHIFT_GRID) -> NoiseCertificate:
-    """Estimate the Lipschitz and growth constants on sampled state pairs.
+def certify_noise(model: NoiseModel, space: DirichletSpace) -> NoiseCertificate:
+    """Estimate the Lipschitz and growth constants on 128 sampled state
+    pairs, Gaussian states of random scale from a fixed seed, over the
+    shifts (1, 0.5, 0.1, 0.01).
 
-    At least 100 pairs are required.  The constants are the worst observed
-    ratios over the samples and the whole shift grid, so they are the
-    smallest constants consistent with the evidence.
+    The constants are the worst observed ratios over the samples and the
+    whole shift grid, so they are the smallest constants consistent with
+    the evidence.
     """
-    if state_samples is None:
-        rng = np.random.default_rng(seed)
-        state_samples = rng.standard_normal((2 * pair_count, space.node_count))
-        state_samples *= rng.uniform(0.2, 3.0, size=(2 * pair_count, 1))
-    states = np.asarray(state_samples, dtype=float)
-    if states.shape[0] < 200:
-        raise ValueError("need at least 100 state pairs (200 states)")
-    half = states.shape[0] // 2
-    u, v = states[:half], states[half:2 * half]
+    rng = np.random.default_rng(_PAIR_SEED)
+    states = rng.standard_normal((2 * _PAIR_COUNT, space.node_count))
+    states *= rng.uniform(0.2, 3.0, size=(2 * _PAIR_COUNT, 1))
+    u, v = states[:_PAIR_COUNT], states[_PAIR_COUNT:]
 
     Bu = model.matrix(0.0, u)
     diff_energy = _spectral_energy(space, Bu - model.matrix(0.0, v))
     u_energy = _spectral_energy(space, Bu)
     lip_by_shift = []
     growth_by_shift = []
-    for shift in shift_grid:
+    for shift in _SHIFT_GRID:
         weights = 1.0 / (space.eigenvalues + shift)
         du = space.dual_norm(u - v, shift=shift) ** 2
         dB = diff_energy @ weights
@@ -223,19 +212,19 @@ def certify_noise(model: NoiseModel, space: DirichletSpace,
         nb = u_energy @ weights
         growth_by_shift.append(float(np.max(
             nb / (space.dual_norm(u, shift=shift) ** 2 + 1.0))))
-    l2 = float(np.max(model.hs_norm_sq_l2(space, u)
-                      / (space.lp_norm(u, 2) ** 2 + 1.0)))
+    l2_energy = np.einsum("i,...im,...im->...", space.measure, Bu, Bu)
+    l2 = float(np.max(l2_energy / (space.lp_norm(u, 2) ** 2 + 1.0)))
 
     return NoiseCertificate(
         lipschitz=max(lip_by_shift),
         dual_growth=max(growth_by_shift),
         l2_growth=l2,
-        shift_grid=tuple(shift_grid),
+        shift_grid=_SHIFT_GRID,
         lipschitz_by_shift=tuple(lip_by_shift),
         dual_growth_by_shift=tuple(growth_by_shift),
         uniform_lipschitz=_uniform_within(lip_by_shift),
         uniform_dual_growth=_uniform_within(growth_by_shift),
-        sample_count=half,
+        sample_count=_PAIR_COUNT,
     )
 
 

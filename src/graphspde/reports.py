@@ -27,25 +27,31 @@ def format_value(x) -> str:
     return str(x)
 
 
-def batch_mean_ci(samples: np.ndarray, batches: int = 20,
-                  z: float = 1.96) -> tuple[np.ndarray, np.ndarray]:
+CI_Z = 1.96  # normal quantile of a two-sided 95% interval
+
+
+def _batch_bounds(path_count: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of the at most 20 contiguous path batches behind
+    every confidence interval; independent paths make any split valid."""
+    b = min(20, path_count)
+    edges = np.linspace(0, path_count, b + 1).astype(int)
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def batch_mean_ci(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and normal-approximation CI half-width via path-batch means.
 
-    ``samples`` has paths on the first axis.  Paths are split into at most
-    ``batches`` contiguous batches (independent paths make any split valid);
-    with a single path the half-width is reported as zero.
+    ``samples`` has paths on the first axis and is split by
+    ``_batch_bounds``; with a single path the half-width is reported as zero.
     """
     samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
     mean = samples.mean(axis=0)
-    b = min(batches, n)
-    if b < 2:
+    bounds = _batch_bounds(samples.shape[0])
+    if len(bounds) < 2:
         return mean, np.zeros_like(mean)
-    edges = np.linspace(0, n, b + 1).astype(int)
-    bm = np.stack([samples[lo:hi].mean(axis=0)
-                   for lo, hi in zip(edges[:-1], edges[1:])])
-    se = bm.std(axis=0, ddof=1) / np.sqrt(b)
-    return mean, z * se
+    bm = np.stack([samples[lo:hi].mean(axis=0) for lo, hi in bounds])
+    se = bm.std(axis=0, ddof=1) / np.sqrt(len(bounds))
+    return mean, CI_Z * se
 
 
 @dataclass(frozen=True)

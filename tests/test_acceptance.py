@@ -26,6 +26,7 @@ from graphspde.estimates import (
     build_test_process,
     check_svi,
     contraction_experiment,
+    default_decay_rate,
     energy_uniformity,
     epsilon_convergence,
     mollify_sequence,
@@ -38,7 +39,7 @@ from graphspde.monotone import (
     porous_medium,
     zhang,
 )
-from graphspde.noise import certify_noise, diagonal_noise
+from graphspde.noise import diagonal_noise
 
 SLACK = -1e-10
 
@@ -81,8 +82,9 @@ def accept_noise(accept_space):
 
 
 @pytest.fixture(scope="module")
-def noise_certificate(accept_space, accept_noise):
-    return certify_noise(accept_noise, accept_space)
+def noise_decay_rate(accept_space, accept_noise):
+    return default_decay_rate(
+        accept_config(accept_space, zhang(), accept_noise, 0.1))
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +283,7 @@ def test_criterion_07_ultracontractivity(presets):
 
 
 def test_criterion_08_epsilon_convergence(accept_space, accept_noise,
-                                          noise_certificate, sim_cache):
+                                          noise_decay_rate, sim_cache):
     started = time.perf_counter()
     ladder = [0.2, 0.1, 0.05, 0.025]
     results = {}
@@ -289,7 +291,7 @@ def test_criterion_08_epsilon_convergence(accept_space, accept_noise,
         cfg, sims = cached_sims(sim_cache, accept_space, BUILTINS[kind],
                                 accept_noise, ladder)
         rep = epsilon_convergence(cfg, ladder,
-                                  certificate=noise_certificate, sims=sims)
+                                  decay_rate=noise_decay_rate, sims=sims)
         results[kind] = rep
     elapsed = time.perf_counter() - started
     ok = all(r.passed for r in results.values()) and elapsed < 120.0
@@ -303,13 +305,13 @@ def test_criterion_08_epsilon_convergence(accept_space, accept_noise,
 
 
 def test_criterion_09_contraction(accept_space, accept_noise,
-                                  noise_certificate):
+                                  noise_decay_rate):
     cfg = accept_config(accept_space, zhang(), accept_noise, 0.1)
     direction = np.ones(accept_space.node_count)
     direction /= accept_space.dual_norm(direction)
     second = cfg.initial + direction
     assert accept_space.dual_norm(cfg.initial - second) == pytest.approx(1.0)
-    rep = contraction_experiment(cfg, second, certificate=noise_certificate)
+    rep = contraction_experiment(cfg, second, decay_rate=noise_decay_rate)
     announce(9, "initial-condition contraction", rep.passed,
              f"sup ratio {rep.constants['sup_ratio']:.3f} <= 2, "
              f"decay rate {rep.constants['decay_rate']:.3f}")

@@ -77,6 +77,36 @@ def test_all_violations_reported_together():
     assert "unknown kind" in text
 
 
+@pytest.mark.parametrize("line, message", [
+    ("run.horizon = abc", "run.horizon: expected a number, got 'abc'"),
+    ("run.steps = 1.5", "run.steps: expected an integer, got '1.5'"),
+    ("run.paths = ", "run.paths: expected an integer, got ''"),
+    ("run.epsilon = x", "run.epsilon: expected a number, got 'x'"),
+    ("potential.theta = x", "potential.theta: expected a number, got 'x'"),
+    ("noise.sigma = abc", "noise.sigma: expected a number, got 'abc'"),
+    ("noise.sigma = -1", "noise: sigma must be nonnegative"),
+    ("noise.kind = bogus", "noise: unknown kind 'bogus'"),
+    ("noise.kind = additive\nnoise.modes = 0", "noise: need at least one mode"),
+    ("run.x0 = spike:5", "run.x0: spike node 5 is outside 0..0"),
+    ("run.x0 = spike:-1", "run.x0: spike node -1 is outside 0..0"),
+    ("run.x0 = constant:nan", "run.x0: state values must be finite"),
+    ("experiment.kind = eps_convergence\nrun.epsilon_list = 0.1, 0.2",
+     "run.epsilon_list: eps_convergence needs at least two strictly"),
+    ("experiment.kind = eps_convergence\nrun.epsilon_list = 0.1, 0.1",
+     "run.epsilon_list: eps_convergence needs at least two strictly"),
+])
+def test_invalid_values_are_config_errors(tmp_path, capsys, line, message):
+    # Each probe used to pass validation or escape as a raw exception.
+    text = MINIMAL + line + "\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert any(p.startswith(message) for p in err.value.problems)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("space.preset = single\nrun.bogus = 1\n")

@@ -38,6 +38,7 @@ from graphspde.noise import (
     eigenmode_noise,
     linear_combination_noise,
 )
+from graphspde.reports import format_value
 
 
 def base_config(**overrides):
@@ -172,14 +173,13 @@ def test_step_evaluates_the_step_taken_after_exhausted_line_search():
     space = path_space(4)
     rhs = np.zeros((1, 4))
     smoother = RejectingSmoother(inner)
-    x, residual, _ = _implicit_step_batch(space, smoother, 0.1, rhs, 0.05,
-                                          1e-10, 100)
+    system = _NewtonSystem(space, 0.05)
+    x, residual, _ = _implicit_step_batch(system, smoother, rhs, 1e-10, 100)
     delta = smoother.args[1]
     assert np.abs(delta).max() > 0
     assert np.array_equal(smoother.args[40], 0.5**39 * delta)
     assert np.array_equal(smoother.args[41], 0.5**40 * delta)
-    expected, _, _ = _implicit_step_batch(space, inner, 0.1, rhs, 0.05,
-                                          1e-10, 100)
+    expected, _, _ = _implicit_step_batch(system, inner, rhs, 1e-10, 100)
     assert residual[0] <= 1e-10
     assert np.abs(x - expected).max() <= 1e-9
 
@@ -450,3 +450,16 @@ def test_trajectory_csv_and_metadata_roundtrip(tmp_path):
     # byte-identical on rerun
     write_trajectories(simulate(cfg), tmp_path / "traj2.csv")
     assert (tmp_path / "traj2.csv").read_bytes() == csv.read_bytes()
+
+
+def test_trajectory_csv_rows_match_format_value(tmp_path):
+    # Reference: every value formatted one by one through format_value.
+    ens = simulate(base_config(path_count=3, step_count=4))
+    write_trajectories(ens, tmp_path / "traj.csv")
+    rows = ["path,step,time,node_0,node_1,node_2,node_3"]
+    for p in range(3):
+        for k in range(5):
+            rows.append(",".join(
+                [str(p), str(k), format_value(ens.times[k])]
+                + [format_value(x) for x in ens.states[p, k]]))
+    assert (tmp_path / "traj.csv").read_text() == "\n".join(rows) + "\n"

@@ -22,7 +22,7 @@ from graphspde.estimates import (
     regularity_uniformity,
 )
 from graphspde.monotone import MoreauYosida, fast_diffusion, zhang
-from graphspde.noise import certify_noise, diagonal_noise
+from graphspde.noise import diagonal_noise
 
 
 def make_config(space, potential, sigma=0.2, eps=0.1, horizon=0.5, steps=16,
@@ -195,8 +195,6 @@ def test_test_process_tag_and_coupling_validation():
     space = path_space(3)
     cfg = make_config(space, zhang(), paths=2)
     ens = simulate(cfg)
-    with pytest.raises(ValueError, match="tag"):
-        build_test_process(ens, np.zeros(3), coupling_tag="other")
     other = simulate(make_config(space, zhang(), paths=2, tag="different"))
     with pytest.raises(ValueError, match="not coupled"):
         build_test_process(ens, np.zeros(3), drift=other)
@@ -332,9 +330,8 @@ def test_contraction_stochastic_path_graph():
     space = path_space(8)
     cfg = make_config(space, zhang(), sigma=0.2, paths=60, steps=16,
                       initial=np.full(8, 0.5), seed=9)
-    cert = certify_noise(cfg.noise, space)
     y0 = cfg.initial + space.basis[:, 0] / space.dual_norm(space.basis[:, 0])
-    report = contraction_experiment(cfg, y0, certificate=cert)
+    report = contraction_experiment(cfg, y0)
     assert report.constants["initial_gap_sq"] == pytest.approx(1.0, rel=1e-10)
     assert report.passed
 

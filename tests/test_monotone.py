@@ -7,6 +7,8 @@ import pytest
 from graphspde.monotone import (
     MoreauYosida,
     ResolventError,
+    _power_newton,
+    _power_resolvent,
     check_assumptions,
     cross_monotonicity_defect,
     fast_diffusion,
@@ -396,3 +398,15 @@ def test_zhang_subdiff_table():
     lo, hi = pot.subdiff(np.array([-2.0, 0.0, 3.0]))
     assert np.allclose(lo, [0.0, 0.0, 4.0])
     assert np.allclose(hi, [0.0, 1.0, 4.0])
+
+
+@pytest.mark.parametrize("eps", [1e-8, 0.05, 0.5])
+@pytest.mark.parametrize("p", [0.5, 2.0])
+def test_power_newton_matches_closed_form_branches(p, eps):
+    # The resolvent solves p = 0.5 and p = 2 in closed form; those branches
+    # are the oracle for the bracketed Newton loop that serves every other
+    # exponent, in its sublinear (p < 1) and superlinear form.
+    a = np.concatenate([[0.0, 1e-300], np.logspace(-300, 8, 2000)])
+    closed = _power_resolvent(p, eps, a)
+    s = _power_newton(p, eps, a)
+    assert np.all(np.abs(s - closed) <= 2e-13 * (1.0 + a))
