@@ -11,6 +11,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -245,10 +246,14 @@ def _split_list(text: str | None) -> list[str]:
 def _parse_number(name: str, text: str | None, kind=float):
     # The one parser of config numbers; failures name the field.
     try:
-        return kind(text)
+        value = kind(text)
     except (TypeError, ValueError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError([f"{name}: expected {what}, got {text!r}"]) from None
+    # NaN never; inf only as noise.clip, where it means no clipping.
+    if math.isnan(value) or (math.isinf(value) and name != "noise.clip"):
+        raise ConfigError([f"{name}: expected a finite number, got {text!r}"])
+    return value
 
 
 def _parse_state(text: str, n: int) -> np.ndarray:
@@ -389,18 +394,24 @@ def _norms_checks(space: DirichletSpace, seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     checks = []
 
+    shifts = [10.0 ** -k for k in range(0, 7)]
     vals, limits = [], []
     for _ in range(100):
         v = rng.standard_normal(space.node_count)
-        shifts = [10.0 ** -k for k in range(0, 7)]
         series = [space.dual_norm(v, s) for s in shifts]
         vals.append(min(b - a for a, b in zip(series, series[1:])))
         limit = space.dual_norm(v)
         limits.append(abs(series[-1] - limit) / limit)
     checks.append(CheckResult("dual_norm_monotone_in_shift",
                               min(vals) >= -1e-12, float(min(vals))))
+    # dual_norm(v, s)**2 = sum c**2 / (lam + s) and lam / (lam + s) grows
+    # with lam, so the relative gap is at most 1 - sqrt(a) with
+    # a = lam_min / (lam_min + s), written (1 - a) / (1 + sqrt(a)) to avoid
+    # cancellation; 1e-12 allows for the roundoff of the two norms.
+    lam, s = float(space.eigenvalues.min()), shifts[-1]
+    bound = s / (lam + s) / (1.0 + math.sqrt(lam / (lam + s))) + 1e-12
     checks.append(CheckResult("dual_norm_vanishing_shift_limit",
-                              max(limits) <= 1e-6, float(1e-6 - max(limits)),
+                              max(limits) <= bound, float(bound - max(limits)),
                               detail="relative gap at shift 1e-6"))
 
     u = rng.standard_normal((1000, space.node_count))

@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 __all__ = [
     "BernsteinFunction",
@@ -496,6 +495,9 @@ def gamma_transform_quadrature(space: DirichletSpace, r: float,
     """
     if r <= 0:
         raise ValueError(f"order must be positive, got {r}")
+    # Imported on first call: no simulation needs scipy.special at start-up.
+    from scipy.special import roots_genlaguerre
+
     w = space._check_shape(np.asarray(w, dtype=float))
     x, wt = roots_genlaguerre(192, r / 2.0 - 1.0)
     decay = np.exp(-np.outer(x, space.eigenvalues))  # (points, n)

@@ -150,6 +150,9 @@ def piecewise_quadratic(knots, pieces) -> ConvexPotential:
     """
     knots = np.asarray(knots, dtype=float)
     pieces = np.asarray(pieces, dtype=float)
+    if not (np.isfinite(knots).all() and np.isfinite(pieces).all()):
+        # A NaN continuity gap would pass the tolerance test below.
+        raise ValueError("knots and pieces must be finite")
     if knots.ndim != 1 or np.any(np.diff(knots) <= 0):
         raise ValueError("knots must be strictly ascending")
     if pieces.shape != (knots.size + 1, 3):

@@ -1,6 +1,8 @@
 """Tests for config parsing, validation, experiment dispatch, artifact
 determinism and the command line interface."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,18 @@ def test_all_violations_reported_together():
      "run.epsilon_list: eps_convergence needs at least two strictly"),
     ("experiment.kind = eps_convergence\nrun.epsilon_list = 0.1, 0.1",
      "run.epsilon_list: eps_convergence needs at least two strictly"),
+    ("run.horizon = nan", "run.horizon: expected a finite number, got 'nan'"),
+    ("run.horizon = inf", "run.horizon: expected a finite number, got 'inf'"),
+    ("run.horizon = 1e400",
+     "run.horizon: expected a finite number, got '1e400'"),
+    ("noise.sigma = nan", "noise.sigma: expected a finite number, got 'nan'"),
+    ("noise.clip = nan", "noise.clip: expected a finite number, got 'nan'"),
+    ("noise.clip = -inf", "noise: clip level must be nonnegative"),
+    ("run.decay_rate = inf",
+     "run.decay_rate: expected a finite number, got 'inf'"),
+    ("potential.kind = piecewise\npotential.knots = inf\n"
+     "potential.pieces = 1:0:0, 1:0:3",
+     "potential.knots: expected a finite number, got 'inf'"),
 ])
 def test_invalid_values_are_config_errors(tmp_path, capsys, line, message):
     # Each probe used to pass validation or escape as a raw exception.
@@ -105,6 +119,11 @@ def test_invalid_values_are_config_errors(tmp_path, capsys, line, message):
     path.write_text(text)
     assert main(["validate", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_infinite_clip_means_no_clipping():
+    cfg = parse_config(MINIMAL + "noise.clip = inf\n")
+    assert cfg.build_noise(cfg.build_space()).clip_at == np.inf
 
 
 def test_unknown_keys_rejected():
@@ -192,6 +211,35 @@ def test_run_norms_experiment(tmp_path):
     assert status == 0
     body = (tmp_path / "report_norms.txt").read_text()
     assert "passed = true" in body
+
+
+@pytest.mark.parametrize("space", [
+    "space.preset = path_4",
+    "space.preset = path_8\nspace.bernstein = shifted_power(0.5)",
+], ids=["path_4", "path_8_shifted_power"])
+def test_norms_shift_limit_bound_follows_bottom_eigenvalue(tmp_path, space):
+    # dual_norm(v, s)**2 = sum c**2 / (lam + s) bounds the relative gap at
+    # shift s by 1 - sqrt(lam_min / (lam_min + s)); a fixed 1e-6 would be
+    # below that whenever lam_min < 0.5, as on the subordinated path_8.
+    cfg = parse_config(space + "\nexperiment.kind = norms\n")
+    assert run_experiment(cfg, tmp_path) == 0
+    rows = (tmp_path / "report_norms.csv").read_text().splitlines()
+    row = next(r.split(",") for r in rows
+               if r.startswith("dual_norm_vanishing_shift_limit,"))
+    assert row[1] == "true"
+    built = cfg.build_space()
+    lam, shift = built.eigenvalues.min(), 1e-6
+    bound = 1.0 - math.sqrt(lam / (lam + shift)) + 1e-12
+    rng = np.random.default_rng(0)
+    gap = 0.0
+    for _ in range(100):
+        c = built.to_spectral(rng.standard_normal(built.node_count))
+        shifted = math.sqrt(c**2 @ (1.0 / (built.eigenvalues + shift)))
+        limit = math.sqrt(c**2 @ (1.0 / built.eigenvalues))
+        gap = max(gap, (limit - shifted) / limit)
+    assert 0.0 < gap < bound
+    assert float(row[2]) == pytest.approx(bound - gap, abs=1e-14)
+    assert (bound < 1e-6) == (lam > 0.5)
 
 
 def test_run_eps_convergence_artifacts(tmp_path):

@@ -10,6 +10,7 @@ from graphspde.dirichlet import build_graph_space, path_space, single_node_space
 from graphspde.engine import SimulationConfig, simulate
 from graphspde.estimates import (
     EnergyFunctional,
+    _cum_trapz,
     build_test_process,
     check_svi,
     contraction_experiment,
@@ -413,3 +414,15 @@ def test_uniformity_bands():
 def test_default_decay_rate_uses_certificate():
     cfg = make_config(path_space(3), zhang(), sigma=0.0, paths=2)
     assert default_decay_rate(cfg) == pytest.approx(1.0)  # silent noise
+
+
+@pytest.mark.parametrize("shape", [(50, 129), (3, 2), (7, 1), (1, 1000)])
+@pytest.mark.parametrize("dt", [0.1, 1 / 128, 0.37])
+def test_cum_trapz_bitwise_equals_scipy(shape, dt):
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(shape[0] * shape[1])
+    magnitude = 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    f = rng.choice([-1.0, 1.0], shape) * magnitude
+    expected = cumulative_trapezoid(f, dx=dt, axis=1, initial=0.0)
+    assert np.array_equal(_cum_trapz(f, dt), expected)

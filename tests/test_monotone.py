@@ -384,6 +384,13 @@ def test_piecewise_validation():
         piecewise_quadratic([0.0], np.zeros((3, 3)))
     with pytest.raises(ValueError, match="agree at the knots"):
         piecewise_quadratic([0.0], [(0.0, 0.0, 0.0), (0.0, 0.0, 5.0)])
+    # A knot at inf makes the continuity gap NaN, which passes any
+    # tolerance test, so these pieces would count as continuous.
+    for knots, pieces in (([np.inf], [(1.0, 0.0, 0.0), (1.0, 0.0, 3.0)]),
+                          ([-1.0, np.nan], [(1.0, 0.0, 0.0)] * 3),
+                          ([0.0], [(0.0, 0.0, 0.0), (0.0, np.inf, 0.0)])):
+        with pytest.raises(ValueError, match="must be finite"):
+            piecewise_quadratic(knots, pieces)
 
 
 def test_exponent_validation():
