@@ -62,8 +62,10 @@ print(report.to_text())
 
 banner("artifacts")
 out = pathlib.Path(tempfile.mkdtemp(prefix="graphspde_demo_"))
-write_trajectories(ensemble, out / "trajectories.csv")
+write_trajectories(ensemble, out / "trajectories.npy")
 write_metadata(ensemble, out / "trajectories.meta")
-print("wrote", out / "trajectories.csv")
+print("wrote", out / "trajectories.npy")
+print("dump shape (paths, times, nodes):",
+      np.load(out / "trajectories.npy", allow_pickle=False).shape)
 print("sidecar head:")
 print("\n".join((out / "trajectories.meta").read_text().splitlines()[:6]))

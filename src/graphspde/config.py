@@ -3,9 +3,9 @@
 Configs are plain text, one ``section.key = value`` pair per line with ``#``
 comments.  Parsing validates everything and reports every violation at
 once, syntax errors with their line number and semantic ones with the field
-path.  Artifacts (reports, trajectory CSVs, manifest) are written with
-fixed float formatting and no wall-clock data, so identical configs produce
-byte-identical outputs.
+path.  Artifacts (text reports with fixed float formatting, binary ``.npy``
+trajectory dumps, manifest) carry no wall-clock data, so identical configs
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -540,7 +540,7 @@ def _eps_tag(eps: float) -> str:
 
 
 def _dump_run(ensemble, out: Path, stem: str) -> None:
-    write_trajectories(ensemble, out / f"{stem}.csv")
+    write_trajectories(ensemble, out / f"{stem}.npy")
     write_metadata(ensemble, out / f"{stem}.meta")
 
 

@@ -134,9 +134,10 @@ class _NewtonSystem:
     form one block-diagonal tridiagonal system with zero couplings between
     blocks, solved by one ``gtsv`` call, and the dual metric
     ``M K^-1 = M E^-1 M`` is applied through an LDL^T factorization of the
-    tridiagonal ``E = M K``; every path's arithmetic is then independent of
-    the rest of the batch.  Other generators use batched dense solves and
-    the dense dual metric.
+    tridiagonal ``E = M K``.  Other generators use batched dense solves and
+    apply ``K`` and the dense dual metric as one vector-matrix product per
+    row.  Either way every path's arithmetic is independent of the rest of
+    the batch.
     """
 
     def __init__(self, space: DirichletSpace, dt: float):
@@ -167,7 +168,7 @@ class _NewtonSystem:
     def apply_k(self, y: np.ndarray) -> np.ndarray:
         """Minus the generator applied to each row of ``y``."""
         if not self.tridiagonal:
-            return y @ self._K.T
+            return (y[:, None, :] @ self._K.T)[:, 0]
         out = self._diag * y
         out[:, :-1] += self._upper[:-1] * y[:, 1:]
         out[:, 1:] += self._lower[:-1] * y[:, :-1]
@@ -176,7 +177,7 @@ class _NewtonSystem:
     def dual(self, a: np.ndarray) -> np.ndarray:
         """Rows of ``a`` times the dual metric ``M K^-1``."""
         if not self.tridiagonal:
-            return a @ self._dual
+            return (a[:, None, :] @ self._dual)[:, 0]
         w, info = lapack.dpttrs(self._ldl_d, self._ldl_e, (a * self.mu).T,
                                 overwrite_b=True)
         self._check("dpttrs", info)
@@ -370,18 +371,12 @@ def energy_budget(ensemble: TrajectoryEnsemble) -> EstimateReport:
 
 
 def write_trajectories(ensemble: TrajectoryEnsemble, path) -> None:
-    """CSV dump with one row per (path, step) and one column per node,
-    floats at 17 significant digits; written path by path."""
-    n = ensemble.config.space.node_count
-    row = "{},{}," + ",".join(["{:.17g}"] * (n + 1)) + "\n"
-    times = ensemble.times.tolist()
-    with open(path, "w") as fh:
-        fh.write("path,step,time,"
-                 + ",".join(f"node_{i}" for i in range(n)) + "\n")
-        for p, states in enumerate(ensemble.states):
-            fh.writelines(row.format(p, k, t, *x)
-                          for k, (t, x) in enumerate(zip(times,
-                                                         states.tolist())))
+    """Exact binary dump of the ``(paths, steps + 1, nodes)`` float64 states
+    in ``.npy`` format, written to ``path`` as named.  The time grid is
+    ``SimulationConfig.times``, fixed by the horizon and step count that
+    ``write_metadata`` records."""
+    with open(path, "wb") as fh:
+        np.save(fh, ensemble.states, allow_pickle=False)
 
 
 def write_metadata(ensemble: TrajectoryEnsemble, path) -> None:

@@ -313,8 +313,9 @@ class MoreauYosida:
         on_knot = idx % 2 == 1
         piece = np.asarray(pot.pieces)[idx // 2]
         s = (r - eps * piece[..., 1]) / (1.0 + 2.0 * eps * piece[..., 0])
-        return np.where(on_knot, np.asarray(pot.knots)[
-            np.minimum(idx // 2, len(pot.knots) - 1)], s)
+        # Odd band indices sit on knot idx // 2; the padding keeps the
+        # unused even indices (idx // 2 up to the knot count) in range.
+        return np.where(on_knot, np.append(pot.knots, np.nan)[idx // 2], s)
 
     def evaluate(self, r) -> MoreauYosidaValues:
         """Resolvent, slope, slope derivative and envelope from one

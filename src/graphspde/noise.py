@@ -87,7 +87,9 @@ class NoiseModel:
         if self.kind == "diagonal_multiplicative":
             return self.sigma * np.clip(u, -self.clip_at, self.clip_at) * dw
         if self.kind == "additive":
-            return dw @ np.asarray(self.columns).T
+            # One vector-matrix product per row keeps each row's roundoff
+            # independent of how many rows are batched.
+            return (dw[..., None, :] @ np.asarray(self.columns).T)[..., 0, :]
         return np.einsum("...ik,...k->...i", self.matrix(t, u), dw)
 
 

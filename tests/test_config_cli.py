@@ -267,7 +267,7 @@ def test_run_energy_and_svi_artifacts(tmp_path):
     status = run_experiment(parse_config(base + "experiment.kind = energy\n"),
                             tmp_path / "energy")
     assert status == 0
-    assert (tmp_path / "energy" / "trajectories_eps0p2.csv").exists()
+    assert (tmp_path / "energy" / "trajectories_eps0p2.npy").exists()
     assert (tmp_path / "energy" / "report_energy_uniformity.txt").exists()
 
     status = run_experiment(parse_config(base + "experiment.kind = svi\n"),
@@ -373,6 +373,25 @@ def test_cli_run_with_overrides_and_thread_independence(tmp_path, capsys):
     manifest = (a / "manifest.txt").read_text()
     assert "seed = 99" in manifest
     assert "paths = 30" in manifest
+
+
+def test_cli_run_single_piece_potential(tmp_path, capsys):
+    # A piecewise potential of one quadratic piece has no knots.
+    cfg_file = tmp_path / "single.cfg"
+    cfg_file.write_text("experiment.kind = energy\n"
+                        "space.preset = path_4\n"
+                        "potential.kind = piecewise\n"
+                        "potential.pieces = 1.5:0:0\n"
+                        "noise.kind = diagonal\n"
+                        "noise.sigma = 0.2\n"
+                        "run.epsilon_list = 0.2, 0.1\n"
+                        "run.steps = 8\n"
+                        "run.paths = 10\n"
+                        "run.x0 = constant:0.5\n")
+    assert main(["validate", str(cfg_file)]) == 0
+    assert main(["run", str(cfg_file), "--out-dir",
+                 str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report_energy_uniformity.txt").exists()
 
 
 def test_cli_out_dir_env_default(monkeypatch, tmp_path):

@@ -38,7 +38,6 @@ from graphspde.noise import (
     eigenmode_noise,
     linear_combination_noise,
 )
-from graphspde.reports import format_value
 
 
 def base_config(**overrides):
@@ -248,24 +247,32 @@ def test_path_results_independent_of_batch_composition():
     b = simulate(small)
     assert np.array_equal(a.states[:3], b.states)
 
-    # Bitwise, on path graphs of several sizes and for closed-form and
-    # scalar-Newton resolvents, against a 40-path reference run.
+    # Bitwise, on tridiagonal and dense generators of several sizes, for
+    # closed-form and scalar-Newton resolvents and for multiplicative and
+    # additive noise, against a 40-path reference run.
+    spaces = [(f"path_{n}", path_space(n)) for n in (4, 32, 64)] + [
+        ("complete_8", complete_space(8)),
+        ("path_16|power(0.5)",
+         subordinate(path_space(16), BernsteinFunction.power(0.5)))]
     leaks = []
-    for n in (4, 32, 64):
-        for name, potential in (("zhang", zhang()),
-                                ("fd0.5", fast_diffusion(0.5)),
-                                ("fd0.3", fast_diffusion(0.3))):
-            space = path_space(n)
-            cfg = base_config(space=space, potential=potential,
-                              noise=diagonal_noise(n, 0.2),
-                              initial=np.linspace(1.0, -0.5, n),
-                              path_count=40)
-            reference = simulate(cfg).states
-            for count in (1, 3, 17):
-                part = simulate(dataclasses.replace(cfg, path_count=count))
-                if not np.array_equal(part.states, reference[:count]):
-                    leaks.append((n, name, count))
-    assert not leaks, f"paths depend on the batch at (n, potential, paths) {leaks}"
+    for label, space in spaces:
+        n = space.node_count
+        for noise_name, noise in (("diagonal", diagonal_noise(n, 0.2)),
+                                  ("eigenmode", eigenmode_noise(space, 3, 0.2))):
+            for name, potential in (("zhang", zhang()),
+                                    ("fd0.5", fast_diffusion(0.5)),
+                                    ("fd0.3", fast_diffusion(0.3))):
+                cfg = base_config(space=space, potential=potential,
+                                  noise=noise,
+                                  initial=np.linspace(1.0, -0.5, n),
+                                  path_count=40)
+                reference = simulate(cfg).states
+                for count in (1, 3, 17):
+                    part = simulate(dataclasses.replace(cfg, path_count=count))
+                    if not np.array_equal(part.states, reference[:count]):
+                        leaks.append((label, noise_name, name, count))
+    assert not leaks, ("paths depend on the batch at "
+                       f"(space, noise, potential, paths) {leaks}")
 
 
 def test_simulate_zero_noise_zero_initial():
@@ -437,29 +444,33 @@ def test_additive_noise_validation():
 def test_trajectory_csv_and_metadata_roundtrip(tmp_path):
     cfg = base_config(path_count=2, step_count=4)
     ens = simulate(cfg)
-    csv = tmp_path / "traj.csv"
+    dump = tmp_path / "traj.npy"
     meta = tmp_path / "traj.meta"
-    write_trajectories(ens, csv)
+    write_trajectories(ens, dump)
     write_metadata(ens, meta)
-    lines = csv.read_text().strip().split("\n")
-    assert lines[0] == "path,step,time,node_0,node_1,node_2,node_3"
-    assert len(lines) == 1 + 2 * 5
+    assert np.load(dump, allow_pickle=False).shape == (2, 5, 4)
     body = meta.read_text()
     assert "run.seed = 42" in body
+    assert "run.horizon = 0.5" in body
+    assert "run.steps = 4" in body
     assert "solver.max_residual" in body
     # byte-identical on rerun
-    write_trajectories(simulate(cfg), tmp_path / "traj2.csv")
-    assert (tmp_path / "traj2.csv").read_bytes() == csv.read_bytes()
+    write_trajectories(simulate(cfg), tmp_path / "traj2.npy")
+    assert (tmp_path / "traj2.npy").read_bytes() == dump.read_bytes()
 
 
-def test_trajectory_csv_rows_match_format_value(tmp_path):
-    # Reference: every value formatted one by one through format_value.
-    ens = simulate(base_config(path_count=3, step_count=4))
-    write_trajectories(ens, tmp_path / "traj.csv")
-    rows = ["path,step,time,node_0,node_1,node_2,node_3"]
-    for p in range(3):
-        for k in range(5):
-            rows.append(",".join(
-                [str(p), str(k), format_value(ens.times[k])]
-                + [format_value(x) for x in ens.states[p, k]]))
-    assert (tmp_path / "traj.csv").read_text() == "\n".join(rows) + "\n"
+def test_trajectory_npy_roundtrip_is_exact(tmp_path):
+    cfg = base_config(path_count=3, step_count=4)
+    ens = simulate(cfg)
+    # The file gets exactly the given name; np.save would append ".npy"
+    # to a bare path.
+    dump = tmp_path / "traj"
+    write_trajectories(ens, dump)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj"]
+    loaded = np.load(dump, allow_pickle=False)
+    assert loaded.dtype == np.float64
+    assert loaded.shape == (cfg.path_count, cfg.step_count + 1,
+                            cfg.space.node_count)
+    assert np.array_equal(loaded, ens.states)
+    write_trajectories(simulate(cfg), tmp_path / "rerun")
+    assert (tmp_path / "rerun").read_bytes() == dump.read_bytes()

@@ -391,6 +391,16 @@ def test_piecewise_validation():
                           ([0.0], [(0.0, 0.0, 0.0), (0.0, np.inf, 0.0)])):
         with pytest.raises(ValueError, match="must be finite"):
             piecewise_quadratic(knots, pieces)
+    # A single piece has no knots; its resolvent is the closed form of
+    # the quadratic a r^2, r / (1 + 2 eps a).
+    single = piecewise_quadratic([], [(1.5, 0.0, 0.0)])
+    r = np.array([-3.0, -1e-8, 0.0, 0.7, 40.0])
+    for eps in (0.05, 0.5):
+        my = MoreauYosida(single, eps).evaluate(r)
+        assert np.allclose(my.resolvent, r / (1.0 + 3.0 * eps),
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(my.slope_derivative, 3.0 / (1.0 + 3.0 * eps),
+                           rtol=1e-15, atol=0.0)
 
 
 def test_exponent_validation():
