@@ -61,11 +61,12 @@ report = energy_budget(ensemble)
 print(report.to_text())
 
 banner("artifacts")
-out = pathlib.Path(tempfile.mkdtemp(prefix="graphspde_demo_"))
-write_trajectories(ensemble, out / "trajectories.npy")
-write_metadata(ensemble, out / "trajectories.meta")
-print("wrote", out / "trajectories.npy")
-print("dump shape (paths, times, nodes):",
-      np.load(out / "trajectories.npy", allow_pickle=False).shape)
-print("sidecar head:")
-print("\n".join((out / "trajectories.meta").read_text().splitlines()[:6]))
+with tempfile.TemporaryDirectory(prefix="graphspde_demo_") as tmp:
+    out = pathlib.Path(tmp)
+    write_trajectories(ensemble, out / "trajectories.npy")
+    write_metadata(ensemble, out / "trajectories.meta")
+    print("wrote", out / "trajectories.npy")
+    print("dump shape (paths, times, nodes):",
+          np.load(out / "trajectories.npy", allow_pickle=False).shape)
+    print("sidecar head:")
+    print("\n".join((out / "trajectories.meta").read_text().splitlines()[:6]))

@@ -7,7 +7,9 @@ Usage:
 
 The default output directory comes from the GRAPHSPDE_OUT_DIR environment
 variable, falling back to ./graphspde_out.  Exit status is 0 when every
-asserted property passed, 1 otherwise, 2 on configuration errors.
+asserted property passed, 1 when a check failed, 2 on configuration errors
+and 3 when the run crashed (one ``error: <Type>: <message>`` line on
+standard error).
 """
 
 from __future__ import annotations
@@ -89,7 +91,12 @@ def main(argv=None) -> int:
         sys.stdout.write(cfg.normalize())
         return 0
 
-    status = run_experiment(cfg, args.out_dir, threads=args.threads)
+    try:
+        status = run_experiment(cfg, args.out_dir, threads=args.threads)
+    except Exception as err:
+        # A crash is not a failed check: it gets its own status.
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
     print(f"experiment {cfg.experiment}: "
           f"{'all checks passed' if status == 0 else 'CHECKS FAILED'} "
           f"(artifacts in {args.out_dir})")

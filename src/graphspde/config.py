@@ -38,10 +38,10 @@ from .engine import (
 )
 from .estimates import (
     EnergyFunctional,
-    _sims_for,
     build_test_process,
     check_svi,
     contraction_experiment,
+    default_decay_rate,
     epsilon_convergence,
     energy_uniformity,
     regularity_budget,
@@ -482,33 +482,42 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
         noise = cfg.build_noise(space)
         eps_values = cfg.epsilon_values()
         base = cfg.sim_config(space, potential, noise, eps_values[0])
-        # Unset, the experiments certify the noise for their default rate.
         decay_rate = (cfg._number("run", "decay_rate")
                       if cfg.get("run", "decay_rate") else None)
+        if decay_rate is None and exp in ("contraction", "eps_convergence"):
+            # Certify the noise before any run is held: the certificate's
+            # scratch arrays would otherwise add to the runs' peak memory.
+            decay_rate = default_decay_rate(base)
 
+        # Every run is simulated here, each smoothing level or initial
+        # state once; the estimators only read the ensembles.
         if exp == "eps_convergence":
-            rep = epsilon_convergence(base, eps_values, decay_rate=decay_rate)
+            ladder = [simulate(base.with_eps(eps)) for eps in eps_values]
+            rep = epsilon_convergence(ladder, decay_rate=decay_rate)
             rep.write(out, "report_eps_convergence")
             reports.append(rep)
         elif exp == "contraction":
             y0 = cfg.initial_state(space, key="y0")
-            rep = contraction_experiment(base, y0, decay_rate=decay_rate)
+            rep = contraction_experiment(simulate(base),
+                                         simulate(base.with_initial(y0)),
+                                         decay_rate=decay_rate)
             rep.write(out, "report_contraction")
             reports.append(rep)
         elif exp in ("energy", "regularity"):
             functional = EnergyFunctional(space, potential)
-            sims = _sims_for(base, eps_values, None)
+            budgets = []
             for eps in eps_values:
-                ens = sims[eps]
+                ens = simulate(base.with_eps(eps))
                 rep = (energy_budget(ens) if exp == "energy"
                        else regularity_budget(ens, functional))
                 rep.write(out, f"report_{exp}_eps{_eps_tag(eps)}")
-                reports.append(rep)
+                budgets.append(rep)
                 _dump_run(ens, out, f"trajectories_eps{_eps_tag(eps)}")
-            if len(eps_values) >= 2:
+            reports.extend(budgets)
+            if len(budgets) >= 2:
                 uniformity = (energy_uniformity if exp == "energy"
                               else regularity_uniformity)
-                rep = uniformity(base, eps_values, sims=sims)
+                rep = uniformity(budgets)
                 rep.write(out, f"report_{exp}_uniformity")
                 reports.append(rep)
         else:  # svi

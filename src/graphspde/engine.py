@@ -2,7 +2,7 @@
 
 One step solves the drift-implicit, noise-explicit system
 
-    X+ - dt * L(slope_eps(X+) + eps * X+) = X + B(t, X) dW,
+    X+ - dt * L(slope_eps(X+) + eps * X+) = X + B(X) dW,
 
 where ``slope_eps`` is the Yosida slope of the potential.  The map on the
 left is strongly monotone in the dual-norm geometry (minus the generator is
@@ -283,14 +283,14 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
 
 
 def step_semi_implicit(space: DirichletSpace, smoother: MoreauYosida,
-                       noise: NoiseModel, state: np.ndarray, t: float,
-                       dt: float, dw: np.ndarray) -> np.ndarray:
+                       noise: NoiseModel, state: np.ndarray, dt: float,
+                       dw: np.ndarray) -> np.ndarray:
     """One drift-implicit step from ``state`` with the given increment, at
     the solver tolerance and Newton limit of ``SimulationConfig``."""
     if dt <= 0:
         raise ValueError("step size must be positive")
     state = np.asarray(state, dtype=float)
-    rhs = state + noise.apply(t, state, np.asarray(dw, dtype=float))
+    rhs = state + noise.apply(state, np.asarray(dw, dtype=float))
     new, _, _ = _implicit_step_batch(
         _NewtonSystem(space, dt), smoother, rhs[None, :],
         SimulationConfig.solver_tol, SimulationConfig.max_newton)
@@ -313,14 +313,13 @@ def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
     iterations = np.empty((P, N), dtype=int)
 
     for k in range(N):
-        t = k * dt
         current = states[:, k]
-        rhs = current + noise.apply(t, current, dW[:, k])
+        rhs = current + noise.apply(current, dW[:, k])
         try:
             nxt, res, its = _implicit_step_batch(
                 system, smoother, rhs, config.solver_tol, config.max_newton)
         except StepSolverError as err:
-            raise StepSolverError(f"step {k} (t = {t:g}): {err}") from err
+            raise StepSolverError(f"step {k} (t = {k * dt:g}): {err}") from err
         states[:, k + 1] = nxt
         residuals[:, k] = res
         iterations[:, k] = its

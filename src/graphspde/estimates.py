@@ -4,10 +4,11 @@ This module houses the integrated convex functional of a state, its
 smoothed version, semigroup mollification, admissible test processes, and
 the quantitative checks: the variational inequality against test processes,
 initial-condition contraction in the dual norm, the pairwise gap between
-smoothing levels, and the time-integrated regularity budget.  Every Monte
-Carlo verdict uses path-batch confidence intervals; supremum-in-time
-quantities are taken over the simulation grid, a lower bound for the
-continuum supremum.
+smoothing levels, and the time-integrated regularity budget.  The checks
+read ensembles that were already simulated and never run the simulator
+themselves.  Every Monte Carlo verdict uses path-batch confidence
+intervals; supremum-in-time quantities are taken over the simulation grid,
+a lower bound for the continuum supremum.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import DirichletSpace
-from .engine import (SimulationConfig, TrajectoryEnsemble, energy_budget,
-                     simulate)
+from .engine import SimulationConfig, TrajectoryEnsemble
 from .monotone import ConvexPotential, MoreauYosida
 from .noise import certify_noise
 from .reports import CI_Z, EstimateReport, _batch_bounds, batch_mean_ci
@@ -54,20 +54,6 @@ class EnergyFunctional:
     def smoothed(self, eps: float, v) -> np.ndarray:
         """Integrated envelope at smoothing ``eps``; never above ``value``."""
         return MoreauYosida(self.potential, eps).envelope(v) @ self.space.measure
-
-    def gap_bound_pointwise(self, eps: float, v) -> np.ndarray:
-        """Integrated bound ``eps * minimal_section**2`` for the smoothing gap."""
-        return eps * self.potential.minimal_section(v) ** 2 @ self.space.measure
-
-    def gap_bound_folded(self, eps: float, v) -> np.ndarray | None:
-        """State-size form of the gap bound with the linear-slope constant
-        folded in; ``None`` when the potential has no such constant."""
-        c = self.potential.slope_bound
-        if c is None:
-            return None
-        v = np.asarray(v, dtype=float)
-        l2sq = self.space.lp_norm(v, 2) ** 2
-        return 2.0 * c**2 * eps * (l2sq + self.space.total_mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +96,7 @@ def mollify_sequence(functional: EnergyFunctional, v,
 class TestProcess:
     """Adapted process driven by the same increments as a coupled run.
 
-    The path solves ``Z_{k+1} = Z_k + dt G_k + B(t_k, Z_k) dW_k`` with the
+    The path solves ``Z_{k+1} = Z_k + dt G_k + B(Z_k) dW_k`` with the
     increments of the reference ensemble, so comparisons against the run
     are exact in the noise.
     """
@@ -162,8 +148,7 @@ def build_test_process(ensemble: TrajectoryEnsemble, initial,
     Z = np.empty((P, N + 1, space.node_count))
     Z[:, 0] = initial
     for k in range(N):
-        t = k * dt
-        inc = noise.apply(t, Z[:, k], ensemble.increments[:, k])
+        inc = noise.apply(Z[:, k], ensemble.increments[:, k])
         Z[:, k + 1] = Z[:, k] + (0.0 if G is None else dt * G[:, k]) + inc
     return TestProcess(ensemble, initial, G, Z, mode)
 
@@ -265,22 +250,23 @@ def check_svi(ensemble: TrajectoryEnsemble, test: TestProcess,
 # -- contraction -----------------------------------------------------------------
 
 
-def contraction_experiment(config: SimulationConfig, second_initial,
+def contraction_experiment(ens_x: TrajectoryEnsemble, ens_y: TrajectoryEnsemble,
                            decay_rate: float | None = None) -> EstimateReport:
     """Compare two coupled runs started from different states.
 
     Estimates, at every grid time, the exponentially weighted mean squared
     dual distance relative to the squared dual distance of the initial
     states, and asserts the grid supremum stays at or below two with CI
-    slack.  ``decay_rate`` defaults to ``default_decay_rate(config)``.
+    slack.  ``decay_rate`` defaults to ``default_decay_rate`` of the first
+    run's config.
     """
+    config = ens_x.config
+    if not _coupled(config, ens_y.config):
+        raise ValueError("the two runs are not coupled")
     if decay_rate is None:
         decay_rate = default_decay_rate(config)
-    second_initial = np.asarray(second_initial, dtype=float)
-    ens_x = simulate(config)
-    ens_y = simulate(config.with_initial(second_initial))
     space = config.space
-    denom = float(space.dual_norm(config.initial - second_initial) ** 2)
+    denom = float(space.dual_norm(config.initial - ens_y.config.initial) ** 2)
 
     times = config.times
     if denom == 0.0:
@@ -315,56 +301,45 @@ def contraction_experiment(config: SimulationConfig, second_initial,
 # -- smoothing-level convergence ----------------------------------------------------
 
 
-def _sims_for(config: SimulationConfig, eps_list, sims: dict | None) -> dict:
-    # The one cache of smoothing-ladder runs: simulates the levels missing
-    # from ``sims`` (keyed by smoothing level) and returns it.
-    sims = sims if sims is not None else {}
-    for e in eps_list:
-        if e not in sims:
-            sims[e] = simulate(config.with_eps(e))
-    return sims
-
-
-def pairwise_smoothing_gap(config: SimulationConfig, eps_a: float,
-                           eps_b: float, decay_rate: float,
-                           sims: dict | None = None) -> np.ndarray:
+def pairwise_smoothing_gap(ens_a: TrajectoryEnsemble, ens_b: TrajectoryEnsemble,
+                           decay_rate: float) -> np.ndarray:
     """Per-path supremum over the grid of the weighted squared dual distance
     between two coupled runs at different smoothing levels."""
-    sims = _sims_for(config, (eps_a, eps_b), sims)
-    space = config.space
-    dsq = space.dual_norm(sims[eps_a].states - sims[eps_b].states) ** 2
-    weights = np.exp(-decay_rate * config.times)
+    if not _coupled(ens_a.config, ens_b.config):
+        raise ValueError("the two smoothing levels are not coupled")
+    space = ens_a.config.space
+    dsq = space.dual_norm(ens_a.states - ens_b.states) ** 2
+    weights = np.exp(-decay_rate * ens_a.times)
     return (weights * dsq).max(axis=1)
 
 
-def epsilon_convergence(config: SimulationConfig, eps_list,
-                        decay_rate: float | None = None,
-                        sims: dict | None = None) -> EstimateReport:
-    """Gap decay across a descending ladder of smoothing levels.
+def epsilon_convergence(ensembles,
+                        decay_rate: float | None = None) -> EstimateReport:
+    """Gap decay across a sequence of coupled runs at descending smoothing.
 
     For consecutive pairs the expected weighted supremum gap is estimated
     on coupled noise; the report fits the log-log slope of the gap against
     the sum of the pair and passes when the gaps decrease strictly and the
-    slope is at least 0.8 within the CI.  ``decay_rate`` defaults to
-    ``default_decay_rate(config)``; ``sims`` may carry simulations keyed by
-    smoothing level for reuse across experiments.
+    slope is at least 0.8 within the CI.  The levels are the runs'
+    ``config.eps``; ``decay_rate`` defaults to ``default_decay_rate`` of the
+    first run's config.
     """
+    if len(ensembles) < 2:
+        raise ValueError("need at least two smoothing levels")
+    config = ensembles[0].config
     if config.potential.slope_bound is None:
         raise ValueError(
             "the smoothing-gap comparison needs a linear minimal-section "
             "bound, which this potential kind does not have")
-    eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 2:
-        raise ValueError("need at least two smoothing levels")
+    eps_list = [e.config.eps for e in ensembles]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("smoothing levels must be strictly decreasing")
     if decay_rate is None:
         decay_rate = default_decay_rate(config)
 
-    sims = sims if sims is not None else {}
     pairs = list(zip(eps_list[:-1], eps_list[1:]))
-    samples = [pairwise_smoothing_gap(config, a, b, decay_rate, sims)
-               for a, b in pairs]
+    samples = [pairwise_smoothing_gap(a, b, decay_rate)
+               for a, b in zip(ensembles[:-1], ensembles[1:])]
     gaps = np.array([s.mean() for s in samples])
     cis = np.array([batch_mean_ci(s)[1] for s in samples])
 
@@ -430,18 +405,20 @@ def regularity_budget(ensemble: TrajectoryEnsemble,
 # -- uniformity over the smoothing ladder ----------------------------------------------
 
 
-def _uniformity_report(name: str, eps_list, reports) -> EstimateReport:
+def _uniformity_report(kind: str, reports) -> EstimateReport:
     # Implied constants across the ladder must stay within a factor of two.
+    if any(r.name != f"{kind}_budget" for r in reports):
+        raise ValueError(f"{kind} uniformity needs {kind}_budget reports")
     band = 2.0
     constants = np.array([r.constants["implied_constant"] for r in reports])
-    cis = [r.constants["implied_constant_ci"] for r in reports]
     top, bottom = constants.max(), constants.min()
     ratio = float(top / bottom) if bottom > 0 else np.inf
     passed = bool(np.isfinite(ratio) and ratio <= band)
-    series = tuple((float(e), float(c), float(ci))
-                   for e, c, ci in zip(eps_list, constants, cis))
+    series = tuple((float(r.constants["eps"]), float(c),
+                    float(r.constants["implied_constant_ci"]))
+                   for r, c in zip(reports, constants))
     return EstimateReport(
-        name=name,
+        name=f"{kind}_uniformity",
         passed=passed,
         worst_margin=float(band - ratio),
         constants={"band_ratio": ratio, "band": band},
@@ -450,29 +427,13 @@ def _uniformity_report(name: str, eps_list, reports) -> EstimateReport:
     )
 
 
-def energy_uniformity(config: SimulationConfig, eps_list,
-                      sims: dict | None = None) -> EstimateReport:
-    """Implied uniform-bound constants across a smoothing ladder must stay
-    inside a fixed multiplicative band.
-
-    ``sims`` carries runs keyed by smoothing level and gains the missing
-    ones; ``run_experiment`` passes in its per-level runs, so no level is
-    simulated twice."""
-    sims = _sims_for(config, eps_list, sims)
-    return _uniformity_report("energy_uniformity", eps_list,
-                              [energy_budget(sims[e]) for e in eps_list])
+def energy_uniformity(reports) -> EstimateReport:
+    """Implied uniform-bound constants of the ``energy_budget`` reports of a
+    smoothing ladder must stay inside a fixed multiplicative band."""
+    return _uniformity_report("energy", reports)
 
 
-def regularity_uniformity(config: SimulationConfig, eps_list,
-                          sims: dict | None = None) -> EstimateReport:
-    """Implied regularity-budget constants across a smoothing ladder must
-    stay inside a fixed multiplicative band.
-
-    ``sims`` carries runs keyed by smoothing level and gains the missing
-    ones; ``run_experiment`` passes in its per-level runs, so no level is
-    simulated twice."""
-    functional = EnergyFunctional(config.space, config.potential)
-    sims = _sims_for(config, eps_list, sims)
-    return _uniformity_report(
-        "regularity_uniformity", eps_list,
-        [regularity_budget(sims[e], functional) for e in eps_list])
+def regularity_uniformity(reports) -> EstimateReport:
+    """Implied constants of the ``regularity_budget`` reports of a
+    smoothing ladder must stay inside a fixed multiplicative band."""
+    return _uniformity_report("regularity", reports)

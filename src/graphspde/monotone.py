@@ -99,13 +99,6 @@ class ConvexPotential:
         inside = (lo <= 0.0) & (0.0 <= hi)
         return np.where(inside, 0.0, np.minimum(np.abs(lo), np.abs(hi)))
 
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Points excluded from smoothness-based checks."""
-        if self.kind == "piecewise":
-            return np.asarray(self.knots, dtype=float)
-        return np.array([0.0])
-
     @cached_property
     def _knot_slopes(self):
         # Left and right slopes at each knot of a piecewise potential.

@@ -1,7 +1,7 @@
 """Finite-rank noise operators and the reproducible increment source.
 
-A noise model maps (time, state) to an operator from a finite mode space
-into node-indexed densities.  Lipschitz and growth constants with respect to
+A noise model maps a state to an operator from a finite mode space into
+node-indexed densities.  Lipschitz and growth constants with respect to
 the shifted dual norms are certified empirically on sampled states over a
 grid of shifts.  Brownian increments are derived counter-style: the block of
 increments for a path is a pure function of (seed, coupling tag, path
@@ -38,7 +38,7 @@ _PAIR_SEED = 0xB0B
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Operator family B(t, u) with finitely many modes.
+    """Operator family B(u) with finitely many modes.
 
     Kinds
     -----
@@ -51,8 +51,7 @@ class NoiseModel:
     linear_combination
         Column ``k`` is ``offset_k + gain_k @ u``, affine in the state.
 
-    ``B`` never reads the time argument for the built-in kinds; progressive
-    measurability is structural.
+    No kind depends on time, so progressive measurability is structural.
     """
 
     kind: str
@@ -63,8 +62,8 @@ class NoiseModel:
     offsets: tuple = ()   # linear_combination: (n, m)
     gains: tuple = ()     # linear_combination: (m, n, n)
 
-    def matrix(self, t: float, u: np.ndarray) -> np.ndarray:
-        """Dense operator at (t, u); shape (..., n, m)."""
+    def matrix(self, u: np.ndarray) -> np.ndarray:
+        """Dense operator at ``u``; shape (..., n, m)."""
         u = np.asarray(u, dtype=float)
         if self.kind == "additive":
             base = np.asarray(self.columns)
@@ -80,8 +79,8 @@ class NoiseModel:
         cols = np.einsum("kij,...j->...ik", gains, u)
         return offsets + cols
 
-    def apply(self, t: float, u: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        """Increment ``B(t, u) dw``; batched over leading axes."""
+    def apply(self, u: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """Increment ``B(u) dw``; batched over leading axes."""
         u = np.asarray(u, dtype=float)
         dw = np.asarray(dw, dtype=float)
         if self.kind == "diagonal_multiplicative":
@@ -90,7 +89,7 @@ class NoiseModel:
             # One vector-matrix product per row keeps each row's roundoff
             # independent of how many rows are batched.
             return (dw[..., None, :] @ np.asarray(self.columns).T)[..., 0, :]
-        return np.einsum("...ik,...k->...i", self.matrix(t, u), dw)
+        return np.einsum("...ik,...k->...i", self.matrix(u), dw)
 
 
 def _spectral_energy(space: DirichletSpace, B: np.ndarray) -> np.ndarray:
@@ -200,8 +199,8 @@ def certify_noise(model: NoiseModel, space: DirichletSpace) -> NoiseCertificate:
     states *= rng.uniform(0.2, 3.0, size=(2 * _PAIR_COUNT, 1))
     u, v = states[:_PAIR_COUNT], states[_PAIR_COUNT:]
 
-    Bu = model.matrix(0.0, u)
-    diff_energy = _spectral_energy(space, Bu - model.matrix(0.0, v))
+    Bu = model.matrix(u)
+    diff_energy = _spectral_energy(space, Bu - model.matrix(v))
     u_energy = _spectral_energy(space, Bu)
     lip_by_shift = []
     growth_by_shift = []

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import breakpoints
 
 from graphspde.cli import main as cli_main
 from graphspde.dirichlet import (
@@ -20,7 +21,7 @@ from graphspde.dirichlet import (
     single_node_space,
     subordinate,
 )
-from graphspde.engine import SimulationConfig, simulate
+from graphspde.engine import SimulationConfig, energy_budget, simulate
 from graphspde.estimates import (
     EnergyFunctional,
     build_test_process,
@@ -30,6 +31,7 @@ from graphspde.estimates import (
     energy_uniformity,
     epsilon_convergence,
     mollify_sequence,
+    regularity_budget,
     regularity_uniformity,
 )
 from graphspde.monotone import (
@@ -87,12 +89,6 @@ def noise_decay_rate(accept_space, accept_noise):
         accept_config(accept_space, zhang(), accept_noise, 0.1))
 
 
-@pytest.fixture(scope="module")
-def sim_cache():
-    # ensembles keyed by (potential kind, eps), filled lazily and shared
-    return {}
-
-
 def accept_config(space, potential, noise, eps):
     return SimulationConfig(
         space=space, potential=potential, noise=noise, eps=eps,
@@ -101,14 +97,10 @@ def accept_config(space, potential, noise, eps):
         coupling_tag="accept")
 
 
-def cached_sims(cache, space, potential, noise, eps_values):
-    kind = potential.kind
-    sims = cache.setdefault(kind, {})
-    cfg = accept_config(space, potential, noise, eps_values[0])
-    for eps in eps_values:
-        if eps not in sims:
-            sims[eps] = simulate(cfg.with_eps(eps))
-    return cfg, sims
+def accept_ladder(space, potential, noise, eps_values):
+    # one coupled run per smoothing level
+    return [simulate(accept_config(space, potential, noise, eps))
+            for eps in eps_values]
 
 
 # -- criterion 1: smoothing inequality suite -----------------------------------
@@ -187,7 +179,7 @@ def test_criterion_03_envelope_gradient():
     worst = 0.0
     for pot in BUILTINS.values():
         pts = rng.uniform(-10, 10, size=2000)
-        keep = np.min(np.abs(pts[:, None] - pot.breakpoints[None, :]),
+        keep = np.min(np.abs(pts[:, None] - breakpoints(pot)[None, :]),
                       axis=1) >= 1e-2
         pts = pts[keep][:1000]
         for eps in (0.1, 0.5):
@@ -283,15 +275,14 @@ def test_criterion_07_ultracontractivity(presets):
 
 
 def test_criterion_08_epsilon_convergence(accept_space, accept_noise,
-                                          noise_decay_rate, sim_cache):
+                                          noise_decay_rate):
     started = time.perf_counter()
     ladder = [0.2, 0.1, 0.05, 0.025]
     results = {}
     for kind in ("zhang", "fast_diffusion"):
-        cfg, sims = cached_sims(sim_cache, accept_space, BUILTINS[kind],
-                                accept_noise, ladder)
-        rep = epsilon_convergence(cfg, ladder,
-                                  decay_rate=noise_decay_rate, sims=sims)
+        runs = accept_ladder(accept_space, BUILTINS[kind], accept_noise,
+                             ladder)
+        rep = epsilon_convergence(runs, decay_rate=noise_decay_rate)
         results[kind] = rep
     elapsed = time.perf_counter() - started
     ok = all(r.passed for r in results.values()) and elapsed < 120.0
@@ -311,7 +302,9 @@ def test_criterion_09_contraction(accept_space, accept_noise,
     direction /= accept_space.dual_norm(direction)
     second = cfg.initial + direction
     assert accept_space.dual_norm(cfg.initial - second) == pytest.approx(1.0)
-    rep = contraction_experiment(cfg, second, decay_rate=noise_decay_rate)
+    rep = contraction_experiment(simulate(cfg),
+                                 simulate(cfg.with_initial(second)),
+                                 decay_rate=noise_decay_rate)
     announce(9, "initial-condition contraction", rep.passed,
              f"sup ratio {rep.constants['sup_ratio']:.3f} <= 2, "
              f"decay rate {rep.constants['decay_rate']:.3f}")
@@ -320,15 +313,16 @@ def test_criterion_09_contraction(accept_space, accept_noise,
 # -- criterion 10: energy and regularity uniformity ---------------------------------------
 
 
-def test_criterion_10_budget_uniformity(accept_space, accept_noise,
-                                        sim_cache):
+def test_criterion_10_budget_uniformity(accept_space, accept_noise):
     ladder = [0.2, 0.1, 0.05]
     bands = {}
     for kind in ("zhang", "fast_diffusion"):
-        cfg, sims = cached_sims(sim_cache, accept_space, BUILTINS[kind],
-                                accept_noise, ladder)
-        e = energy_uniformity(cfg, ladder, sims=sims)
-        r = regularity_uniformity(cfg, ladder, sims=sims)
+        functional = EnergyFunctional(accept_space, BUILTINS[kind])
+        runs = accept_ladder(accept_space, BUILTINS[kind], accept_noise,
+                             ladder)
+        e = energy_uniformity([energy_budget(ens) for ens in runs])
+        r = regularity_uniformity([regularity_budget(ens, functional)
+                                   for ens in runs])
         bands[kind] = (e, r)
     ok = all(e.passed and r.passed for e, r in bands.values())
     detail = ", ".join(
@@ -341,26 +335,25 @@ def test_criterion_10_budget_uniformity(accept_space, accept_noise,
 # -- criterion 11: variational inequality ---------------------------------------------
 
 
-def test_criterion_11_svi(accept_space, accept_noise, sim_cache):
+def test_criterion_11_svi(accept_space, accept_noise):
     n = accept_space.node_count
     failures, fitted = [], []
     for kind in ("zhang", "fast_diffusion"):
         functional = EnergyFunctional(accept_space, BUILTINS[kind])
-        cfg, sims = cached_sims(sim_cache, accept_space, BUILTINS[kind],
-                                accept_noise, [0.1, 0.05])
-        for eps in (0.1, 0.05):
-            ens = sims[eps]
+        for ens in accept_ladder(accept_space, BUILTINS[kind], accept_noise,
+                                 [0.1, 0.05]):
             cases = (
                 ("zero", build_test_process(ens, np.zeros(n))),
                 ("constant", build_test_process(ens, np.zeros(n),
                                                 drift=np.full(n, 0.1))),
-                ("replayed", build_test_process(ens, cfg.initial, drift=ens)),
+                ("replayed", build_test_process(ens, ens.config.initial,
+                                                drift=ens)),
             )
             for tag, proc in cases:
                 rep = check_svi(ens, proc, functional)
                 fitted.append(rep.constants["fitted_constant"])
                 if not (rep.passed and np.isfinite(fitted[-1])):
-                    failures.append((kind, eps, tag))
+                    failures.append((kind, ens.config.eps, tag))
     announce(11, "variational inequality with fitted constant",
              not failures,
              f"12 cases, largest fitted constant {max(fitted):.3g}"

@@ -277,31 +277,61 @@ def test_run_energy_and_svi_artifacts(tmp_path):
         assert (tmp_path / "svi" / f"report_svi_{tag}_eps0p1.txt").exists()
 
 
-@pytest.mark.parametrize("kind", ["energy", "regularity"])
+@pytest.mark.parametrize("kind", ["energy", "regularity", "eps_convergence",
+                                  "contraction"])
 def test_ladder_experiment_simulates_each_level_once(tmp_path, monkeypatch,
                                                       kind):
+    # Each (smoothing level, initial state) is simulated once and each
+    # level's budget report is computed once, wherever they are called.
     import graphspde.config
     import graphspde.estimates
-    from graphspde.engine import simulate
+    from graphspde.engine import energy_budget, simulate
+    from graphspde.estimates import regularity_budget
 
-    levels = []
+    runs, budgets = [], []
 
-    def counting_simulate(config):
-        levels.append(config.eps)
-        return simulate(config)
+    def counted(fn, log, key):
+        def wrapper(*args):
+            log.append(key(*args))
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(graphspde.config, "simulate", counting_simulate)
-    monkeypatch.setattr(graphspde.estimates, "simulate", counting_simulate)
-    cfg = parse_config("space.preset = path_4\n"
-                       f"experiment.kind = {kind}\n"
-                       "potential.kind = zhang\n"
-                       "run.epsilon_list = 0.2, 0.1, 0.05\n"
-                       "run.horizon = 0.5\n"
-                       "run.steps = 8\n"
-                       "run.paths = 12\n")
-    assert run_experiment(cfg, tmp_path) == 0
-    assert sorted(levels) == [0.05, 0.1, 0.2]
-    assert (tmp_path / f"report_{kind}_uniformity.txt").exists()
+    wrappers = {
+        simulate: counted(simulate, runs,
+                          lambda c: (c.eps, tuple(c.initial))),
+        energy_budget: counted(energy_budget, budgets,
+                               lambda e: ("energy", e.config.eps)),
+        regularity_budget: counted(regularity_budget, budgets,
+                                   lambda e, f: ("regularity", e.config.eps)),
+    }
+    for module in (graphspde.config, graphspde.estimates):
+        for fn, wrapper in wrappers.items():
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapper)
+    assert "simulate" not in vars(graphspde.estimates)
+
+    text = ("space.preset = path_4\n"
+            f"experiment.kind = {kind}\n"
+            "potential.kind = zhang\n"
+            "run.horizon = 0.5\n"
+            "run.steps = 8\n"
+            "run.paths = 12\n")
+    x0, y0 = (1.0,) * 4, (1.5,) * 4
+    if kind == "contraction":
+        text += ("noise.kind = diagonal\n"
+                 "run.epsilon = 0.1\n"
+                 "run.y0 = constant:1.5\n")
+        expected_runs = [(0.1, x0), (0.1, y0)]
+    else:
+        text += "run.epsilon_list = 0.2, 0.1, 0.05\n"
+        expected_runs = [(0.05, x0), (0.1, x0), (0.2, x0)]
+    assert run_experiment(parse_config(text), tmp_path) == 0
+    assert sorted(runs) == expected_runs
+    if kind in ("energy", "regularity"):
+        assert sorted(budgets) == [(kind, 0.05), (kind, 0.1), (kind, 0.2)]
+        assert (tmp_path / f"report_{kind}_uniformity.txt").exists()
+    else:
+        assert budgets == []
 
 
 def test_run_contraction_experiment(tmp_path):
@@ -392,6 +422,26 @@ def test_cli_run_single_piece_potential(tmp_path, capsys):
     assert main(["run", str(cfg_file), "--out-dir",
                  str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "report_energy_uniformity.txt").exists()
+
+
+def test_cli_run_crash_has_its_own_exit_status(tmp_path, monkeypatch,
+                                               capsys):
+    # A crash is not a failed check (status 1): one stderr line, status 3.
+    import graphspde.cli
+    from graphspde.engine import StepSolverError
+
+    def crash(*args, **kwargs):
+        raise StepSolverError("step 3 (t = 0.1): did not converge")
+
+    monkeypatch.setattr(graphspde.cli, "run_experiment", crash)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(EPS_CONV)
+    assert main(["run", str(cfg_file), "--out-dir",
+                 str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("error: StepSolverError: step 3 (t = 0.1): "
+                            "did not converge\n")
+    assert captured.out == ""
 
 
 def test_cli_out_dir_env_default(monkeypatch, tmp_path):

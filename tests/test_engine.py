@@ -97,7 +97,7 @@ def test_step_fixed_point_at_origin():
     space = path_space(3)
     smoother = MoreauYosida(zhang(), 0.2)
     noise = diagonal_noise(3, 0.5)
-    out = step_semi_implicit(space, smoother, noise, np.zeros(3), 0.0, 0.1,
+    out = step_semi_implicit(space, smoother, noise, np.zeros(3), 0.1,
                              np.zeros(3))
     assert np.allclose(out, 0.0, atol=1e-14)
 
@@ -128,8 +128,8 @@ def test_step_single_node_against_double_bisection():
     space = single_node_space()
     smoother = MoreauYosida(fast_diffusion(0.5), 1.0)
     noise = diagonal_noise(1, 0.0)
-    got = step_semi_implicit(space, smoother, noise, np.array([4.0]), 0.0,
-                             1.0, np.zeros(1))
+    got = step_semi_implicit(space, smoother, noise, np.array([4.0]), 1.0,
+                             np.zeros(1))
     assert got[0] == pytest.approx(outer(), abs=1e-9)
 
 
@@ -146,7 +146,7 @@ def test_step_matches_exact_linear_solve_on_affine_branch():
     b = rhs + dt / (1.0 + eps) * (L @ np.ones(2))
     expected = np.linalg.solve(A, b)
     got = step_semi_implicit(space, smoother, diagonal_noise(2, 0.0), state,
-                             0.0, dt, np.zeros(2))
+                             dt, np.zeros(2))
     assert smoother.resolvent(got).min() > 0  # stayed on the affine branch
     assert np.abs(got - expected).max() <= 1e-10
 
@@ -221,7 +221,7 @@ def test_step_rejects_bad_dt():
     space = single_node_space()
     with pytest.raises(ValueError, match="positive"):
         step_semi_implicit(space, MoreauYosida(zhang(), 0.5),
-                           diagonal_noise(1, 0.0), np.zeros(1), 0.0, 0.0,
+                           diagonal_noise(1, 0.0), np.zeros(1), 0.0,
                            np.zeros(1))
 
 
@@ -423,7 +423,7 @@ def test_linear_combination_noise_shapes():
     gains[0] = 0.05 * np.eye(3)
     model = linear_combination_noise(offsets, gains)
     u = np.ones(3)
-    out = model.apply(0.0, u, np.array([1.0, -1.0]))
+    out = model.apply(u, np.array([1.0, -1.0]))
     expected = offsets @ np.array([1.0, -1.0]) + gains[0] @ u
     assert np.allclose(out, expected)
     space = path_space(3)

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import gap_bound_folded, gap_bound_pointwise
 
 from graphspde.dirichlet import build_graph_space, path_space, single_node_space
-from graphspde.engine import SimulationConfig, simulate
+from graphspde.engine import SimulationConfig, energy_budget, simulate
 from graphspde.estimates import (
     EnergyFunctional,
     _cum_trapz,
@@ -39,6 +40,10 @@ def make_config(space, potential, sigma=0.2, eps=0.1, horizon=0.5, steps=16,
         coupling_tag=tag)
 
 
+def simulate_ladder(config, eps_list):
+    return [simulate(config.with_eps(eps)) for eps in eps_list]
+
+
 # -- integrated functional -------------------------------------------------------
 
 
@@ -65,8 +70,8 @@ def test_smoothed_value_and_gap_single_node():
     assert func.smoothed(0.5, v) == pytest.approx(2.5)
     gap = func.value(v) - func.smoothed(0.5, v)
     assert gap == pytest.approx(1.5)
-    assert gap <= func.gap_bound_pointwise(0.5, v) + 1e-12
-    assert func.gap_bound_pointwise(0.5, v) == pytest.approx(0.5 * 9.0)
+    assert gap <= gap_bound_pointwise(func, 0.5, v) + 1e-12
+    assert gap_bound_pointwise(func, 0.5, v) == pytest.approx(0.5 * 9.0)
 
 
 def test_smoothed_increases_toward_value():
@@ -93,7 +98,7 @@ def test_functional_convexity_and_folded_gap_bound():
             for eps in (0.5, 0.1):
                 gap = func.value(u) - func.smoothed(eps, u)
                 assert 0 <= gap + 1e-12
-                assert gap <= func.gap_bound_folded(eps, u) + 1e-10
+                assert gap <= gap_bound_folded(func, eps, u) + 1e-10
 
 
 # -- mollification ----------------------------------------------------------------
@@ -177,7 +182,7 @@ def test_large_state_test_process_builds():
     Z = proc.states
     assert np.array_equal(Z[:, 0], np.full((3, 8), 1e4))
     for k in range(cfg.step_count):
-        inc = cfg.noise.apply(k * cfg.dt, Z[:, k], ens.increments[:, k])
+        inc = cfg.noise.apply(Z[:, k], ens.increments[:, k])
         gap = Z[:, k + 1] - Z[:, k] - cfg.dt * g - inc
         assert np.abs(gap).max() <= 1e-12 * np.abs(Z[:, k]).max()
 
@@ -310,7 +315,8 @@ def test_svi_decoupled_rejected():
 
 def test_contraction_identical_initials_degenerate():
     cfg = make_config(path_space(4), zhang(), paths=4)
-    report = contraction_experiment(cfg, cfg.initial, decay_rate=1.0)
+    report = contraction_experiment(simulate(cfg), simulate(cfg),
+                                    decay_rate=1.0)
     assert report.passed
     assert "degenerate" in report.notes[0]
 
@@ -322,7 +328,8 @@ def test_contraction_monotone_scalar_flow():
         space=single_node_space(), potential=fast_diffusion(0.5),
         noise=diagonal_noise(1, 0.0), eps=0.2, horizon=1.0, step_count=32,
         path_count=1, initial=np.array([2.0]), seed=5, coupling_tag="c")
-    report = contraction_experiment(cfg, np.array([1.0]), decay_rate=0.0)
+    report = contraction_experiment(
+        simulate(cfg), simulate(cfg.with_initial([1.0])), decay_rate=0.0)
     assert report.passed
     assert report.constants["sup_ratio"] <= 1.0 + 1e-10
 
@@ -332,7 +339,8 @@ def test_contraction_stochastic_path_graph():
     cfg = make_config(space, zhang(), sigma=0.2, paths=60, steps=16,
                       initial=np.full(8, 0.5), seed=9)
     y0 = cfg.initial + space.basis[:, 0] / space.dual_norm(space.basis[:, 0])
-    report = contraction_experiment(cfg, y0)
+    report = contraction_experiment(simulate(cfg),
+                                    simulate(cfg.with_initial(y0)))
     assert report.constants["initial_gap_sq"] == pytest.approx(1.0, rel=1e-10)
     assert report.passed
 
@@ -342,8 +350,25 @@ def test_contraction_stochastic_path_graph():
 
 def test_pairwise_gap_vanishes_at_equal_levels():
     cfg = make_config(path_space(4), zhang(), paths=4)
-    gap = pairwise_smoothing_gap(cfg, 0.1, 0.1, decay_rate=1.0)
+    gap = pairwise_smoothing_gap(simulate(cfg), simulate(cfg), decay_rate=1.0)
     assert np.allclose(gap, 0.0)
+
+
+@pytest.mark.parametrize("change", [
+    {"tag": "other"}, {"seed": 12}, {"paths": 3}, {"steps": 8},
+    {"horizon": 0.25},
+], ids=["tag", "seed", "paths", "steps", "horizon"])
+def test_ladder_and_pair_estimators_refuse_uncoupled_runs(change):
+    space = path_space(3)
+    ens = simulate(make_config(space, zhang(), paths=2))
+    off = simulate(make_config(space, zhang(), eps=0.05,
+                               **{"paths": 2, **change}))
+    with pytest.raises(ValueError, match="not coupled"):
+        pairwise_smoothing_gap(ens, off, decay_rate=1.0)
+    with pytest.raises(ValueError, match="not coupled"):
+        epsilon_convergence([ens, off], decay_rate=1.0)
+    with pytest.raises(ValueError, match="not coupled"):
+        contraction_experiment(ens, off, decay_rate=1.0)
 
 
 def test_epsilon_convergence_deterministic_scalar():
@@ -351,7 +376,8 @@ def test_epsilon_convergence_deterministic_scalar():
         space=single_node_space(), potential=fast_diffusion(0.5),
         noise=diagonal_noise(1, 0.0), eps=0.1, horizon=1.0, step_count=64,
         path_count=1, initial=np.array([2.0]), seed=7, coupling_tag="sc")
-    report = epsilon_convergence(cfg, [0.2, 0.1, 0.05, 0.025], decay_rate=0.0)
+    report = epsilon_convergence(
+        simulate_ladder(cfg, [0.2, 0.1, 0.05, 0.025]), decay_rate=0.0)
     assert report.constants["strictly_decreasing"]
     assert report.constants["slope"] >= 0.8
     assert report.passed
@@ -360,9 +386,9 @@ def test_epsilon_convergence_deterministic_scalar():
 def test_epsilon_convergence_validation():
     cfg = make_config(path_space(3), zhang(), paths=2)
     with pytest.raises(ValueError, match="two smoothing"):
-        epsilon_convergence(cfg, [0.1], decay_rate=1.0)
+        epsilon_convergence(simulate_ladder(cfg, [0.1]), decay_rate=1.0)
     with pytest.raises(ValueError, match="decreasing"):
-        epsilon_convergence(cfg, [0.1, 0.2], decay_rate=1.0)
+        epsilon_convergence(simulate_ladder(cfg, [0.1, 0.2]), decay_rate=1.0)
 
 
 def test_epsilon_convergence_refuses_unbounded_slope_kind():
@@ -370,7 +396,7 @@ def test_epsilon_convergence_refuses_unbounded_slope_kind():
 
     cfg = make_config(path_space(3), porous_medium(2.0), paths=2)
     with pytest.raises(ValueError, match="minimal-section"):
-        epsilon_convergence(cfg, [0.2, 0.1], decay_rate=1.0)
+        epsilon_convergence(simulate_ladder(cfg, [0.2, 0.1]), decay_rate=1.0)
 
 
 # -- regularity and uniformity ----------------------------------------------------
@@ -403,12 +429,18 @@ def test_regularity_budget_deterministic_quadrature():
 def test_uniformity_bands():
     cfg = make_config(path_space(4), zhang(), sigma=0.1, paths=20, steps=16,
                       initial=np.full(4, 0.5))
-    rep_e = energy_uniformity(cfg, [0.2, 0.1, 0.05])
-    rep_r = regularity_uniformity(cfg, [0.2, 0.1, 0.05])
+    ladder = simulate_ladder(cfg, [0.2, 0.1, 0.05])
+    func = EnergyFunctional(cfg.space, cfg.potential)
+    rep_e = energy_uniformity([energy_budget(ens) for ens in ladder])
+    rep_r = regularity_uniformity([regularity_budget(ens, func)
+                                   for ens in ladder])
+    assert [row[0] for row in rep_e.series] == [0.2, 0.1, 0.05]
     assert rep_e.constants["band_ratio"] < np.inf
     assert rep_r.constants["band_ratio"] < np.inf
     assert rep_e.passed
     assert rep_r.passed
+    with pytest.raises(ValueError, match="regularity_budget"):
+        regularity_uniformity([energy_budget(ens) for ens in ladder])
 
 
 def test_default_decay_rate_uses_certificate():
