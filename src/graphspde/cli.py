@@ -5,11 +5,14 @@ Usage:
     graphspde validate <config-file>
     graphspde presets
 
-The default output directory comes from the GRAPHSPDE_OUT_DIR environment
-variable, falling back to ./graphspde_out.  Exit status is 0 when every
-asserted property passed, 1 when a check failed, 2 on configuration errors
-and 3 when the run crashed (one ``error: <Type>: <message>`` line on
-standard error).
+``--seed`` and ``--paths`` become ``run.seed`` / ``run.paths`` lines appended
+to the config, validated like any other line.  The default output directory
+comes from the GRAPHSPDE_OUT_DIR environment variable, falling back to
+./graphspde_out.  Exit status is 0 when every asserted property passed, 1
+when a check failed, 2 on configuration errors (``run`` refuses what
+``validate`` refuses, before creating any directory) and 3 when a validated
+run crashed, such as a solver failure (one ``error: <Type>: <message>``
+line on standard error).
 """
 
 from __future__ import annotations
@@ -57,11 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str):
-    text = Path(path).read_text()
-    return parse_config(text)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -71,12 +69,14 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = _load(args.config)
+        text = Path(args.config).read_text()
         if args.command == "run":
-            if args.seed is not None:
-                cfg.entries[("run", "seed")] = str(args.seed)
-            if args.paths is not None:
-                cfg.entries[("run", "paths")] = str(args.paths)
+            # Overrides are config lines: the last value of a key wins, and
+            # they are validated like every other line.
+            for key in ("seed", "paths"):
+                if getattr(args, key) is not None:
+                    text += f"\nrun.{key} = {getattr(args, key)}"
+        cfg = parse_config(text)
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2

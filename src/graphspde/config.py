@@ -1,9 +1,9 @@
 """Line-oriented experiment configuration and the experiment dispatcher.
 
 Configs are plain text, one ``section.key = value`` pair per line with ``#``
-comments.  Parsing validates everything and reports every violation at
-once, syntax errors with their line number and semantic ones with the field
-path.  Artifacts (text reports with fixed float formatting, binary ``.npy``
+comments.  Parsing builds everything a config names, once, and reports
+every violation at once, syntax errors with their line number and semantic
+ones with the field path; the dispatcher runs what parsing built.  Artifacts (text reports with fixed float formatting, binary ``.npy``
 trajectory dumps, manifest) carry no wall-clock data, so identical configs
 produce byte-identical outputs.
 """
@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from .estimates import (
     regularity_uniformity,
 )
 from .monotone import (
+    MoreauYosida,
+    ResolventError,
     check_assumptions,
     fast_diffusion,
     piecewise_quadratic,
@@ -109,14 +112,26 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated key-value configuration, keyed by (section, key)."""
+    """A validated config and everything it names, built once.
 
-    entries: dict = field(default_factory=dict)
+    ``run`` is the base run: the space, potential and noise, the first
+    smoothing level of ``eps_values``, the grid, ``x0``, seed and tag.
+    ``y0`` is the second initial state (``contraction``), ``decay_rate``
+    is None when unset.  ``entries`` keeps the defaulted text values, keyed
+    by (section, key), read-only, for the normalized form and the manifest.
+    """
 
-    def get(self, section: str, key: str, default=None) -> str | None:
-        return self.entries.get((section, key), default)
+    entries: MappingProxyType
+    run: SimulationConfig
+    eps_values: tuple
+    y0: np.ndarray | None
+    drift_const: float
+    decay_rate: float | None
+
+    def get(self, section: str, key: str) -> str | None:
+        return self.entries.get((section, key))
 
     @property
     def experiment(self) -> str:
@@ -128,90 +143,6 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.normalize().encode()).hexdigest()
-
-    def _number(self, section: str, key: str, kind=float):
-        return _parse_number(f"{section}.{key}", self.get(section, key), kind)
-
-    def _numbers(self, section: str, key: str) -> list[float]:
-        return [_parse_number(f"{section}.{key}", part)
-                for part in _split_list(self.get(section, key))]
-
-    # -- builders -------------------------------------------------------
-
-    def build_space(self) -> DirichletSpace:
-        if ("space", "preset") in self.entries:
-            space = preset_space(self.get("space", "preset"))
-        else:
-            n = self._number("space", "nodes", int)
-            W = np.zeros((n, n))
-            for part in _split_list(self.get("space", "edges", "")):
-                m = re.fullmatch(r"(\d+)-(\d+):(\S+)", part)
-                if not m:
-                    raise ValueError(f"edge {part!r} is not of the form "
-                                     "'i-j:weight'")
-                i, j = int(m.group(1)), int(m.group(2))
-                w = _parse_number("space.edges", m.group(3))
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ValueError(f"edge {part!r} references a node "
-                                     f"outside 0..{n - 1}")
-                W[i, j] = W[j, i] = w
-            killing = self._numbers("space", "killing")
-            measure = self._numbers("space", "measure") or [1.0] * n
-            space = build_graph_space(W, killing, measure, label="custom")
-        bernstein = self.get("space", "bernstein", "").strip()
-        if bernstein:
-            m = re.fullmatch(r"(power|shifted_power)\(([^)]+)\)", bernstein)
-            if not m:
-                raise ValueError(f"cannot parse Bernstein spec {bernstein!r}")
-            space = subordinate(space, BernsteinFunction(
-                m.group(1), _parse_number("space.bernstein", m.group(2))))
-        return space
-
-    def build_potential(self):
-        kind = self.get("potential", "kind")
-        if kind == "fast_diffusion":
-            return fast_diffusion(self._number("potential", "theta"))
-        if kind == "porous_medium":
-            return porous_medium(self._number("potential", "gamma"))
-        if kind == "zhang":
-            return zhang()
-        if kind == "piecewise":
-            pieces = [tuple(_parse_number("potential.pieces", x)
-                            for x in p.split(":"))
-                      for p in _split_list(self.get("potential", "pieces"))]
-            return piecewise_quadratic(self._numbers("potential", "knots"),
-                                       pieces)
-        raise ValueError(f"unknown kind {kind!r}")
-
-    def build_noise(self, space: DirichletSpace):
-        kind = self.get("noise", "kind")
-        if kind == "diagonal":
-            return diagonal_noise(space.node_count,
-                                  self._number("noise", "sigma"),
-                                  clip_at=self._number("noise", "clip"))
-        if kind == "additive":
-            return eigenmode_noise(space, self._number("noise", "modes", int),
-                                   self._number("noise", "amplitude"))
-        raise ValueError(f"unknown kind {kind!r}")
-
-    def initial_state(self, space: DirichletSpace, key: str = "x0") -> np.ndarray:
-        return _parse_state(self.get("run", key), space.node_count)
-
-    def epsilon_values(self) -> list[float]:
-        if self.get("run", "epsilon_list"):
-            return self._numbers("run", "epsilon_list")
-        return [self._number("run", "epsilon")]
-
-    def sim_config(self, space, potential, noise, eps: float) -> SimulationConfig:
-        return SimulationConfig(
-            space=space, potential=potential, noise=noise, eps=eps,
-            horizon=self._number("run", "horizon"),
-            step_count=self._number("run", "steps", int),
-            path_count=self._number("run", "paths", int),
-            initial=self.initial_state(space),
-            seed=self._number("run", "seed", int),
-            coupling_tag=self.get("run", "tag"),
-        )
 
 
 # -- preset spaces -------------------------------------------------------------
@@ -277,12 +208,85 @@ def _parse_state(text: str, n: int) -> np.ndarray:
     return values
 
 
+def _number(entries: dict, name: str, kind=float):
+    return _parse_number(name, entries.get(tuple(name.split("."))), kind)
+
+
+def _numbers(entries: dict, name: str) -> list[float]:
+    return [_parse_number(name, part)
+            for part in _split_list(entries.get(tuple(name.split("."))))]
+
+
+def _epsilon_values(entries: dict) -> list[float]:
+    if entries.get(("run", "epsilon_list")):
+        return _numbers(entries, "run.epsilon_list")
+    return [_number(entries, "run.epsilon")]
+
+
+def _build_space(entries: dict) -> DirichletSpace:
+    if ("space", "preset") in entries:
+        space = preset_space(entries[("space", "preset")])
+    else:
+        n = _number(entries, "space.nodes", int)
+        W = np.zeros((n, n))
+        for part in _split_list(entries.get(("space", "edges"), "")):
+            m = re.fullmatch(r"(\d+)-(\d+):(\S+)", part)
+            if not m:
+                raise ValueError(f"edge {part!r} is not of the form "
+                                 "'i-j:weight'")
+            i, j = int(m.group(1)), int(m.group(2))
+            w = _parse_number("space.edges", m.group(3))
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge {part!r} references a node "
+                                 f"outside 0..{n - 1}")
+            W[i, j] = W[j, i] = w
+        killing = _numbers(entries, "space.killing")
+        measure = _numbers(entries, "space.measure") or [1.0] * n
+        space = build_graph_space(W, killing, measure, label="custom")
+    bernstein = entries.get(("space", "bernstein"), "").strip()
+    if bernstein:
+        m = re.fullmatch(r"(power|shifted_power)\(([^)]+)\)", bernstein)
+        if not m:
+            raise ValueError(f"cannot parse Bernstein spec {bernstein!r}")
+        space = subordinate(space, BernsteinFunction(
+            m.group(1), _parse_number("space.bernstein", m.group(2))))
+    return space
+
+
+def _build_potential(entries: dict):
+    kind = entries[("potential", "kind")]
+    if kind == "fast_diffusion":
+        return fast_diffusion(_number(entries, "potential.theta"))
+    if kind == "porous_medium":
+        return porous_medium(_number(entries, "potential.gamma"))
+    if kind == "zhang":
+        return zhang()
+    if kind == "piecewise":
+        pieces = [tuple(_parse_number("potential.pieces", x)
+                        for x in p.split(":"))
+                  for p in _split_list(entries.get(("potential", "pieces")))]
+        return piecewise_quadratic(_numbers(entries, "potential.knots"),
+                                   pieces)
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def _build_noise(entries: dict, space: DirichletSpace):
+    kind = entries[("noise", "kind")]
+    if kind == "diagonal":
+        return diagonal_noise(space.node_count, _number(entries, "noise.sigma"),
+                              clip_at=_number(entries, "noise.clip"))
+    if kind == "additive":
+        return eigenmode_noise(space, _number(entries, "noise.modes", int),
+                               _number(entries, "noise.amplitude"))
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 _LINE = re.compile(r"([A-Za-z_]+)\.([A-Za-z0-9_]+)\s*=\s*(.*)")
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config; raise ``ConfigError`` with every
-    violation when anything is wrong."""
+    """Parse a config and build everything it names, once; raise
+    ``ConfigError`` with every violation when anything is wrong."""
     problems: list[str] = []
     entries: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -309,25 +313,22 @@ def parse_config(text: str) -> ExperimentConfig:
         entries.setdefault((section, key), value)
     if ("space", "preset") not in entries and not has_custom_space:
         entries[("space", "preset")] = "single"
-
-    cfg = ExperimentConfig(entries)
-    problems.extend(_semantic_problems(cfg, provided))
-    if problems:
-        raise ConfigError(problems)
-    return cfg
+    return _build(entries, provided, problems)
 
 
-def _semantic_problems(cfg: ExperimentConfig,
-                       provided: frozenset = frozenset()) -> list[str]:
-    """Every violation of a defaulted config, each as ``<field>: <reason>``.
+def _build(entries: dict, provided: frozenset,
+           problems: list[str]) -> ExperimentConfig:
+    """Build the run of a defaulted config, or raise ``ConfigError`` with
+    ``problems`` plus every violation, each as ``<field>: <reason>``.
 
     The space, potential and noise blocks are valid exactly when their
-    builders succeed, so their rules live there; the noise block is checked
-    only when the space builds.  Kept here are the rules no builder owns:
-    the experiment kind, the run block and the noise block that ``svi`` and
-    ``contraction`` require.
+    builders succeed, so their rules live there; the noise block is built
+    only when the space builds.  A simulation experiment also needs the
+    potential's Moreau-Yosida resolvent at every smoothing level, which is
+    where the convexity rule lives.  Kept here are the rules no builder
+    owns: the experiment kind, the run block and the noise block that
+    ``svi`` and ``contraction`` require.
     """
-    problems = []
 
     def attempt(section: str, build, *args):
         # The builder's value, or None with its failure recorded.
@@ -335,32 +336,35 @@ def _semantic_problems(cfg: ExperimentConfig,
             return build(*args)
         except ConfigError as err:
             problems.extend(err.problems)
-        except ValueError as err:
+        except (ValueError, ResolventError) as err:
             problems.append(f"{section}: {err}")
         return None
 
-    exp = cfg.get("experiment", "kind")
+    exp = entries[("experiment", "kind")]
     if exp not in EXPERIMENTS:
         problems.append(f"experiment.kind: unknown experiment {exp!r}, "
                         f"expected one of {', '.join(EXPERIMENTS)}")
 
-    eps_values = attempt("run", cfg.epsilon_values)
+    eps_values = attempt("run", _epsilon_values, entries)
     if eps_values is not None:
         for eps in eps_values or [np.nan]:
             if not 0.0 < eps < 1.0:
                 problems.append("run.epsilon: epsilon must lie in (0,1), "
                                 f"got {eps:g}")
-    horizon = attempt("run", cfg._number, "run", "horizon")
+    horizon = attempt("run", _number, entries, "run.horizon")
     if horizon is not None and horizon <= 0:
         problems.append("run.horizon: horizon must be positive")
+    counts = {}
     for key, noun in (("steps", "step"), ("paths", "path")):
-        count = attempt("run", cfg._number, "run", key, int)
-        if count is not None and count < 1:
+        counts[key] = attempt("run", _number, entries, f"run.{key}", int)
+        if counts[key] is not None and counts[key] < 1:
             problems.append(f"run.{key}: need at least one {noun}")
-    attempt("run", cfg._number, "run", "seed", int)
-    for key in ("drift_const", "decay_rate"):
-        if cfg.get("run", key):
-            attempt("run", cfg._number, "run", key)
+    seed = attempt("run", _number, entries, "run.seed", int)
+    if seed is not None and seed < 0:
+        problems.append("run.seed: seed must be nonnegative")
+    drift_const = attempt("run", _number, entries, "run.drift_const")
+    decay_rate = (attempt("run", _number, entries, "run.decay_rate")
+                  if entries.get(("run", "decay_rate")) else None)
 
     if exp in _SIM_EXPERIMENTS:
         if ("noise", "kind") not in provided and exp in ("svi", "contraction"):
@@ -368,7 +372,7 @@ def _semantic_problems(cfg: ExperimentConfig,
             # noise block must be intentional rather than defaulted.
             problems.append(f"noise: block required for experiment {exp!r} "
                             "(set noise.kind, noise.sigma, ...)")
-        if exp == "contraction" and not cfg.get("run", "y0"):
+        if exp == "contraction" and not entries.get(("run", "y0")):
             problems.append("run.y0: contraction experiment needs a second "
                             "initial state")
         if exp == "eps_convergence" and eps_values is not None and (
@@ -377,14 +381,29 @@ def _semantic_problems(cfg: ExperimentConfig,
             problems.append("run.epsilon_list: eps_convergence needs at "
                             "least two strictly decreasing levels")
 
-    attempt("potential", cfg.build_potential)
-    space = attempt("space", cfg.build_space)
+    potential = attempt("potential", _build_potential, entries)
+    if potential is not None and exp in _SIM_EXPERIMENTS and eps_values:
+        attempt("potential", lambda: [
+            MoreauYosida(potential, eps).resolvent(0.0)
+            for eps in eps_values if 0.0 < eps < 1.0])
+    space = attempt("space", _build_space, entries)
+    noise = x0 = y0 = None
     if space is not None:
-        attempt("noise", cfg.build_noise, space)
-        for key in ("x0", "y0"):
-            if cfg.get("run", key):
-                attempt(f"run.{key}", cfg.initial_state, space, key)
-    return problems
+        noise = attempt("noise", _build_noise, entries, space)
+        x0 = attempt("run.x0", _parse_state, entries[("run", "x0")],
+                     space.node_count)
+        if entries.get(("run", "y0")):
+            y0 = attempt("run.y0", _parse_state, entries[("run", "y0")],
+                         space.node_count)
+    if problems:
+        raise ConfigError(problems)
+    run = SimulationConfig(
+        space=space, potential=potential, noise=noise, eps=eps_values[0],
+        horizon=horizon, step_count=counts["steps"],
+        path_count=counts["paths"], initial=x0, seed=seed,
+        coupling_tag=entries[("run", "tag")])
+    return ExperimentConfig(MappingProxyType(entries), run, tuple(eps_values),
+                            y0, drift_const, decay_rate)
 
 
 # -- experiment dispatch -------------------------------------------------------------
@@ -449,41 +468,34 @@ def _norms_checks(space: DirichletSpace, seed: int) -> list[CheckResult]:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
-    """Execute the configured experiment and write artifacts.
+    """Execute the experiment of a parsed config and write artifacts.
 
     Returns 0 exactly when every report passes.  ``threads`` is accepted
     for interface compatibility; path evaluation is already vectorized and
-    results never depend on it.
+    results never depend on it.  The first report written creates
+    ``out_dir``, so a run that fails before it leaves no directory behind.
     """
     del threads
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    exp = cfg.experiment
-    space = cfg.build_space()
-    potential = cfg.build_potential()
+    exp, base = cfg.experiment, cfg.run
     reports: list[EstimateReport] = []
 
     if exp == "assumptions":
         grid = np.linspace(-10.0, 10.0, 2001)
-        rep = check_assumptions(potential, grid)
-        (out / "report_assumptions.txt").write_text(rep.to_text())
+        rep = check_assumptions(base.potential, grid)
         reports.append(EstimateReport(
             name="assumptions", passed=rep.passed,
             worst_margin=min(e.margin for e in rep.entries),
             columns=("check", "passed", "margin"),
             series=tuple((e.name, e.passed, e.margin) for e in rep.entries)))
         reports[-1].write(out, "report_assumptions_summary")
+        (out / "report_assumptions.txt").write_text(rep.to_text())
     elif exp == "norms":
-        checks = _norms_checks(space, cfg._number("run", "seed", int))
-        rep = bundle_report("norms", checks)
+        rep = bundle_report("norms", _norms_checks(base.space, base.seed))
         rep.write(out, "report_norms")
         reports.append(rep)
     else:
-        noise = cfg.build_noise(space)
-        eps_values = cfg.epsilon_values()
-        base = cfg.sim_config(space, potential, noise, eps_values[0])
-        decay_rate = (cfg._number("run", "decay_rate")
-                      if cfg.get("run", "decay_rate") else None)
+        decay_rate = cfg.decay_rate
         if decay_rate is None and exp in ("contraction", "eps_convergence"):
             # Certify the noise before any run is held: the certificate's
             # scratch arrays would otherwise add to the runs' peak memory.
@@ -492,21 +504,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
         # Every run is simulated here, each smoothing level or initial
         # state once; the estimators only read the ensembles.
         if exp == "eps_convergence":
-            ladder = [simulate(base.with_eps(eps)) for eps in eps_values]
+            ladder = [simulate(base.with_eps(eps)) for eps in cfg.eps_values]
             rep = epsilon_convergence(ladder, decay_rate=decay_rate)
             rep.write(out, "report_eps_convergence")
             reports.append(rep)
         elif exp == "contraction":
-            y0 = cfg.initial_state(space, key="y0")
             rep = contraction_experiment(simulate(base),
-                                         simulate(base.with_initial(y0)),
+                                         simulate(base.with_initial(cfg.y0)),
                                          decay_rate=decay_rate)
             rep.write(out, "report_contraction")
             reports.append(rep)
         elif exp in ("energy", "regularity"):
-            functional = EnergyFunctional(space, potential)
+            functional = EnergyFunctional(base.space, base.potential)
             budgets = []
-            for eps in eps_values:
+            for eps in cfg.eps_values:
                 ens = simulate(base.with_eps(eps))
                 rep = (energy_budget(ens) if exp == "energy"
                        else regularity_budget(ens, functional))
@@ -521,17 +532,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
                 rep.write(out, f"report_{exp}_uniformity")
                 reports.append(rep)
         else:  # svi
-            functional = EnergyFunctional(space, potential)
-            drift_const = cfg._number("run", "drift_const")
-            for eps in eps_values:
+            functional = EnergyFunctional(base.space, base.potential)
+            n = base.space.node_count
+            for eps in cfg.eps_values:
                 ens = simulate(base.with_eps(eps))
-                _dump_run(ens, out, f"trajectories_eps{_eps_tag(eps)}")
-                zero_z0 = np.zeros(space.node_count)
                 cases = [
-                    ("zero", build_test_process(ens, zero_z0)),
+                    ("zero", build_test_process(ens, np.zeros(n))),
                     ("constant", build_test_process(
-                        ens, zero_z0,
-                        drift=np.full(space.node_count, drift_const))),
+                        ens, np.zeros(n), drift=np.full(n, cfg.drift_const))),
                     ("replayed", build_test_process(ens, base.initial,
                                                     drift=ens)),
                 ]
@@ -539,6 +547,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
                     rep = check_svi(ens, proc, functional)
                     rep.write(out, f"report_svi_{tag}_eps{_eps_tag(eps)}")
                     reports.append(rep)
+                _dump_run(ens, out, f"trajectories_eps{_eps_tag(eps)}")
 
     _write_manifest(cfg, out, reports)
     return 0 if all(r.passed for r in reports) else 1

@@ -1,6 +1,7 @@
 """Tests for config parsing, validation, experiment dispatch, artifact
 determinism and the command line interface."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,14 @@ def test_minimal_config_fills_defaults():
     assert cfg.get("run", "seed") == "0"
     assert cfg.get("run", "paths") == "100"
     assert cfg.get("potential", "kind") == "fast_diffusion"
+
+
+def test_parsed_config_is_read_only():
+    cfg = parse_config(MINIMAL)
+    with pytest.raises(TypeError):
+        cfg.entries[("run", "seed")] = "1"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.run = cfg.run.with_eps(0.2)
 
 
 def test_epsilon_out_of_range_message():
@@ -105,6 +114,7 @@ def test_all_violations_reported_together():
     ("noise.clip = -inf", "noise: clip level must be nonnegative"),
     ("run.decay_rate = inf",
      "run.decay_rate: expected a finite number, got 'inf'"),
+    ("run.seed = -1", "run.seed: seed must be nonnegative"),
     ("potential.kind = piecewise\npotential.knots = inf\n"
      "potential.pieces = 1:0:0, 1:0:3",
      "potential.knots: expected a finite number, got 'inf'"),
@@ -123,7 +133,7 @@ def test_invalid_values_are_config_errors(tmp_path, capsys, line, message):
 
 def test_infinite_clip_means_no_clipping():
     cfg = parse_config(MINIMAL + "noise.clip = inf\n")
-    assert cfg.build_noise(cfg.build_space()).clip_at == np.inf
+    assert cfg.run.noise.clip_at == np.inf
 
 
 def test_unknown_keys_rejected():
@@ -146,7 +156,7 @@ def test_custom_graph_block():
         "space.edges = 0-1:1.0, 1-2:2.0\n"
         "space.killing = 1, 0, 0\n"
         "space.measure = 1, 1, 1\n")
-    space = cfg.build_space()
+    space = cfg.run.space
     assert space.node_count == 3
     assert space.generator[0, 1] == pytest.approx(1.0)
     assert space.generator[1, 2] == pytest.approx(2.0)
@@ -155,7 +165,7 @@ def test_custom_graph_block():
 def test_subordinated_preset_block():
     cfg = parse_config("space.preset = path_4\n"
                        "space.bernstein = power(0.5)\n")
-    space = cfg.build_space()
+    space = cfg.run.space
     base = preset_space("path_4")
     assert np.allclose(space.eigenvalues, np.sqrt(base.eigenvalues))
 
@@ -170,9 +180,9 @@ def test_preset_names():
 
 def test_state_specs():
     cfg = parse_config(MINIMAL + "run.x0 = spike:0\n")
-    assert np.allclose(cfg.initial_state(cfg.build_space()), [1.0])
+    assert np.allclose(cfg.run.initial, [1.0])
     cfg = parse_config("space.preset = path_2\nrun.x0 = 0.5, -0.5\n")
-    assert np.allclose(cfg.initial_state(cfg.build_space()), [0.5, -0.5])
+    assert np.allclose(cfg.run.initial, [0.5, -0.5])
     with pytest.raises(ConfigError, match="run.x0"):
         parse_config("space.preset = path_2\nrun.x0 = 1, 2, 3\n")
     with pytest.raises(ConfigError, match="space: edge"):
@@ -227,7 +237,7 @@ def test_norms_shift_limit_bound_follows_bottom_eigenvalue(tmp_path, space):
     row = next(r.split(",") for r in rows
                if r.startswith("dual_norm_vanishing_shift_limit,"))
     assert row[1] == "true"
-    built = cfg.build_space()
+    built = cfg.run.space
     lam, shift = built.eigenvalues.min(), 1e-6
     bound = 1.0 - math.sqrt(lam / (lam + shift)) + 1e-12
     rng = np.random.default_rng(0)
@@ -442,6 +452,87 @@ def test_cli_run_crash_has_its_own_exit_status(tmp_path, monkeypatch,
     assert captured.err == ("error: StepSolverError: step 3 (t = 0.1): "
                             "did not converge\n")
     assert captured.out == ""
+
+
+CONCAVE = ("space.preset = path_4\n"
+           "potential.kind = piecewise\n"
+           "potential.knots = 0\n"
+           "potential.pieces = 1:0:0, -1:0:0\n")
+
+
+@pytest.mark.parametrize("text, override, message", [
+    ("experiment.kind = energy\nspace.preset = path_4\n", ("paths", "0"),
+     "run.paths: need at least one path"),
+    ("experiment.kind = energy\nspace.preset = path_4\n", ("seed", "-1"),
+     "run.seed: seed must be nonnegative"),
+    ("experiment.kind = norms\nspace.preset = path_4\nrun.seed = -1\n", None,
+     "run.seed: seed must be nonnegative"),
+    ("experiment.kind = energy\n" + CONCAVE, None,
+     "potential: resolvent needs a convex potential: concave piece present"),
+], ids=["paths_override_0", "seed_override_-1", "norms_seed_-1",
+        "energy_concave_potential"])
+def test_run_refuses_what_validate_refuses(tmp_path, capsys, text, override,
+                                           message):
+    # Overrides are config lines, and validation builds what the run uses,
+    # so no config passes validation only to crash in the run.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text + ("run.{} = {}\n".format(*override)
+                                if override else ""))
+    assert main(["validate", str(cfg_file)]) == 2
+    assert message in capsys.readouterr().err
+    cfg_file.write_text(text)
+    args = [f"--{override[0]}", override[1]] if override else []
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_file), "--out-dir", str(out)] + args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_assumptions_report_a_concave_potential(tmp_path, capsys):
+    # Only the simulation experiments need a resolvent; the assumption
+    # checks report the concave piece as a failure.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("experiment.kind = assumptions\n" + CONCAVE)
+    assert main(["validate", str(cfg_file)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_file), "--out-dir", str(out)]) == 1
+    assert "FAIL" in (out / "report_assumptions.txt").read_text()
+
+
+def test_cli_run_crash_leaves_no_out_dir(tmp_path, monkeypatch, capsys):
+    import graphspde.config
+    from graphspde.engine import StepSolverError
+
+    def crash(config):
+        raise StepSolverError("step 0 (t = 0): did not converge")
+
+    monkeypatch.setattr(graphspde.config, "simulate", crash)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(EPS_CONV)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_file), "--out-dir", str(out)]) == 3
+    assert "error: StepSolverError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_space_is_built_once_per_run(tmp_path, monkeypatch):
+    import graphspde.dirichlet
+
+    calls = []
+    build = graphspde.dirichlet.build_graph_space
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(graphspde.dirichlet, "build_graph_space", counted)
+    cfg = parse_config("experiment.kind = energy\n"
+                       "space.preset = path_4\n"
+                       "run.epsilon_list = 0.2, 0.1\n"
+                       "run.steps = 4\n"
+                       "run.paths = 3\n")
+    assert run_experiment(cfg, tmp_path) == 0
+    assert len(calls) == 1
 
 
 def test_cli_out_dir_env_default(monkeypatch, tmp_path):

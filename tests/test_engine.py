@@ -307,6 +307,37 @@ def test_zero_noise_sandpile_flat_region_is_linear_flow():
         assert np.abs(ens.states[0, k + 1] - x).max() <= 1e-8
 
 
+@pytest.mark.parametrize("make_space", [
+    lambda: path_space(16),
+    lambda: subordinate(path_space(16), BernsteinFunction("power", 0.5)),
+    lambda: complete_space(8),
+], ids=["path_16", "path_16_power_0.5", "complete_8"])
+def test_linear_gaussian_scheme_is_the_closed_form_recursion(make_space):
+    # A quadratic potential a r^2 smooths to the linear drift c x with
+    # c = 2a / (1 + 2a eps) + eps, so with additive noise B the scheme is
+    # X_{k+1} = R (X_k + B dW_k), R = (I + dt c K)^-1, K minus the
+    # generator; each Newton solve is exact, one iteration per step.  The
+    # three spaces cover the tridiagonal, subordinated and dense steps.
+    space = make_space()
+    n, a, eps = space.node_count, 1.5, 0.05
+    noise = eigenmode_noise(space, 3, 0.3)
+    cfg = base_config(space=space,
+                      potential=piecewise_quadratic([0.0], [[a, 0, 0]] * 2),
+                      noise=noise, eps=eps, step_count=32, path_count=20,
+                      initial=np.cos(np.arange(n)))
+    ens = simulate(cfg)
+    c = 2 * a / (1 + 2 * a * eps) + eps
+    R = np.linalg.inv(np.eye(n) - cfg.dt * c * space.generator)
+    B = np.asarray(noise.columns)
+    x = np.tile(cfg.initial, (cfg.path_count, 1))
+    worst = 0.0
+    for k in range(cfg.step_count):
+        x = (x + ens.increments[:, k] @ B.T) @ R.T
+        worst = max(worst, float(np.abs(ens.states[:, k + 1] - x).max()))
+    assert worst <= 1e-13
+    assert np.all(ens.newton_iterations == 1)
+
+
 def test_zero_noise_linear_flow_refines_to_semigroup_first_order():
     # Against the exact flow through the eps-scaled semigroup the endpoint
     # error of the implicit scheme halves with the step size.
