@@ -12,8 +12,10 @@ objective and a damped semismooth Newton iteration converges for any step
 size.  With ``K`` minus the generator and ``d`` the slope derivative plus
 ``eps``, each Newton direction solves ``(1/d + dt K) z = -F`` and takes
 ``delta = z / d``; that system has the sparsity of the generator, so on
-path graphs it is tridiagonal.  Paths evolve independently and are solved
-as one batch.
+path graphs it is tridiagonal.  On dense generators a path whose ``d`` is
+one number at every node is solved in the eigenbasis of the space, where
+the system is diagonal, in O(n^2); the other paths take a dense solve.
+Paths evolve independently and are solved as one batch.
 """
 
 from __future__ import annotations
@@ -134,10 +136,14 @@ class _NewtonSystem:
     form one block-diagonal tridiagonal system with zero couplings between
     blocks, solved by one ``gtsv`` call, and the dual metric
     ``M K^-1 = M E^-1 M`` is applied through an LDL^T factorization of the
-    tridiagonal ``E = M K``.  Other generators use batched dense solves and
-    apply ``K`` and the dense dual metric as one vector-matrix product per
-    row.  Either way every path's arithmetic is independent of the rest of
-    the batch.
+    tridiagonal ``E = M K``.  Other generators apply ``K`` and the dense
+    dual metric as one vector-matrix product per row.  A row whose ``d`` is
+    one number ``c`` at every node has the direction
+    ``-Phi (Phi^T M F) / (1 + dt c lambda)`` in the mu-orthonormal
+    eigenbasis ``Phi`` of ``K``, two such products, O(n^2); only the other
+    rows go to a batched dense solve.  Which route a row takes depends on
+    its own ``d`` alone, so either way every path's arithmetic is
+    independent of the rest of the batch.
     """
 
     def __init__(self, space: DirichletSpace, dt: float):
@@ -157,6 +163,9 @@ class _NewtonSystem:
         else:
             self._K = K
             self._dual = space.dual_metric
+            self._lam = space.eigenvalues
+            self._to_spectral = space.basis * mu[:, None]
+            self._from_spectral = space.basis.T.copy()
 
     @staticmethod
     def _check(routine: str, info: int) -> None:
@@ -187,8 +196,8 @@ class _NewtonSystem:
         """Newton direction ``delta`` with ``(I + dt K diag(d)) delta = -F``
         for each row of ``F`` and ``d``."""
         paths, n = F.shape
-        inv_d = 1.0 / d
         if self.tridiagonal:
+            inv_d = 1.0 / d
             diag = (inv_d + self.dt * self._diag).ravel()
             upper = _off_diagonal(np.tile(self.dt * self._upper, paths))
             lower = _off_diagonal(np.tile(self.dt * self._lower, paths))
@@ -196,13 +205,23 @@ class _NewtonSystem:
                 lower, diag, upper, -F.reshape(-1, 1), overwrite_dl=True,
                 overwrite_d=True, overwrite_du=True, overwrite_b=True)
             self._check("dgtsv", info)
-            z = z.reshape(paths, n)
-        else:
-            A = np.repeat(self.dt * self._K[None], paths, axis=0)
+            return z.reshape(paths, n) * inv_d
+        delta = np.empty_like(F)
+        # Rows with one slope derivative at every node: the eigenbasis.
+        uniform = (d == d[:, :1]).all(axis=1)
+        if uniform.any():
+            coef = (F[uniform][:, None, :] @ self._to_spectral)[:, 0]
+            coef /= 1.0 + self.dt * d[uniform, :1] * self._lam
+            delta[uniform] = -(coef[:, None, :] @ self._from_spectral)[:, 0]
+        rest = ~uniform
+        if rest.any():
+            inv_d = 1.0 / d[rest]
+            A = np.repeat(self.dt * self._K[None], len(inv_d), axis=0)
             idx = np.arange(n)
             A[:, idx, idx] += inv_d
-            z = np.linalg.solve(A, -F[..., None])[..., 0]
-        return z * inv_d
+            z = np.linalg.solve(A, -F[rest][..., None])[..., 0]
+            delta[rest] = z * inv_d
+        return delta
 
 
 def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,

@@ -1,6 +1,8 @@
 """Tests for the semi-implicit stepper, path simulation, noise
 certification, the reproducible increment source and trajectory artifacts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,19 @@ def base_config(**overrides):
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
+
+
+def spy_solve_rows(monkeypatch):
+    """Record the batch size of every ``np.linalg.solve`` call."""
+    rows = []
+    solve = np.linalg.solve
+
+    def spy(A, b):
+        rows.append(len(A))
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return rows
 
 
 # -- increments ---------------------------------------------------------------
@@ -217,6 +232,47 @@ def test_newton_system_matches_dense_dual_metric_formulas(make_space,
     assert rel_err(system.apply_k(F), F @ (-space.generator).T) <= 1e-12
 
 
+@pytest.mark.parametrize("make_space", [
+    pytest.param(lambda: complete_space(8), id="complete_8"),
+    pytest.param(lambda: subordinate(path_space(16),
+                                     BernsteinFunction.power(0.5)),
+                 id="path_16|power(0.5)"),
+    pytest.param(lambda: subordinate(path_space(64),
+                                     BernsteinFunction.power(0.5)),
+                 id="path_64|power(0.5)"),
+])
+def test_uniform_slope_direction_matches_dense_solve(make_space,
+                                                     monkeypatch):
+    # Oracle: (I + dt K diag(d)) delta = -F solved densely from the
+    # generator.  Rows with one slope derivative at every node take the
+    # eigenbasis route (no LU solve); in a mixed batch every row is bitwise
+    # the row solved alone.  Worst error measured: 1.6e-15 (1 + |F|).
+    space = make_space()
+    n, dt = space.node_count, 0.02
+    K = -space.generator
+    system = _NewtonSystem(space, dt)
+    rng = np.random.default_rng(5)
+    c = np.ravel([[e, 1 / (1 + e) + e, 1 / e + e] for e in (0.05, 0.1)])
+    F = rng.standard_normal((c.size, n)) * np.logspace(-3, 3, c.size)[:, None]
+    d = np.repeat(c[:, None], n, axis=1)
+
+    solved = spy_solve_rows(monkeypatch)
+    got = system.direction(F, d)
+    assert solved == []
+    expected = np.stack([
+        np.linalg.solve(np.eye(n) + dt * K * d[p], -F[p])
+        for p in range(c.size)])
+    err = np.abs(got - expected).max(axis=1) / (1 + np.abs(F).max(axis=1))
+    assert err.max() <= 1e-13
+
+    mixed_d = np.concatenate([d, d * rng.uniform(0.5, 2.0, d.shape)])
+    mixed_F = np.concatenate([F, F[::-1]])
+    batch = system.direction(mixed_F, mixed_d)
+    for p in range(len(mixed_F)):
+        alone = system.direction(mixed_F[p:p + 1], mixed_d[p:p + 1])
+        assert np.array_equal(batch[p], alone[0])
+
+
 def test_step_rejects_bad_dt():
     space = single_node_space()
     with pytest.raises(ValueError, match="positive"):
@@ -236,20 +292,30 @@ def test_simulate_is_deterministic_bitwise():
     assert np.array_equal(a.increments, b.increments)
 
 
-def test_path_results_independent_of_batch_composition():
+def test_path_results_independent_of_batch_composition(monkeypatch):
     # A path's trajectory is a pure function of its own increments: the
     # batched Newton solve must not leak information across paths.
-    import dataclasses
-
     cfg = base_config(path_count=8)
-    small = dataclasses.replace(cfg, path_count=3)
+    small = replace(cfg, path_count=3)
     a = simulate(cfg)
     b = simulate(small)
     assert np.array_equal(a.states[:3], b.states)
 
     # Bitwise, on tridiagonal and dense generators of several sizes, for
     # closed-form and scalar-Newton resolvents and for multiplicative and
-    # additive noise, against a 40-path reference run.
+    # additive noise, against a 40-path reference run.  On the dense
+    # generators, zhang from the constant 0.5 is the svi regime: rows with
+    # one slope derivative at every node (eigenbasis route) and rows with
+    # several (LU solve) share a Newton step.
+    solved = spy_solve_rows(monkeypatch)
+    directions = []
+    direction = _NewtonSystem.direction
+
+    def spy_direction(self, F, d):
+        directions.append(len(F))
+        return direction(self, F, d)
+
+    monkeypatch.setattr(_NewtonSystem, "direction", spy_direction)
     spaces = [(f"path_{n}", path_space(n)) for n in (4, 32, 64)] + [
         ("complete_8", complete_space(8)),
         ("path_16|power(0.5)",
@@ -257,18 +323,25 @@ def test_path_results_independent_of_batch_composition():
     leaks = []
     for label, space in spaces:
         n = space.node_count
+        cases = [(name, potential, np.linspace(1.0, -0.5, n))
+                 for name, potential in (("zhang", zhang()),
+                                         ("fd0.5", fast_diffusion(0.5)),
+                                         ("fd0.3", fast_diffusion(0.3)))]
+        if not space.is_tridiagonal:
+            cases.append(("zhang@0.5", zhang(), np.full(n, 0.5)))
         for noise_name, noise in (("diagonal", diagonal_noise(n, 0.2)),
                                   ("eigenmode", eigenmode_noise(space, 3, 0.2))):
-            for name, potential in (("zhang", zhang()),
-                                    ("fd0.5", fast_diffusion(0.5)),
-                                    ("fd0.3", fast_diffusion(0.3))):
+            for name, potential, initial in cases:
                 cfg = base_config(space=space, potential=potential,
-                                  noise=noise,
-                                  initial=np.linspace(1.0, -0.5, n),
+                                  noise=noise, initial=initial,
                                   path_count=40)
+                del solved[:], directions[:]
                 reference = simulate(cfg).states
+                if name == "zhang@0.5":
+                    assert 0 < sum(solved) < sum(directions), (
+                        f"{label}, {noise_name}: both direction routes run")
                 for count in (1, 3, 17):
-                    part = simulate(dataclasses.replace(cfg, path_count=count))
+                    part = simulate(replace(cfg, path_count=count))
                     if not np.array_equal(part.states, reference[:count]):
                         leaks.append((label, noise_name, name, count))
     assert not leaks, ("paths depend on the batch at "
@@ -336,6 +409,34 @@ def test_linear_gaussian_scheme_is_the_closed_form_recursion(make_space):
         worst = max(worst, float(np.abs(ens.states[:, k + 1] - x).max()))
     assert worst <= 1e-13
     assert np.all(ens.newton_iterations == 1)
+
+
+@pytest.mark.parametrize("space", [
+    pytest.param(path_space(4), id="path_4"),
+    pytest.param(complete_space(8), id="complete_8"),
+])
+def test_newton_limit_raises_typed_error_with_context(space):
+    # The same run with a one-iteration limit fails at the first step that
+    # needs a second Newton iteration, and says where.  From the constant
+    # 0.5 the first steps stay on one linear piece and take one iteration.
+    import re
+
+    n = space.node_count
+    cfg = base_config(space=space, noise=diagonal_noise(n, 0.2),
+                      initial=np.full(n, 0.5))
+    its = simulate(cfg).newton_iterations
+    k = int(np.argmax(its.max(axis=0) >= 2))
+    assert k > 0 and its[:, k].max() >= 2
+    with pytest.raises(StepSolverError) as info:
+        simulate(replace(cfg, max_newton=1))
+    match = re.fullmatch(
+        r"step (\d+) \(t = (\S+)\): implicit step did not converge: "
+        r"path (\d+), residual (\S+) after 1 iterations", str(info.value))
+    assert match, str(info.value)
+    assert int(match[1]) == k
+    assert float(match[2]) == pytest.approx(k * cfg.dt)
+    assert its[int(match[3]), k] >= 2
+    assert float(match[4]) > cfg.solver_tol
 
 
 def test_zero_noise_linear_flow_refines_to_semigroup_first_order():

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from oracles import gap_bound_folded, gap_bound_pointwise
 
-from graphspde.dirichlet import build_graph_space, path_space, single_node_space
+from graphspde.dirichlet import (
+    BernsteinFunction,
+    build_graph_space,
+    complete_space,
+    path_space,
+    single_node_space,
+    subordinate,
+)
 from graphspde.engine import SimulationConfig, energy_budget, simulate
 from graphspde.estimates import (
     EnergyFunctional,
@@ -23,8 +30,13 @@ from graphspde.estimates import (
     energy_uniformity,
     regularity_uniformity,
 )
-from graphspde.monotone import MoreauYosida, fast_diffusion, zhang
-from graphspde.noise import diagonal_noise
+from graphspde.monotone import (
+    MoreauYosida,
+    fast_diffusion,
+    piecewise_quadratic,
+    zhang,
+)
+from graphspde.noise import diagonal_noise, eigenmode_noise
 
 
 def make_config(space, potential, sigma=0.2, eps=0.1, horizon=0.5, steps=16,
@@ -332,6 +344,44 @@ def test_contraction_monotone_scalar_flow():
         simulate(cfg), simulate(cfg.with_initial([1.0])), decay_rate=0.0)
     assert report.passed
     assert report.constants["sup_ratio"] <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("make_space", [
+    lambda: path_space(16),
+    lambda: subordinate(path_space(16), BernsteinFunction.power(0.5)),
+    lambda: complete_space(8),
+], ids=["path_16", "path_16_power_0.5", "complete_8"])
+def test_contraction_linear_gaussian_closed_form(make_space):
+    # A quadratic potential a r^2 with additive noise makes the scheme the
+    # linear recursion X_{k+1} = R (X_k + B dW_k), R = (I + dt c K)^-1,
+    # c = 2a / (1 + 2a eps) + eps, K minus the generator, so the coupled
+    # gap is X_k - Y_k = R^k (x0 - y0) on every path and the weighted ratio
+    # has a closed form.  The dual norm is u . M K^-1 u.
+    space = make_space()
+    n, a, eps, rate = space.node_count, 1.5, 0.05, 0.7
+    cfg = SimulationConfig(
+        space=space, potential=piecewise_quadratic([0.0], [[a, 0, 0]] * 2),
+        noise=eigenmode_noise(space, 3, 0.3), eps=eps, horizon=0.5,
+        step_count=32, path_count=20, initial=np.cos(np.arange(n)),
+        seed=3, coupling_tag="linear")
+    y0 = np.full(n, -0.5)
+    report = contraction_experiment(simulate(cfg),
+                                    simulate(cfg.with_initial(y0)),
+                                    decay_rate=rate)
+
+    K = -space.generator
+    c = 2 * a / (1 + 2 * a * eps) + eps
+    R = np.linalg.inv(np.eye(n) + cfg.dt * c * K)
+    dual = space.measure[:, None] * np.linalg.inv(K)
+    gap = cfg.initial - y0
+    expected = []
+    for t in cfg.times:
+        expected.append(np.exp(-rate * t) * (gap @ dual @ gap))
+        gap = R @ gap
+    expected = np.array(expected) / expected[0]
+    times, ratio, _ = np.array(report.series).T
+    assert np.array_equal(times, cfg.times)
+    assert np.abs(ratio / expected - 1).max() <= 1e-12
 
 
 def test_contraction_stochastic_path_graph():
