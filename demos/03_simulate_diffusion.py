@@ -18,7 +18,7 @@ from graphspde import (
     diagonal_noise,
     energy_budget,
     path_space,
-    simulate,
+    simulate_coupled,
     write_metadata,
     write_trajectories,
     zhang,
@@ -44,13 +44,13 @@ config = SimulationConfig(
     space=space, potential=zhang(), noise=noise, eps=0.1,
     horizon=1.0, step_count=64, path_count=100,
     initial=np.full(16, 0.5), seed=2024, coupling_tag="demo")
-ensemble = simulate(config)
+# The run and a second one at half the smoothing, stepped as one batch.
+ensemble, other = simulate_coupled([config, config.with_eps(0.05)])
 print("states shape (paths, times, nodes):", ensemble.states.shape)
 print("worst implicit-solver residual:", ensemble.residuals.max())
 print("mean Newton iterations per step:", ensemble.newton_iterations.mean())
 
 banner("coupling: a second run at half the smoothing shares the noise")
-other = simulate(config.with_eps(0.05))
 print("increments identical:",
       np.array_equal(ensemble.increments, other.increments))
 gap = space.dual_norm(ensemble.states - other.states).max()

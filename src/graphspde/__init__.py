@@ -28,6 +28,7 @@ from .engine import (
     TrajectoryEnsemble,
     energy_budget,
     simulate,
+    simulate_coupled,
     step_semi_implicit,
     write_metadata,
     write_trajectories,

@@ -33,7 +33,7 @@ from .dirichlet import (
 from .engine import (
     SimulationConfig,
     energy_budget,
-    simulate,
+    simulate_coupled,
     write_metadata,
     write_trajectories,
 )
@@ -502,23 +502,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
             decay_rate = default_decay_rate(base)
 
         # Every run is simulated here, each smoothing level or initial
-        # state once; the estimators only read the ensembles.
+        # state once, all of them as one coupled batch; the estimators only
+        # read the ensembles.
+        runs = ([base, base.with_initial(cfg.y0)] if exp == "contraction"
+                else [base.with_eps(eps) for eps in cfg.eps_values])
+        ensembles = simulate_coupled(runs)
         if exp == "eps_convergence":
-            ladder = [simulate(base.with_eps(eps)) for eps in cfg.eps_values]
-            rep = epsilon_convergence(ladder, decay_rate=decay_rate)
+            rep = epsilon_convergence(ensembles, decay_rate=decay_rate)
             rep.write(out, "report_eps_convergence")
             reports.append(rep)
         elif exp == "contraction":
-            rep = contraction_experiment(simulate(base),
-                                         simulate(base.with_initial(cfg.y0)),
-                                         decay_rate=decay_rate)
+            rep = contraction_experiment(*ensembles, decay_rate=decay_rate)
             rep.write(out, "report_contraction")
             reports.append(rep)
         elif exp in ("energy", "regularity"):
             functional = EnergyFunctional(base.space, base.potential)
             budgets = []
-            for eps in cfg.eps_values:
-                ens = simulate(base.with_eps(eps))
+            for eps, ens in zip(cfg.eps_values, ensembles):
                 rep = (energy_budget(ens) if exp == "energy"
                        else regularity_budget(ens, functional))
                 rep.write(out, f"report_{exp}_eps{_eps_tag(eps)}")
@@ -534,8 +534,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
         else:  # svi
             functional = EnergyFunctional(base.space, base.potential)
             n = base.space.node_count
-            for eps in cfg.eps_values:
-                ens = simulate(base.with_eps(eps))
+            for eps, ens in zip(cfg.eps_values, ensembles):
                 cases = [
                     ("zero", build_test_process(ens, np.zeros(n))),
                     ("constant", build_test_process(

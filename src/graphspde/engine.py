@@ -15,7 +15,10 @@ size.  With ``K`` minus the generator and ``d`` the slope derivative plus
 path graphs it is tridiagonal.  On dense generators a path whose ``d`` is
 one number at every node is solved in the eigenbasis of the space, where
 the system is diagonal, in O(n^2); the other paths take a dense solve.
-Paths evolve independently and are solved as one batch.
+Paths evolve independently and are solved as one batch.  Coupled runs
+(a smoothing ladder, a pair of initial states) share their increments, so
+``simulate_coupled`` steps all their paths as one batch too, with one
+smoothing parameter per row.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "StepSolverError",
     "step_semi_implicit",
     "simulate",
+    "simulate_coupled",
     "energy_budget",
     "write_trajectories",
     "write_metadata",
@@ -125,6 +129,13 @@ def _off_diagonal(band: np.ndarray) -> np.ndarray:
     return band[:max(band.size - 1, 1)]
 
 
+def _coupled(a: SimulationConfig, b: SimulationConfig) -> bool:
+    # Runs that consume the same Brownian increments on the same grid.
+    return (a.coupling_tag, a.seed, a.step_count, a.path_count,
+            a.horizon) == (b.coupling_tag, b.seed, b.step_count,
+                           b.path_count, b.horizon)
+
+
 class _NewtonSystem:
     """Linear algebra of the implicit step for one space and step size.
 
@@ -143,11 +154,15 @@ class _NewtonSystem:
     eigenbasis ``Phi`` of ``K``, two such products, O(n^2); only the other
     rows go to a batched dense solve.  Which route a row takes depends on
     its own ``d`` alone, so either way every path's arithmetic is
-    independent of the rest of the batch.
+    independent of the rest of the batch.  The dense solve takes at most
+    ``lu_rows`` rows at a time (all of them when None), so a coupled batch
+    never holds more than one run's worth of matrices.
     """
 
-    def __init__(self, space: DirichletSpace, dt: float):
+    def __init__(self, space: DirichletSpace, dt: float,
+                 lu_rows: int | None = None):
         self.dt = dt
+        self.lu_rows = lu_rows
         self.tridiagonal = space.is_tridiagonal
         self.mu = mu = space.measure
         K = -space.generator
@@ -213,19 +228,23 @@ class _NewtonSystem:
             coef = (F[uniform][:, None, :] @ self._to_spectral)[:, 0]
             coef /= 1.0 + self.dt * d[uniform, :1] * self._lam
             delta[uniform] = -(coef[:, None, :] @ self._from_spectral)[:, 0]
-        rest = ~uniform
-        if rest.any():
-            inv_d = 1.0 / d[rest]
-            A = np.repeat(self.dt * self._K[None], len(inv_d), axis=0)
-            idx = np.arange(n)
+        rest = np.flatnonzero(~uniform)
+        chunk = self.lu_rows or max(rest.size, 1)
+        idx = np.arange(n)
+        for start in range(0, rest.size, chunk):
+            rows = rest[start:start + chunk]
+            inv_d = 1.0 / d[rows]
+            A = np.repeat(self.dt * self._K[None], rows.size, axis=0)
             A[:, idx, idx] += inv_d
-            z = np.linalg.solve(A, -F[rest][..., None])[..., 0]
-            delta[rest] = z * inv_d
+            z = np.linalg.solve(A, -F[rows][..., None])[..., 0]
+            del A
+            delta[rows] = z * inv_d
         return delta
 
 
 def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
-                         rhs: np.ndarray, tol: float, max_iter: int):
+                         rhs: np.ndarray, tol: float, max_iter: int,
+                         row_name="path {}".format):
     """Solve the implicit system for a (paths, nodes) batch of right sides.
 
     Newton on the residual ``F = x + dt K drift(x) - rhs`` equals Newton on
@@ -235,6 +254,9 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
     takes ``delta = z / d`` (see ``_NewtonSystem``, which also fixes ``dt``).
     The accepted line-search trial supplies the next pass's residual,
     Jacobian and Armijo base, so each trial costs one Moreau-Yosida solve.
+    Converged rows get no direction and keep their state bit for bit while
+    other rows iterate, so every row is independent of the batch; a row
+    that does not converge is named by ``row_name(row)``.
     """
     mu, dt, eps = system.mu, system.dt, smoother.eps
     paths = rhs.shape[0]
@@ -265,8 +287,10 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
             break
         iterations[active] += 1
 
-        delta = system.direction(F, slope)
-        delta[~active] = 0.0
+        # Minus zero leaves a converged row exactly as it is, zero signs
+        # included.
+        delta = np.full_like(F, -0.0)
+        delta[active] = system.direction(F[active], slope[active])
 
         # Gradient of the merit is M K^-1 F; along the Newton direction
         # its slope is minus the quadratic form of the Newton matrix.
@@ -295,7 +319,7 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
         if np.any(residual > tol_vec):
             worst = int(np.argmax(residual - tol_vec))
             raise StepSolverError(
-                f"implicit step did not converge: path {worst}, "
+                f"implicit step did not converge: {row_name(worst)}, "
                 f"residual {residual[worst]:.3e} after {max_iter} iterations")
 
     return x, residual, iterations
@@ -318,32 +342,69 @@ def step_semi_implicit(space: DirichletSpace, smoother: MoreauYosida,
 
 def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
     """Integrate all paths of a run on the shared time grid."""
-    space, noise = config.space, config.noise
-    smoother = MoreauYosida(config.potential, config.eps)
-    dt = config.dt
-    P, N, n = config.path_count, config.step_count, space.node_count
-    system = _NewtonSystem(space, dt)
+    return simulate_coupled([config])[0]
 
-    dW = brownian_increments(config.seed, config.coupling_tag, P, N,
+
+def simulate_coupled(configs) -> list[TrajectoryEnsemble]:
+    """Integrate coupled runs that differ only in ``eps`` and the initial
+    state, as one batch of ``runs x paths`` rows.
+
+    The runs share one increment array and one Newton loop, with each
+    row's own smoothing parameter; every ensemble equals ``simulate`` of
+    its own config bit for bit.  Raises ``ValueError`` unless all runs are
+    coupled and share the space, potential, noise and solver settings.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one run")
+    first = configs[0]
+    shared = (first.space, first.potential, first.noise, first.solver_tol,
+              first.max_newton)
+    for config in configs[1:]:
+        if not _coupled(first, config):
+            raise ValueError("the runs are not coupled")
+        if (config.space, config.potential, config.noise, config.solver_tol,
+                config.max_newton) != shared:
+            raise ValueError("coupled runs must share the space, potential, "
+                             "noise and solver settings")
+    space, noise, dt = first.space, first.noise, first.dt
+    R, P, N, n = len(configs), first.path_count, first.step_count, space.node_count
+    eps = np.repeat([config.eps for config in configs], P)[:, None]
+    smoother = MoreauYosida(first.potential, eps)
+    system = _NewtonSystem(space, dt, lu_rows=P)
+
+    def row_name(row):
+        run, path = divmod(row, P)
+        if R == 1:
+            return f"path {path}"
+        return f"eps {configs[run].eps:g} (run {run}), path {path}"
+
+    dW = brownian_increments(first.seed, first.coupling_tag, P, N,
                              noise.mode_count, dt)
-    states = np.empty((P, N + 1, n))
-    states[:, 0] = config.initial
-    residuals = np.empty((P, N))
-    iterations = np.empty((P, N), dtype=int)
+    path_of_row = np.tile(np.arange(P), R)
+    states = np.empty((R * P, N + 1, n))
+    states[:, 0] = np.repeat([config.initial for config in configs], P, axis=0)
+    residuals = np.empty((R * P, N))
+    iterations = np.empty((R * P, N), dtype=int)
 
     for k in range(N):
         current = states[:, k]
-        rhs = current + noise.apply(current, dW[:, k])
+        rhs = current + noise.apply(current, dW[path_of_row, k])
         try:
             nxt, res, its = _implicit_step_batch(
-                system, smoother, rhs, config.solver_tol, config.max_newton)
+                system, smoother, rhs, first.solver_tol, first.max_newton,
+                row_name)
         except StepSolverError as err:
             raise StepSolverError(f"step {k} (t = {k * dt:g}): {err}") from err
         states[:, k + 1] = nxt
         residuals[:, k] = res
         iterations[:, k] = its
 
-    return TrajectoryEnsemble(config, states, dW, residuals, iterations)
+    # Each run's rows are one contiguous slice of the batch.
+    rows = [slice(i * P, (i + 1) * P) for i in range(R)]
+    return [TrajectoryEnsemble(config, states[r], dW, residuals[r],
+                               iterations[r])
+            for config, r in zip(configs, rows)]
 
 
 def energy_budget(ensemble: TrajectoryEnsemble) -> EstimateReport:

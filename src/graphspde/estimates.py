@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import DirichletSpace
-from .engine import SimulationConfig, TrajectoryEnsemble
+from .engine import SimulationConfig, TrajectoryEnsemble, _coupled
 from .monotone import ConvexPotential, MoreauYosida
 from .noise import certify_noise
 from .reports import CI_Z, EstimateReport, _batch_bounds, batch_mean_ci
@@ -167,12 +167,6 @@ def _cum_trapz(f: np.ndarray, dt: float) -> np.ndarray:
     # scipy's cumulative_trapezoid, so the result is bitwise equal to it.
     steps = np.cumsum(dt * (f[:, 1:] + f[:, :-1]) / 2.0, axis=1)
     return np.concatenate([np.zeros((f.shape[0], 1)), steps], axis=1)
-
-
-def _coupled(a: SimulationConfig, b: SimulationConfig) -> bool:
-    return (a.coupling_tag, a.seed, a.step_count, a.path_count,
-            a.horizon) == (b.coupling_tag, b.seed, b.step_count,
-                           b.path_count, b.horizon)
 
 
 # -- the variational inequality -----------------------------------------------------

@@ -176,7 +176,7 @@ def _power_resolvent(p: float, eps: float, r: np.ndarray) -> np.ndarray:
     if p == 1.0:
         s = a / (1.0 + eps)
     elif p == 0.5:
-        x = 0.5 * (-eps + np.sqrt(eps**2 + 4.0 * a))
+        x = 0.5 * (-eps + np.sqrt(eps * eps + 4.0 * a))
         s = x * x
     elif p == 2.0:
         s = np.where(a > 0, 2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * eps * a)), 0.0)
@@ -251,13 +251,18 @@ class MoreauYosidaValues(NamedTuple):
 @dataclass(frozen=True)
 class MoreauYosida:
     """Resolvent, Lipschitz slope and smoothed envelope of a potential at a
-    fixed smoothing parameter ``eps > 0``."""
+    fixed smoothing parameter ``eps > 0``.
+
+    ``eps`` may also be an array that broadcasts against the arguments, such
+    as a ``(rows, 1)`` column giving each row of a batch its own level; each
+    element's values are then those at its own ``eps``, bit for bit.
+    """
 
     potential: ConvexPotential
-    eps: float
+    eps: float | np.ndarray
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if np.any(np.asarray(self.eps) <= 0):
             raise ValueError(f"smoothing parameter must be positive, got {self.eps}")
 
     def resolvent(self, r):
@@ -287,22 +292,29 @@ class MoreauYosida:
 
     @cached_property
     def _piecewise_bands(self):
+        # Ascending band edges on the trailing axis, one row per eps.
         pot = self.potential
         if np.asarray(pot.pieces)[:, 0].min() < 0:
             raise ResolventError(
                 "resolvent needs a convex potential: concave piece present")
         knots, left, right = pot._knot_slopes
-        lows = knots + self.eps * left
-        highs = knots + self.eps * right
-        interleaved = np.column_stack([lows, highs]).ravel()
+        lows = knots + np.multiply.outer(self.eps, left)
+        highs = knots + np.multiply.outer(self.eps, right)
+        interleaved = np.stack([lows, highs], axis=-1).reshape(
+            lows.shape[:-1] + (-1,))
         if np.any(np.diff(interleaved) < 0):
             raise ResolventError(
                 "resolvent needs a convex potential: the knot map is not monotone")
         return interleaved
 
+    def _band_index(self, r: np.ndarray) -> np.ndarray:
+        # Number of band edges at or below r, searchsorted(side="right")
+        # for each row's own edges.
+        return (r[..., None] >= self._piecewise_bands).sum(-1)
+
     def _piecewise_resolvent(self, r: np.ndarray) -> np.ndarray:
         pot, eps = self.potential, self.eps
-        idx = np.searchsorted(self._piecewise_bands, r, side="right")
+        idx = self._band_index(r)
         on_knot = idx % 2 == 1
         piece = np.asarray(pot.pieces)[idx // 2]
         s = (r - eps * piece[..., 1]) / (1.0 + 2.0 * eps * piece[..., 0])
@@ -357,7 +369,7 @@ class MoreauYosida:
         if pot.kind == "zhang":
             return np.where(r <= 0, 0.0,
                             np.where(r <= eps, 1.0 / eps, 1.0 / (1.0 + eps)))
-        idx = np.searchsorted(self._piecewise_bands, r, side="right")
+        idx = self._band_index(r)
         on_knot = idx % 2 == 1
         t = 2.0 * np.asarray(pot.pieces)[idx // 2][..., 0]
         return np.where(on_knot, 1.0 / eps, t / (1.0 + eps * t))

@@ -62,6 +62,10 @@ class NoiseModel:
     offsets: tuple = ()   # linear_combination: (n, m)
     gains: tuple = ()     # linear_combination: (m, n, n)
 
+    def _diagonal(self, u: np.ndarray) -> np.ndarray:
+        # Diagonal of a diagonal_multiplicative operator at ``u``.
+        return self.sigma * np.clip(u, -self.clip_at, self.clip_at)
+
     def matrix(self, u: np.ndarray) -> np.ndarray:
         """Dense operator at ``u``; shape (..., n, m)."""
         u = np.asarray(u, dtype=float)
@@ -69,10 +73,9 @@ class NoiseModel:
             base = np.asarray(self.columns)
             return np.broadcast_to(base, u.shape[:-1] + base.shape).copy()
         if self.kind == "diagonal_multiplicative":
-            factor = self.sigma * np.clip(u, -self.clip_at, self.clip_at)
             out = np.zeros(u.shape + (u.shape[-1],))
             idx = np.arange(u.shape[-1])
-            out[..., idx, idx] = factor
+            out[..., idx, idx] = self._diagonal(u)
             return out
         offsets = np.asarray(self.offsets)
         gains = np.asarray(self.gains)
@@ -84,20 +87,12 @@ class NoiseModel:
         u = np.asarray(u, dtype=float)
         dw = np.asarray(dw, dtype=float)
         if self.kind == "diagonal_multiplicative":
-            return self.sigma * np.clip(u, -self.clip_at, self.clip_at) * dw
+            return self._diagonal(u) * dw
         if self.kind == "additive":
             # One vector-matrix product per row keeps each row's roundoff
             # independent of how many rows are batched.
             return (dw[..., None, :] @ np.asarray(self.columns).T)[..., 0, :]
         return np.einsum("...ik,...k->...i", self.matrix(u), dw)
-
-
-def _spectral_energy(space: DirichletSpace, B: np.ndarray) -> np.ndarray:
-    # Squared eigen-coefficients of the columns of B, summed over columns.
-    # Weighting by 1 / (eigenvalues + shift) gives the squared shifted dual
-    # Hilbert-Schmidt norm; this part is independent of the shift.
-    c = np.swapaxes(B, -1, -2) @ (space.measure[:, None] * space.basis)
-    return (c**2).sum(axis=-2)
 
 
 def additive_noise(columns) -> NoiseModel:
@@ -177,6 +172,14 @@ class NoiseCertificate:
         ]
 
 
+def _spectral_energy(coef: np.ndarray) -> np.ndarray:
+    # Squared eigen-coefficients of an operator's columns, summed over the
+    # columns, squared in place.  Weighting by 1 / (eigenvalues + shift)
+    # gives the squared shifted dual Hilbert-Schmidt norm; this part is
+    # independent of the shift.
+    return np.square(coef, out=coef).sum(axis=-2)
+
+
 def _uniform_within(values: list[float]) -> bool:
     # Spread across the shift grid within five percent of the largest.
     top = max(values)
@@ -199,9 +202,22 @@ def certify_noise(model: NoiseModel, space: DirichletSpace) -> NoiseCertificate:
     states *= rng.uniform(0.2, 3.0, size=(2 * _PAIR_COUNT, 1))
     u, v = states[:_PAIR_COUNT], states[_PAIR_COUNT:]
 
-    Bu = model.matrix(u)
-    diff_energy = _spectral_energy(space, Bu - model.matrix(v))
-    u_energy = _spectral_energy(space, Bu)
+    # A diagonal operator's column k is b_k(u) times the indicator of node
+    # k, so its eigen-coefficients are b_k(u) times row k of the weighted
+    # basis: no dense operator stack is built.
+    weighted_basis = space.measure[:, None] * space.basis
+    if model.kind == "diagonal_multiplicative":
+        bu = model._diagonal(u)
+        diff_energy = _spectral_energy(
+            (bu - model._diagonal(v))[..., :, None] * weighted_basis)
+        u_energy = _spectral_energy(bu[..., :, None] * weighted_basis)
+        l2_energy = np.einsum("i,...i,...i->...", space.measure, bu, bu)
+    else:
+        Bu = model.matrix(u)
+        diff_energy = _spectral_energy(
+            np.swapaxes(Bu - model.matrix(v), -1, -2) @ weighted_basis)
+        u_energy = _spectral_energy(np.swapaxes(Bu, -1, -2) @ weighted_basis)
+        l2_energy = np.einsum("i,...im,...im->...", space.measure, Bu, Bu)
     lip_by_shift = []
     growth_by_shift = []
     for shift in _SHIFT_GRID:
@@ -213,7 +229,6 @@ def certify_noise(model: NoiseModel, space: DirichletSpace) -> NoiseCertificate:
         nb = u_energy @ weights
         growth_by_shift.append(float(np.max(
             nb / (space.dual_norm(u, shift=shift) ** 2 + 1.0))))
-    l2_energy = np.einsum("i,...im,...im->...", space.measure, Bu, Bu)
     l2 = float(np.max(l2_energy / (space.lp_norm(u, 2) ** 2 + 1.0)))
 
     return NoiseCertificate(

@@ -25,3 +25,49 @@ def gap_bound_folded(functional, eps: float, v) -> np.ndarray:
     c = functional.potential.slope_bound
     l2sq = space.lp_norm(np.asarray(v, dtype=float), 2) ** 2
     return 2.0 * c**2 * eps * (l2sq + space.total_mass)
+
+
+def certify_noise_dense(model, space):
+    """``certify_noise`` from dense ``(samples, n, m)`` operator stacks for
+    every noise kind: each sampled operator is built with
+    ``model.matrix`` and its columns are projected on the eigenbasis."""
+    from graphspde.noise import (
+        _PAIR_COUNT,
+        _PAIR_SEED,
+        _SHIFT_GRID,
+        NoiseCertificate,
+        _uniform_within,
+    )
+
+    def spectral_energy(B):
+        c = np.swapaxes(B, -1, -2) @ (space.measure[:, None] * space.basis)
+        return (c**2).sum(axis=-2)
+
+    rng = np.random.default_rng(_PAIR_SEED)
+    states = rng.standard_normal((2 * _PAIR_COUNT, space.node_count))
+    states *= rng.uniform(0.2, 3.0, size=(2 * _PAIR_COUNT, 1))
+    u, v = states[:_PAIR_COUNT], states[_PAIR_COUNT:]
+    Bu = model.matrix(u)
+    diff_energy = spectral_energy(Bu - model.matrix(v))
+    u_energy = spectral_energy(Bu)
+    lip, growth = [], []
+    for shift in _SHIFT_GRID:
+        weights = 1.0 / (space.eigenvalues + shift)
+        du = space.dual_norm(u - v, shift=shift) ** 2
+        dB = diff_energy @ weights
+        good = du > 1e-14
+        lip.append(float(np.max(dB[good] / du[good], initial=0.0)))
+        growth.append(float(np.max(
+            u_energy @ weights / (space.dual_norm(u, shift=shift) ** 2 + 1.0))))
+    l2_energy = np.einsum("i,...im,...im->...", space.measure, Bu, Bu)
+    return NoiseCertificate(
+        lipschitz=max(lip),
+        dual_growth=max(growth),
+        l2_growth=float(np.max(l2_energy / (space.lp_norm(u, 2) ** 2 + 1.0))),
+        shift_grid=_SHIFT_GRID,
+        lipschitz_by_shift=tuple(lip),
+        dual_growth_by_shift=tuple(growth),
+        uniform_lipschitz=_uniform_within(lip),
+        uniform_dual_growth=_uniform_within(growth),
+        sample_count=_PAIR_COUNT,
+    )

@@ -295,24 +295,26 @@ def test_ladder_experiment_simulates_each_level_once(tmp_path, monkeypatch,
     # level's budget report is computed once, wherever they are called.
     import graphspde.config
     import graphspde.estimates
-    from graphspde.engine import energy_budget, simulate
+    from graphspde.engine import energy_budget, simulate_coupled
     from graphspde.estimates import regularity_budget
 
     runs, budgets = [], []
 
-    def counted(fn, log, key):
+    def counted(fn, log, keys):
         def wrapper(*args):
-            log.append(key(*args))
+            log.extend(keys(*args))
             return fn(*args)
         return wrapper
 
     wrappers = {
-        simulate: counted(simulate, runs,
-                          lambda c: (c.eps, tuple(c.initial))),
+        simulate_coupled: counted(
+            simulate_coupled, runs,
+            lambda cs: [(c.eps, tuple(c.initial)) for c in cs]),
         energy_budget: counted(energy_budget, budgets,
-                               lambda e: ("energy", e.config.eps)),
-        regularity_budget: counted(regularity_budget, budgets,
-                                   lambda e, f: ("regularity", e.config.eps)),
+                               lambda e: [("energy", e.config.eps)]),
+        regularity_budget: counted(
+            regularity_budget, budgets,
+            lambda e, f: [("regularity", e.config.eps)]),
     }
     for module in (graphspde.config, graphspde.estimates):
         for fn, wrapper in wrappers.items():
@@ -503,10 +505,10 @@ def test_cli_run_crash_leaves_no_out_dir(tmp_path, monkeypatch, capsys):
     import graphspde.config
     from graphspde.engine import StepSolverError
 
-    def crash(config):
+    def crash(configs):
         raise StepSolverError("step 0 (t = 0): did not converge")
 
-    monkeypatch.setattr(graphspde.config, "simulate", crash)
+    monkeypatch.setattr(graphspde.config, "simulate_coupled", crash)
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(EPS_CONV)
     out = tmp_path / "out"

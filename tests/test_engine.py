@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import certify_noise_dense
 
 from graphspde.dirichlet import (
     BernsteinFunction,
@@ -22,6 +23,7 @@ from graphspde.engine import (
     _NewtonSystem,
     energy_budget,
     simulate,
+    simulate_coupled,
     step_semi_implicit,
     write_metadata,
     write_trajectories,
@@ -30,6 +32,7 @@ from graphspde.monotone import (
     MoreauYosida,
     fast_diffusion,
     piecewise_quadratic,
+    porous_medium,
     zhang,
 )
 from graphspde.noise import (
@@ -347,6 +350,54 @@ def test_path_results_independent_of_batch_composition(monkeypatch):
     assert not leaks, ("paths depend on the batch at "
                        f"(space, noise, potential, paths) {leaks}")
 
+    # Coupled runs stepped as one batch, an eps ladder and a pair of initial
+    # states: each ensemble equals its run simulated alone, on all three
+    # Newton routes.  Only rows still iterating get a direction, and the
+    # dense solve never takes more than one run's rows at once.
+    piecewise = piecewise_quadratic(
+        [-0.5, 0.5], [[1.0, 0.0, -0.125], [0.5, 0.0, 0.0], [1.5, -0.5, 0.0]])
+    mismatches = []
+    for label, space in (
+            ("path_16", path_space(16)), ("complete_8", complete_space(8)),
+            ("path_16|power(0.5)",
+             subordinate(path_space(16), BernsteinFunction.power(0.5)))):
+        n = space.node_count
+        for noise_name, noise in (("diagonal", diagonal_noise(n, 0.2)),
+                                  ("eigenmode", eigenmode_noise(space, 3, 0.2))):
+            for name, potential in (("fd0.3", fast_diffusion(0.3)),
+                                    ("pm2.5", porous_medium(2.5)),
+                                    ("zhang", zhang()),
+                                    ("piecewise", piecewise)):
+                cfg = base_config(space=space, potential=potential,
+                                  noise=noise, initial=np.linspace(1.0, -0.5, n),
+                                  step_count=8)
+                ladder = [cfg.with_eps(eps) for eps in (0.2, 0.1, 0.05)]
+                pair = [cfg, cfg.with_initial(np.full(n, 0.5))]
+                for runs in (ladder, pair):
+                    del solved[:], directions[:]
+                    batch = simulate_coupled(runs)
+                    assert max(solved, default=0) <= cfg.path_count
+                    assert sum(directions) == sum(
+                        e.newton_iterations.sum() for e in batch)
+                    for run, ens in zip(runs, batch):
+                        alone = simulate(run)
+                        for field in ("states", "residuals",
+                                      "newton_iterations", "increments"):
+                            if not np.array_equal(getattr(ens, field),
+                                                  getattr(alone, field)):
+                                mismatches.append(
+                                    (label, noise_name, name, run.eps,
+                                     float(run.initial[0]), field))
+    assert not mismatches, f"coupled runs differ from single runs: {mismatches}"
+
+    # Byte for byte, zero signs included: a run at rest in -0.0 keeps its
+    # state while the other run of its batch iterates.
+    cfg = base_config(noise=diagonal_noise(4, 0.0), initial=np.full(4, -0.0))
+    rest, moving = simulate_coupled(
+        [cfg, cfg.with_initial(np.linspace(1.0, -0.5, 4))])
+    assert np.signbit(rest.states).any() and moving.newton_iterations.any()
+    assert rest.states.tobytes() == simulate(cfg).states.tobytes()
+
 
 def test_simulate_zero_noise_zero_initial():
     cfg = base_config(noise=diagonal_noise(4, 0.0),
@@ -437,6 +488,39 @@ def test_newton_limit_raises_typed_error_with_context(space):
     assert float(match[2]) == pytest.approx(k * cfg.dt)
     assert its[int(match[3]), k] >= 2
     assert float(match[4]) > cfg.solver_tol
+
+
+@pytest.mark.parametrize("space", [
+    pytest.param(path_space(4), id="path_4"),
+    pytest.param(complete_space(8), id="complete_8"),
+])
+def test_coupled_newton_limit_names_the_failing_level(space):
+    # A ladder stepped as one batch under a one-iteration limit fails at the
+    # first step where any level needs a second iteration, and names that
+    # level's eps and the path within the level, not the batch row.
+    import re
+
+    n = space.node_count
+    cfg = base_config(space=space, noise=diagonal_noise(n, 0.2),
+                      initial=np.full(n, 0.5))
+    ladder = [cfg.with_eps(eps) for eps in (0.2, 0.1, 0.05)]
+    its = [e.newton_iterations for e in simulate_coupled(ladder)]
+    first = [int(np.argmax(i.max(axis=0) >= 2)) for i in its]
+    k = min(first)
+    assert k > 0 and len(set(first)) > 1
+    with pytest.raises(StepSolverError) as info:
+        simulate_coupled([replace(c, max_newton=1) for c in ladder])
+    match = re.fullmatch(
+        r"step (\d+) \(t = (\S+)\): implicit step did not converge: "
+        r"eps (\S+) \(run (\d+)\), path (\d+), residual (\S+) after 1 "
+        r"iterations", str(info.value))
+    assert match, str(info.value)
+    assert int(match[1]) == k
+    assert float(match[2]) == pytest.approx(k * cfg.dt)
+    run, path = int(match[4]), int(match[5])
+    assert float(match[3]) == ladder[run].eps
+    assert path < cfg.path_count and its[run][path, k] >= 2
+    assert float(match[6]) > cfg.solver_tol
 
 
 def test_zero_noise_linear_flow_refines_to_semigroup_first_order():
@@ -547,6 +631,27 @@ def test_certify_diagonal_noise_two_node():
     assert cert.dual_growth >= max(cert.dual_growth_by_shift)
     names = [c.name for c in cert.checks]
     assert "lipschitz_uniform_over_shifts" in names
+
+
+@pytest.mark.parametrize("make_space", [
+    pytest.param(lambda: path_space(16), id="path_16"),
+    pytest.param(lambda: path_space(64), id="path_64"),
+    pytest.param(lambda: complete_space(8), id="complete_8"),
+])
+def test_certify_diagonal_noise_matches_dense_stacks(make_space):
+    # Diagonal noise is certified from its clipped diagonal alone; every
+    # field equals the dense-stack certificate, also with a clip level that
+    # the sampled states (sizes up to about 10) exceed.  (From about 92
+    # nodes the dense L2 sum is ordered differently and ``l2_growth`` may
+    # differ in the last bit.)
+    space = make_space()
+    n = space.node_count
+    clipped = diagonal_noise(n, 0.3, clip_at=1.0)
+    assert certify_noise(clipped, space) != certify_noise(
+        diagonal_noise(n, 0.3, clip_at=np.inf), space)
+    for model in (diagonal_noise(n, 0.2), clipped,
+                  eigenmode_noise(space, 3, 0.2)):
+        assert certify_noise(model, space) == certify_noise_dense(model, space)
 
 
 def test_linear_combination_noise_shapes():

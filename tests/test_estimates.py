@@ -2,6 +2,7 @@
 the estimate experiments."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from graphspde.dirichlet import (
     single_node_space,
     subordinate,
 )
-from graphspde.engine import SimulationConfig, energy_budget, simulate
+from graphspde.engine import (
+    SimulationConfig,
+    energy_budget,
+    simulate,
+    simulate_coupled,
+)
 from graphspde.estimates import (
     EnergyFunctional,
     _cum_trapz,
@@ -405,14 +411,29 @@ def test_pairwise_gap_vanishes_at_equal_levels():
 
 
 @pytest.mark.parametrize("change", [
-    {"tag": "other"}, {"seed": 12}, {"paths": 3}, {"steps": 8},
-    {"horizon": 0.25},
-], ids=["tag", "seed", "paths", "steps", "horizon"])
+    {"coupling_tag": "other"}, {"seed": 12}, {"path_count": 3},
+    {"step_count": 8}, {"horizon": 0.25},
+    {"space": path_space(3)}, {"potential": fast_diffusion(0.5)},
+    {"noise": diagonal_noise(3, 0.3)}, {"solver_tol": 1e-9},
+    {"max_newton": 50},
+], ids=["tag", "seed", "paths", "steps", "horizon", "space", "potential",
+        "noise", "solver_tol", "max_newton"])
 def test_ladder_and_pair_estimators_refuse_uncoupled_runs(change):
+    # The first five break the coupling of the increments: the estimators
+    # and simulate_coupled refuse them.  The others keep the increments
+    # coupled but cannot be stepped as one batch, so simulate_coupled alone
+    # refuses them.
     space = path_space(3)
-    ens = simulate(make_config(space, zhang(), paths=2))
-    off = simulate(make_config(space, zhang(), eps=0.05,
-                               **{"paths": 2, **change}))
+    cfg = make_config(space, zhang(), paths=2)
+    other = replace(cfg, eps=0.05, **change)
+    batch_only = set(change) & {"space", "potential", "noise",
+                                    "solver_tol", "max_newton"}
+    with pytest.raises(ValueError, match=("must share" if batch_only
+                                          else "not coupled")):
+        simulate_coupled([cfg, other])
+    if batch_only:
+        return
+    ens, off = simulate(cfg), simulate(other)
     with pytest.raises(ValueError, match="not coupled"):
         pairwise_smoothing_gap(ens, off, decay_rate=1.0)
     with pytest.raises(ValueError, match="not coupled"):
