@@ -65,7 +65,8 @@ with tempfile.TemporaryDirectory(prefix="graphspde_demo_") as tmp:
     out = pathlib.Path(tmp)
     write_trajectories(ensemble, out / "trajectories.npy")
     write_metadata(ensemble, out / "trajectories.meta")
-    print("wrote", out / "trajectories.npy")
+    for path in sorted(out.iterdir()):
+        print("wrote", path.relative_to(out))
     print("dump shape (paths, times, nodes):",
           np.load(out / "trajectories.npy", allow_pickle=False).shape)
     print("sidecar head:")

@@ -156,10 +156,6 @@ class DirichletSpace:
     def node_count(self) -> int:
         return self.measure.shape[0]
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.measure.sum())
-
     def _check_shape(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape[-1] != self.node_count:
@@ -542,9 +538,11 @@ def check_space_invariants(space: DirichletSpace, rng=None,
     if np.any(lhs > rhs * (1 + 1e-10) + 1e-12):
         raise SpaceError("witness inequality fails on sampled functions")
 
+    # Signs of M^(1/2) P M^(-1/2), scale-free unlike the roundoff of P.
     for t in (0.1, 0.5, 1.0, 2.0):
         P = space.transition_matrix(t)
-        if P.min() < -1e-12:
+        S = np.sqrt(mu)[:, None] * P / np.sqrt(mu)
+        if S.min() < -1e-12 * S.max():
             raise SpaceError(f"semigroup not entrywise nonnegative at t={t}")
         if np.abs(P).sum(axis=1).max() > 1 + 1e-10:
             raise SpaceError(f"semigroup not sup-norm contractive at t={t}")

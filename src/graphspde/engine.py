@@ -175,6 +175,7 @@ class _NewtonSystem:
             self._ldl_d, self._ldl_e, info = lapack.dpttrf(
                 mu * self._diag, _off_diagonal(mu * self._upper))
             self._check("dpttrf", info)
+            self._bands = self.dt * np.stack([self._lower, self._upper])
         else:
             self._K = K
             self._dual = space.dual_metric
@@ -212,13 +213,15 @@ class _NewtonSystem:
         for each row of ``F`` and ``d``."""
         paths, n = F.shape
         if self.tridiagonal:
+            if self._bands.shape[1] < paths * n:
+                # dt times the bands, tiled for the most rows seen so far.
+                self._bands = np.tile(self._bands[:, :n], paths)
+            lower, upper = map(_off_diagonal, self._bands[:, :paths * n])
             inv_d = 1.0 / d
             diag = (inv_d + self.dt * self._diag).ravel()
-            upper = _off_diagonal(np.tile(self.dt * self._upper, paths))
-            lower = _off_diagonal(np.tile(self.dt * self._lower, paths))
             *_, z, info = lapack.dgtsv(
-                lower, diag, upper, -F.reshape(-1, 1), overwrite_dl=True,
-                overwrite_d=True, overwrite_du=True, overwrite_b=True)
+                lower, diag, upper, -F.reshape(-1, 1), overwrite_d=True,
+                overwrite_b=True)
             self._check("dgtsv", info)
             return z.reshape(paths, n) * inv_d
         delta = np.empty_like(F)
@@ -252,32 +255,34 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
     objective is globally convergent; for piecewise-linear slopes the
     iteration is finite.  Each direction solves ``(1/d + dt K) z = -F`` and
     takes ``delta = z / d`` (see ``_NewtonSystem``, which also fixes ``dt``).
-    The accepted line-search trial supplies the next pass's residual,
-    Jacobian and Armijo base, so each trial costs one Moreau-Yosida solve.
-    Converged rows get no direction and keep their state bit for bit while
-    other rows iterate, so every row is independent of the batch; a row
-    that does not converge is named by ``row_name(row)``.
+    The objective ``x.(dual(x)/2 - dual(rhs))`` plus ``dt`` times a local
+    sum is tracked by its changes, free of cancellation: a step ``t``
+    changes it by ``t delta.g + t^2/2 delta.dual(delta)`` plus the local
+    change, with ``g = dual(x - rhs)`` zero at the start.  So each pass
+    makes one dual-metric solve and each trial one Moreau-Yosida solve,
+    whose values the accepted trial hands to the next pass.  Converged rows
+    get no direction and keep their state bit for bit while other rows
+    iterate, so every row is independent of the batch; a row that does not
+    converge is named by ``row_name(row)``.
     """
     mu, dt, eps = system.mu, system.dt, smoother.eps
     paths = rhs.shape[0]
-    dual_rhs = system.dual(rhs)
 
     def mu_norm(a):
         return np.sqrt((a**2 * mu).sum(-1))
 
     def newton_terms(x):
-        # Drift, its slope derivative and the dual-norm merit at x, all
-        # from one Moreau-Yosida solve.
+        # Drift, slope derivative and local merit terms, from one solve.
         my = smoother.evaluate(x)
-        quad = (x * (0.5 * system.dual(x) - dual_rhs)).sum(-1)
-        local = ((my.envelope + 0.5 * eps * x**2) * mu).sum(-1)
-        return my.slope + eps * x, my.slope_derivative + eps, quad + dt * local
+        return (my.slope + eps * x, my.slope_derivative + eps,
+                my.envelope + 0.5 * eps * x**2)
 
-    x = rhs.copy()
-    drift, slope, merit = newton_terms(x)
+    x, g = rhs.copy(), np.zeros_like(rhs)
+    drift, slope, local = newton_terms(x)
+    # The merit itself only scales the Armijo slack.
+    merit = -0.5 * (x * system.dual(rhs)).sum(-1) + dt * (local * mu).sum(-1)
     tol_vec = tol * (1.0 + mu_norm(rhs))
     iterations = np.zeros(paths, dtype=int)
-    residual = np.full(paths, np.inf)
 
     for it in range(max_iter):
         F = x + dt * system.apply_k(drift) - rhs
@@ -291,28 +296,29 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
         # included.
         delta = np.full_like(F, -0.0)
         delta[active] = system.direction(F[active], slope[active])
-
+        dual_delta = system.dual(delta)
+        curvature, linear = (delta * dual_delta).sum(-1), (delta * g).sum(-1)
         # Gradient of the merit is M K^-1 F; along the Newton direction
         # its slope is minus the quadratic form of the Newton matrix.
-        slope_dir = -((delta * system.dual(delta)).sum(-1)
-                      + dt * ((slope * delta**2) * mu).sum(-1))
+        slope_dir = -(curvature + dt * ((slope * delta**2) * mu).sum(-1))
         # Near the solution the predicted decrease sits below the roundoff
         # of the objective; the slack keeps full Newton steps acceptable
         # there so the final quadratic phase is never rejected.
         slack = 1e-14 * (1.0 + np.abs(merit))
         step = np.ones(paths)
-        for _ in range(40):
+        for halvings in range(41):
             trial = x + step[:, None] * delta
-            t_drift, t_slope, t_merit = newton_terms(trial)
-            bad = active & (t_merit > merit + 1e-4 * step * slope_dir + slack)
-            if not bad.any():
+            t_drift, t_slope, t_local = newton_terms(trial)
+            change = (step * linear + 0.5 * step**2 * curvature
+                      + dt * ((t_local - local) * mu).sum(-1))
+            bad = active & (change > 1e-4 * step * slope_dir + slack)
+            # Out of halvings, the last halved step is taken as it is.
+            if halvings == 40 or not bad.any():
                 break
             step[bad] *= 0.5
-        else:
-            # Out of halvings: take the last halved step, never evaluated.
-            trial = x + step[:, None] * delta
-            t_drift, t_slope, t_merit = newton_terms(trial)
-        x, drift, slope, merit = trial, t_drift, t_slope, t_merit
+        x, drift, slope, local = trial, t_drift, t_slope, t_local
+        merit += change
+        g += step[:, None] * dual_delta
     else:
         F = x + dt * system.apply_k(drift) - rhs
         residual = mu_norm(F)

@@ -4,7 +4,7 @@ A potential is a nonnegative convex function on the line with value zero at
 the origin.  Its subdifferential is an interval-valued monotone graph; the
 resolvent of the graph, the single-valued Lipschitz slope and the smoothed
 envelope are available in closed form for the built-in kinds and through a
-safeguarded scalar Newton solve otherwise.
+scalar Newton solve, started above the root, for the other power exponents.
 """
 
 from __future__ import annotations
@@ -173,9 +173,7 @@ def piecewise_quadratic(knots, pieces) -> ConvexPotential:
 def _power_resolvent(p: float, eps: float, r: np.ndarray) -> np.ndarray:
     """Solve s + eps * sign(s) |s|**p = r, vectorized and odd in r."""
     a = np.abs(r)
-    if p == 1.0:
-        s = a / (1.0 + eps)
-    elif p == 0.5:
+    if p == 0.5:
         x = 0.5 * (-eps + np.sqrt(eps * eps + 4.0 * a))
         s = x * x
     elif p == 2.0:
@@ -185,50 +183,44 @@ def _power_resolvent(p: float, eps: float, r: np.ndarray) -> np.ndarray:
     return np.sign(r) * s
 
 
-def _power_newton(p: float, eps: float, a: np.ndarray) -> np.ndarray:
-    # Monotone scalar solve of s + eps s^p = a for a >= 0 by Newton kept in
-    # a bracket [0, hi].  For p > 1 the root is comparable to
-    # min(a, (a/eps)^(1/p)) and Newton runs in s.  For p < 1 the root can be
-    # exponentially small in 1/p, which defeats bisection in s, so Newton
-    # runs in y = s^p: y^(1/p) + eps y = a has a root comparable to
-    # min(a/eps, a^p) and a derivative of at least eps.  Converged elements
-    # are frozen, so each element is independent of the rest of the array.
-    if p < 1.0:
-        q = 1.0 / p
-
-        def residual(y):
-            # Residual and Newton step in y.
-            with np.errstate(invalid="ignore"):
-                g = y**q + eps * y - a
-                return g, g / (q * y ** (q - 1.0) + eps)
-
-        with np.errstate(invalid="ignore"):
-            hi = np.minimum(a / eps, a**p)
-    else:
-        def residual(s):
-            # Residual and Newton step in s; no step where the derivative
-            # is infinite.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g = s + eps * s**p - a
-                dg = 1.0 + eps * p * np.where(s > 0, s ** (p - 1.0), np.inf)
-                return g, np.where(np.isfinite(dg),
-                                   g / np.where(dg > 0, dg, 1.0), 0.0)
-
-        hi = a
-    x = hi.copy()
-    lo = np.zeros_like(a)
-    tol = 1e-13 * (1.0 + a)
-    for _ in range(80):
-        g, step = residual(x)
-        done = np.abs(g) <= tol
-        if np.all(done):
-            break
-        lo = np.where(g < 0, x, lo)
-        hi = np.where(g > 0, x, hi)
-        cand = x - step
-        outside = (cand <= lo) | (cand >= hi)
-        x = np.where(done, x, np.where(outside, 0.5 * (lo + hi), cand))
-    return x**q if p < 1.0 else x
+def _power_newton(p: float, eps, a: np.ndarray) -> np.ndarray:
+    # Scalar Newton solve of s + eps s^p = a for a >= 0, in s for p > 1 and
+    # in y = s^p for p < 1, where the root can be exponentially small in
+    # 1/p: y^(1/p) + eps y = a has a root below min(a/eps, a^p) and a
+    # derivative of at least eps.  Either residual is convex and increasing,
+    # so Newton from above falls onto the root with no bracket.  Converged
+    # elements leave the working arrays, so each is independent of the rest.
+    q = 1.0 / p
+    a, eps = np.broadcast_arrays(a, eps)
+    av, ev = a.reshape(-1), eps.reshape(-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = np.minimum(av / ev, av**p) if p < 1.0 else av.copy()
+        live, xs, tol = np.arange(x.size), x, 1e-13 * (1.0 + av)
+        for _ in range(80):
+            if p < 1.0:
+                g = xs**q + ev * xs - av
+                step = g / (q * xs ** (q - 1.0) + ev)
+            else:
+                # No step where the derivative is infinite.
+                g = xs + ev * xs**p - av
+                dg = 1.0 + ev * p * np.where(xs > 0, xs ** (p - 1.0), np.inf)
+                step = np.where(np.isfinite(dg),
+                                g / np.where(dg > 0, dg, 1.0), 0.0)
+            # An overflowing residual would step to -inf; halve instead.
+            if np.fmax.reduce(g, initial=0.0) == np.inf:
+                step = np.where(g == np.inf, 0.5 * xs, step)
+            keep = ~(np.abs(g) <= tol)
+            if not keep.all():
+                # x holds the final value of every element that has left.
+                x[live[~keep]] = xs[~keep]
+                if not keep.any():
+                    break
+                live, av, ev, tol, xs, step = (
+                    v[keep] for v in (live, av, ev, tol, xs, step))
+            xs = xs - step
+        else:
+            x[live] = xs
+    return (x**q if p < 1.0 else x).reshape(a.shape)
 
 
 def _zhang_resolvent(eps: float, r: np.ndarray) -> np.ndarray:
@@ -282,9 +274,13 @@ class MoreauYosida:
         return s
 
     def _check_residual(self, r, s):
-        # Distance of r - s from eps * subdiff(s), relative to 1 + |r|.
-        lo, hi = self.potential.subdiff(s)
-        gap = np.maximum(self.eps * lo - (r - s), (r - s) - self.eps * hi)
+        # Distance of r - s from eps * subdiff(s), one point for power kinds.
+        if self.potential.kind in ("fast_diffusion", "porous_medium"):
+            lo = np.sign(s) * np.abs(s) ** self.potential.exponent
+            gap = np.abs(self.eps * lo - (r - s))
+        else:
+            lo, hi = self.potential.subdiff(s)
+            gap = np.maximum(self.eps * lo - (r - s), (r - s) - self.eps * hi)
         bad = gap > 1e-12 * (1.0 + np.abs(r))
         if np.any(bad):
             raise ResolventError(

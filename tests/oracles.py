@@ -24,7 +24,7 @@ def gap_bound_folded(functional, eps: float, v) -> np.ndarray:
     space = functional.space
     c = functional.potential.slope_bound
     l2sq = space.lp_norm(np.asarray(v, dtype=float), 2) ** 2
-    return 2.0 * c**2 * eps * (l2sq + space.total_mass)
+    return 2.0 * c**2 * eps * (l2sq + float(space.measure.sum()))
 
 
 def certify_noise_dense(model, space):
@@ -71,3 +71,20 @@ def certify_noise_dense(model, space):
         uniform_dual_growth=_uniform_within(growth),
         sample_count=_PAIR_COUNT,
     )
+
+
+def power_root_bisection(p: float, eps: float, a: np.ndarray) -> np.ndarray:
+    """Root of ``s + eps s**p = a`` for ``a >= 0``: the largest double ``s``
+    in ``[0, a]`` with ``s + eps s**p <= a``, by bisection on the bit
+    patterns of nonnegative doubles, which are ordered like their values."""
+    a = np.asarray(a, dtype=float)
+    lo = np.zeros(a.shape, dtype=np.int64)
+    hi = a.view(np.int64).copy()
+    for _ in range(64):
+        mid = lo + (hi - lo) // 2
+        s = mid.view(np.float64)
+        with np.errstate(over="ignore"):
+            above = s + eps * s**p > a
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return lo.view(np.float64)

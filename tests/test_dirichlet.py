@@ -9,6 +9,7 @@ import pytest
 
 from graphspde.dirichlet import (
     BernsteinFunction,
+    DirichletSpace,
     SpaceError,
     build_graph_space,
     check_space_invariants,
@@ -98,6 +99,35 @@ def test_structural_invariants_on_random_spaces():
         assert off.min() >= 0.0
         assert L.sum(axis=1).max() <= 1e-12 * max(np.abs(L).max(), 1.0)
         assert space.eigenvalues.min() > 0
+
+
+def test_semigroup_sign_check_accepts_uneven_measure():
+    # Draw 500 of a stream of random weighted path graphs: n = 35 nodes and
+    # a measure ratio of 2387.  A path generator has nonnegative
+    # off-diagonal entries, so its semigroup is entrywise nonnegative;
+    # through the 1/sqrt(mu)-scaled basis its transition matrix picked up
+    # entries below -1e-12, which an absolute sign test refused.
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(3, 40))
+        weights = np.exp(rng.uniform(-3, 3, n - 1))
+        killing = np.exp(rng.uniform(-3, 3))
+        mu = np.exp(rng.uniform(-4, 4, n))
+    assert n == 35 and 2387 < mu.max() / mu.min() < 2388
+    W = np.diag(weights, 1) + np.diag(weights, -1)
+    space = build_graph_space(W, np.append(killing, np.zeros(n - 1)), mu)
+    check_space_invariants(space)
+
+
+def test_semigroup_sign_check_refuses_negative_entries():
+    # A Markov generator whose spectral data belong to [[2, 1], [1, 2]]:
+    # every earlier check passes, and the semigroup the spectral data give
+    # has negative off-diagonal entries.
+    basis = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+    space = DirichletSpace(np.ones(2), np.array([[-2.0, 1.0], [1.0, -2.0]]),
+                           np.array([1.0, 3.0]), basis, np.full(2, 1e-3))
+    with pytest.raises(SpaceError, match="not entrywise nonnegative"):
+        check_space_invariants(space)
 
 
 def test_witness_inequality_many_samples(preset_spaces):

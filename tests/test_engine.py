@@ -399,6 +399,38 @@ def test_path_results_independent_of_batch_composition(monkeypatch):
     assert rest.states.tobytes() == simulate(cfg).states.tobytes()
 
 
+@pytest.mark.parametrize("space", [
+    path_space(16),
+    subordinate(path_space(16), BernsteinFunction.power(0.5)),
+], ids=["tridiagonal", "dense"])
+def test_one_dual_solve_per_newton_pass(monkeypatch, space):
+    # The merit is tracked by its changes, so each Newton pass solves the
+    # dual metric once (for its direction) and each step once more (for
+    # the right side); the line-search trials solve none.
+    calls = {"dual": 0, "direction": 0}
+    dual, direction = _NewtonSystem.dual, _NewtonSystem.direction
+
+    def spy_dual(self, a):
+        calls["dual"] += 1
+        return dual(self, a)
+
+    def spy_direction(self, F, d):
+        calls["direction"] += 1
+        return direction(self, F, d)
+
+    monkeypatch.setattr(_NewtonSystem, "dual", spy_dual)
+    monkeypatch.setattr(_NewtonSystem, "direction", spy_direction)
+    n = space.node_count
+    cfg = base_config(space=space, potential=fast_diffusion(0.3),
+                      noise=diagonal_noise(n, 0.3),
+                      initial=np.linspace(1.0, -0.5, n), path_count=12)
+    ens = simulate(cfg)
+    # A pass runs while any path of the step still iterates.
+    passes = int(ens.newton_iterations.max(axis=0).sum())
+    assert calls["direction"] == passes > 2 * cfg.step_count
+    assert calls["dual"] == cfg.step_count + passes
+
+
 def test_simulate_zero_noise_zero_initial():
     cfg = base_config(noise=diagonal_noise(4, 0.0),
                       initial=np.zeros(4), path_count=2)

@@ -3,7 +3,7 @@ envelopes, including the full smoothing-inequality suite."""
 
 import numpy as np
 import pytest
-from oracles import breakpoints
+from oracles import breakpoints, power_root_bisection
 
 from graphspde.monotone import (
     MoreauYosida,
@@ -418,13 +418,48 @@ def test_zhang_subdiff_table():
     assert np.allclose(hi, [0.0, 1.0, 4.0])
 
 
+WIDE_A = np.concatenate([[0.0, 1e-300], np.logspace(-300, 8, 2000)])
+
+
 @pytest.mark.parametrize("eps", [1e-8, 0.05, 0.5])
 @pytest.mark.parametrize("p", [0.5, 2.0])
 def test_power_newton_matches_closed_form_branches(p, eps):
     # The resolvent solves p = 0.5 and p = 2 in closed form; those branches
-    # are the oracle for the bracketed Newton loop that serves every other
-    # exponent, in its sublinear (p < 1) and superlinear form.
-    a = np.concatenate([[0.0, 1e-300], np.logspace(-300, 8, 2000)])
-    closed = _power_resolvent(p, eps, a)
-    s = _power_newton(p, eps, a)
-    assert np.all(np.abs(s - closed) <= 2e-13 * (1.0 + a))
+    # are the oracle for the Newton loop that serves every other exponent,
+    # in its sublinear (p < 1) and superlinear form.
+    closed = _power_resolvent(p, eps, WIDE_A)
+    s = _power_newton(p, eps, WIDE_A)
+    assert np.all(np.abs(s - closed) <= 2e-13 * (1.0 + WIDE_A))
+
+
+@pytest.mark.parametrize("eps", [1e-8, 0.05, 0.5])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.9, 1.5, 2.5, 5.0])
+def test_power_newton_matches_bisection_oracle(p, eps):
+    # The exponents without a closed form, against bisection of the scalar
+    # equation itself.
+    s = _power_newton(p, eps, WIDE_A)
+    oracle = power_root_bisection(p, eps, WIDE_A)
+    assert np.all(np.abs(s - oracle) <= 2e-13 * (1.0 + WIDE_A))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.9, 1.5, 2.5, 5.0])
+def test_power_newton_elements_independent_of_batch(p):
+    # Converged elements leave the Newton loop, so an element's value must
+    # not depend on what else is in the array or on the eps of other rows.
+    eps = np.array([[1e-8], [0.05], [0.5]])
+    a = np.broadcast_to(WIDE_A[::20], (3, WIDE_A[::20].size))
+    batch = _power_newton(p, eps, a)
+    alone = np.array([[_power_newton(p, float(e), a[i, j:j + 1])[0]
+                       for j in range(a.shape[1])]
+                      for i, e in enumerate(eps[:, 0])])
+    assert np.array_equal(batch.view(np.int64), alone.view(np.int64))
+
+
+def test_power_newton_halves_an_overflowing_residual():
+    # From the start a, eps a^1.2 overflows for a above about 1e258; the
+    # iterate is halved until the residual is finite, and Newton then
+    # converges within its iteration limit up to about a = 1e267.
+    a = np.logspace(259, 266, 8)
+    s = _power_newton(1.2, 0.05, a)
+    assert np.all(np.abs(s - power_root_bisection(1.2, 0.05, a)) <= 1e-12 * s)
+    assert _power_newton(1.2, 0.05, np.array([])).shape == (0,)
