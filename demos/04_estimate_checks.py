@@ -70,7 +70,7 @@ for tag, drift, start in (("no drift", None, np.zeros(16)),
                           ("constant drift", np.full(16, 0.1), np.zeros(16)),
                           ("replayed drift", ensemble, config.initial)):
     proc = build_test_process(ensemble, start, drift=drift)
-    rep = check_svi(ensemble, proc, functional)
+    (rep,) = check_svi(ensemble, [proc], functional)
     print(f"{tag:15s}: passed = {rep.passed}, fitted constant = "
           f"{rep.constants['fitted_constant']:.4g}")
 

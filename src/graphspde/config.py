@@ -535,15 +535,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
             functional = EnergyFunctional(base.space, base.potential)
             n = base.space.node_count
             for eps, ens in zip(cfg.eps_values, ensembles):
-                cases = [
-                    ("zero", build_test_process(ens, np.zeros(n))),
-                    ("constant", build_test_process(
-                        ens, np.zeros(n), drift=np.full(n, cfg.drift_const))),
-                    ("replayed", build_test_process(ens, base.initial,
-                                                    drift=ens)),
-                ]
-                for tag, proc in cases:
-                    rep = check_svi(ens, proc, functional)
+                procs = {
+                    "zero": build_test_process(ens, np.zeros(n)),
+                    "constant": build_test_process(
+                        ens, np.zeros(n), drift=np.full(n, cfg.drift_const)),
+                    "replayed": build_test_process(ens, base.initial,
+                                                   drift=ens),
+                }
+                reps = check_svi(ens, procs.values(), functional)
+                for tag, rep in zip(procs, reps):
                     rep.write(out, f"report_svi_{tag}_eps{_eps_tag(eps)}")
                     reports.append(rep)
                 _dump_run(ens, out, f"trajectories_eps{_eps_tag(eps)}")

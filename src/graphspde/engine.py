@@ -15,15 +15,19 @@ size.  With ``K`` minus the generator and ``d`` the slope derivative plus
 path graphs it is tridiagonal.  On dense generators a path whose ``d`` is
 one number at every node is solved in the eigenbasis of the space, where
 the system is diagonal, in O(n^2); the other paths take a dense solve.
-Paths evolve independently and are solved as one batch.  Coupled runs
-(a smoothing ladder, a pair of initial states) share their increments, so
-``simulate_coupled`` steps all their paths as one batch too, with one
-smoothing parameter per row.
+Consecutive steps differ by one noise increment, so each step after the
+first starts Newton from its right side plus the previous step's drift
+increment, and a Newton-solved resolvent from the values it had at the
+previous point.  Paths evolve independently and are solved as one batch.
+Coupled runs (a smoothing ladder, a pair of initial states) share their
+increments, so ``simulate_coupled`` steps all their paths as one batch
+too, with one smoothing parameter per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -245,25 +249,42 @@ class _NewtonSystem:
         return delta
 
 
+class _StepStart(NamedTuple):
+    """What one implicit step hands the next as its starting point."""
+
+    shift: np.ndarray       # x - rhs, minus dt K drift(x) up to the residual
+    gradient: np.ndarray    # dual(shift), as the Newton loop tracked it
+    previous: tuple | None  # (x, smoother values at x), or None
+
+
 def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
                          rhs: np.ndarray, tol: float, max_iter: int,
-                         row_name="path {}".format):
+                         row_name="path {}".format,
+                         start: _StepStart | None = None):
     """Solve the implicit system for a (paths, nodes) batch of right sides.
 
     Newton on the residual ``F = x + dt K drift(x) - rhs`` equals Newton on
     the strongly convex dual-norm objective, so Armijo backtracking on that
-    objective is globally convergent; for piecewise-linear slopes the
-    iteration is finite.  Each direction solves ``(1/d + dt K) z = -F`` and
-    takes ``delta = z / d`` (see ``_NewtonSystem``, which also fixes ``dt``).
-    The objective ``x.(dual(x)/2 - dual(rhs))`` plus ``dt`` times a local
-    sum is tracked by its changes, free of cancellation: a step ``t``
-    changes it by ``t delta.g + t^2/2 delta.dual(delta)`` plus the local
-    change, with ``g = dual(x - rhs)`` zero at the start.  So each pass
-    makes one dual-metric solve and each trial one Moreau-Yosida solve,
-    whose values the accepted trial hands to the next pass.  Converged rows
-    get no direction and keep their state bit for bit while other rows
-    iterate, so every row is independent of the batch; a row that does not
-    converge is named by ``row_name(row)``.
+    objective is globally convergent from any start; for piecewise-linear
+    slopes the iteration is finite.  Each direction solves
+    ``(1/d + dt K) z = -F`` and takes ``delta = z / d`` (see
+    ``_NewtonSystem``, which also fixes ``dt``).  The objective
+    ``x.(dual(x)/2 - dual(rhs))`` plus ``dt`` times a local sum is tracked
+    by its changes, free of cancellation: a step ``t`` changes it by
+    ``t delta.g + t^2/2 delta.dual(delta)`` plus the local change, with
+    ``g = dual(x - rhs)``.  So each pass makes one dual-metric solve and
+    each trial one Moreau-Yosida solve, whose values the accepted trial
+    hands to the next pass; each trial's resolvent starts from the values
+    at the current iterate.  Converged rows get no direction and keep their
+    state and values bit for bit while other rows iterate, so every row is
+    independent of the batch; a row that does not converge is named by
+    ``row_name(row)``.
+
+    The iteration starts at ``rhs`` with ``g = 0``, or, given the
+    ``_StepStart`` of the step before, at ``rhs + shift`` with that step's
+    ``g``: consecutive steps differ by one noise increment, so the last
+    drift increment predicts the next.  Returns the solution, residuals,
+    iteration counts and the ``_StepStart`` for the next step.
     """
     mu, dt, eps = system.mu, system.dt, smoother.eps
     paths = rhs.shape[0]
@@ -271,16 +292,23 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
     def mu_norm(a):
         return np.sqrt((a**2 * mu).sum(-1))
 
-    def newton_terms(x):
-        # Drift, slope derivative and local merit terms, from one solve.
-        my = smoother.evaluate(x)
-        return (my.slope + eps * x, my.slope_derivative + eps,
+    def newton_terms(x, previous):
+        # Values, drift, slope derivative and local merit terms, from one
+        # solve.
+        my = smoother.evaluate(x, previous)
+        return (my, my.slope + eps * x, my.slope_derivative + eps,
                 my.envelope + 0.5 * eps * x**2)
 
-    x, g = rhs.copy(), np.zeros_like(rhs)
-    drift, slope, local = newton_terms(x)
+    if start is None:
+        x, g, previous = rhs.copy(), np.zeros_like(rhs), None
+    else:
+        x, g, previous = (rhs + start.shift, start.gradient.copy(),
+                          start.previous)
+    my, drift, slope, local = newton_terms(x, previous)
     # The merit itself only scales the Armijo slack.
-    merit = -0.5 * (x * system.dual(rhs)).sum(-1) + dt * (local * mu).sum(-1)
+    merit = dt * (local * mu).sum(-1) - 0.5 * (rhs * system.dual(rhs)).sum(-1)
+    if start is not None:
+        merit += 0.5 * (start.shift * g).sum(-1)
     tol_vec = tol * (1.0 + mu_norm(rhs))
     iterations = np.zeros(paths, dtype=int)
 
@@ -308,7 +336,7 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
         step = np.ones(paths)
         for halvings in range(41):
             trial = x + step[:, None] * delta
-            t_drift, t_slope, t_local = newton_terms(trial)
+            t_my, t_drift, t_slope, t_local = newton_terms(trial, (x, my))
             change = (step * linear + 0.5 * step**2 * curvature
                       + dt * ((t_local - local) * mu).sum(-1))
             bad = active & (change > 1e-4 * step * slope_dir + slack)
@@ -316,7 +344,7 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
             if halvings == 40 or not bad.any():
                 break
             step[bad] *= 0.5
-        x, drift, slope, local = trial, t_drift, t_slope, t_local
+        x, my, drift, slope, local = trial, t_my, t_drift, t_slope, t_local
         merit += change
         g += step[:, None] * dual_delta
     else:
@@ -328,7 +356,7 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
                 f"implicit step did not converge: {row_name(worst)}, "
                 f"residual {residual[worst]:.3e} after {max_iter} iterations")
 
-    return x, residual, iterations
+    return x, residual, iterations, _StepStart(x - rhs, g, (x, my))
 
 
 def step_semi_implicit(space: DirichletSpace, smoother: MoreauYosida,
@@ -340,7 +368,7 @@ def step_semi_implicit(space: DirichletSpace, smoother: MoreauYosida,
         raise ValueError("step size must be positive")
     state = np.asarray(state, dtype=float)
     rhs = state + noise.apply(state, np.asarray(dw, dtype=float))
-    new, _, _ = _implicit_step_batch(
+    new, *_ = _implicit_step_batch(
         _NewtonSystem(space, dt), smoother, rhs[None, :],
         SimulationConfig.solver_tol, SimulationConfig.max_newton)
     return new[0]
@@ -393,15 +421,19 @@ def simulate_coupled(configs) -> list[TrajectoryEnsemble]:
     residuals = np.empty((R * P, N))
     iterations = np.empty((R * P, N), dtype=int)
 
+    start = None
     for k in range(N):
         current = states[:, k]
         rhs = current + noise.apply(current, dW[path_of_row, k])
         try:
-            nxt, res, its = _implicit_step_batch(
+            nxt, res, its, start = _implicit_step_batch(
                 system, smoother, rhs, first.solver_tol, first.max_newton,
-                row_name)
+                row_name, start)
         except StepSolverError as err:
             raise StepSolverError(f"step {k} (t = {k * dt:g}): {err}") from err
+        if not smoother.iterative:
+            # Closed-form resolvents take no start point.
+            start = start._replace(previous=None)
         states[:, k + 1] = nxt
         residuals[:, k] = res
         iterations[:, k] = its

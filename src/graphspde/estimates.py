@@ -172,27 +172,37 @@ def _cum_trapz(f: np.ndarray, dt: float) -> np.ndarray:
 # -- the variational inequality -----------------------------------------------------
 
 
-def check_svi(ensemble: TrajectoryEnsemble, test: TestProcess,
+def check_svi(ensemble: TrajectoryEnsemble, tests,
               functional: EnergyFunctional,
-              constant: float | None = None) -> EstimateReport:
-    """Check the variational inequality of the run against a test process.
+              constant: float | None = None) -> list[EstimateReport]:
+    """Check the variational inequality of the run against each of the
+    test processes ``tests``, one report each.
 
     Both sides are evaluated at every grid time with trapezoid quadrature
-    for the time integrals and the transient dual norm for distances.  The
+    for the time integrals and the transient dual norm for distances; the
+    run's own integral is computed once for all test processes.  Each
     report carries the smallest constant that closes the inequality at all
     checkpoints; the verdict uses the supplied constant when given, that
     fitted constant otherwise, with CI slack.
     """
-    if test.ensemble is not ensemble and not _coupled(test.ensemble.config,
-                                                      ensemble.config):
-        raise ValueError("test process is not coupled to the ensemble")
+    tests = list(tests)
+    for test in tests:
+        if test.ensemble is not ensemble and not _coupled(
+                test.ensemble.config, ensemble.config):
+            raise ValueError("test process is not coupled to the ensemble")
+    int_phi_x = _cum_trapz(functional.value(ensemble.states),
+                           ensemble.config.dt)
+    return [_svi_report(ensemble, test, functional, int_phi_x, constant)
+            for test in tests]
+
+
+def _svi_report(ensemble, test, functional, int_phi_x, constant):
     cfg = ensemble.config
     space = cfg.space
     dt = cfg.dt
     X, Z = ensemble.states, test.states
     diff = X - Z
     dsq = space.dual_norm(diff) ** 2                    # (P, K+1)
-    int_phi_x = _cum_trapz(functional.value(X), dt)
     int_phi_z = _cum_trapz(functional.value(Z), dt)
     int_dsq = _cum_trapz(dsq, dt)
 

@@ -5,6 +5,9 @@ the origin.  Its subdifferential is an interval-valued monotone graph; the
 resolvent of the graph, the single-valued Lipschitz slope and the smoothed
 envelope are available in closed form for the built-in kinds and through a
 scalar Newton solve, started above the root, for the other power exponents.
+``MoreauYosida.evaluate`` can start that solve from the tangent of the
+resolvent at an earlier argument; without one it equals the separate
+methods bit for bit.
 """
 
 from __future__ import annotations
@@ -170,8 +173,10 @@ def piecewise_quadratic(knots, pieces) -> ConvexPotential:
 # -- resolvent machinery -------------------------------------------------
 
 
-def _power_resolvent(p: float, eps: float, r: np.ndarray) -> np.ndarray:
-    """Solve s + eps * sign(s) |s|**p = r, vectorized and odd in r."""
+def _power_resolvent(p: float, eps: float, r: np.ndarray,
+                     start=None) -> np.ndarray:
+    """Solve s + eps * sign(s) |s|**p = r, vectorized and odd in r; ``start``
+    is handed to the Newton solve of the exponents without a closed form."""
     a = np.abs(r)
     if p == 0.5:
         x = 0.5 * (-eps + np.sqrt(eps * eps + 4.0 * a))
@@ -179,22 +184,32 @@ def _power_resolvent(p: float, eps: float, r: np.ndarray) -> np.ndarray:
     elif p == 2.0:
         s = np.where(a > 0, 2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * eps * a)), 0.0)
     else:
-        s = _power_newton(p, eps, a)
+        s = _power_newton(p, eps, a, start)
     return np.sign(r) * s
 
 
-def _power_newton(p: float, eps, a: np.ndarray) -> np.ndarray:
+def _power_newton(p: float, eps, a: np.ndarray, start=None) -> np.ndarray:
     # Scalar Newton solve of s + eps s^p = a for a >= 0, in s for p > 1 and
     # in y = s^p for p < 1, where the root can be exponentially small in
-    # 1/p: y^(1/p) + eps y = a has a root below min(a/eps, a^p) and a
-    # derivative of at least eps.  Either residual is convex and increasing,
-    # so Newton from above falls onto the root with no bracket.  Converged
-    # elements leave the working arrays, so each is independent of the rest.
+    # 1/p.  The root lies below min(a/eps, a^p) in y and below
+    # min(a, (a/eps)^(1/p)) in s, computed as a^(1/p) eps^(-1/p) so that it
+    # cannot overflow where the root does not.  Either residual is convex
+    # and increasing, so its inverse is concave and a tangent of the inverse
+    # (``start``, in the same variable) bounds the root from above too; the
+    # iteration starts at the least of these bounds, and Newton from above
+    # falls onto the root with no bracket.  Converged elements leave the
+    # working arrays, so each is independent of the rest.
     q = 1.0 / p
     a, eps = np.broadcast_arrays(a, eps)
     av, ev = a.reshape(-1), eps.reshape(-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = np.minimum(av / ev, av**p) if p < 1.0 else av.copy()
+        if p < 1.0:
+            x = np.minimum(av / ev, av**p)
+        else:
+            x = np.fmin(av, av**q * ev**-q)
+        if start is not None:
+            start = np.broadcast_to(start, a.shape).reshape(-1)
+            x = np.maximum(np.minimum(start, x), 0.0)
         live, xs, tol = np.arange(x.size), x, 1e-13 * (1.0 + av)
         for _ in range(80):
             if p < 1.0:
@@ -203,9 +218,8 @@ def _power_newton(p: float, eps, a: np.ndarray) -> np.ndarray:
             else:
                 # No step where the derivative is infinite.
                 g = xs + ev * xs**p - av
-                dg = 1.0 + ev * p * np.where(xs > 0, xs ** (p - 1.0), np.inf)
-                step = np.where(np.isfinite(dg),
-                                g / np.where(dg > 0, dg, 1.0), 0.0)
+                dg = 1.0 + ev * p * xs ** (p - 1.0)
+                step = np.where(np.isfinite(dg), g / dg, 0.0)
             # An overflowing residual would step to -inf; halve instead.
             if np.fmax.reduce(g, initial=0.0) == np.inf:
                 step = np.where(g == np.inf, 0.5 * xs, step)
@@ -257,14 +271,36 @@ class MoreauYosida:
         if np.any(np.asarray(self.eps) <= 0):
             raise ValueError(f"smoothing parameter must be positive, got {self.eps}")
 
-    def resolvent(self, r):
+    @property
+    def iterative(self) -> bool:
+        """Whether ``resolvent`` solves by Newton and so can start from
+        ``previous``: the power kinds with an exponent other than 1/2
+        and 2."""
+        pot = self.potential
+        return (pot.kind in ("fast_diffusion", "porous_medium")
+                and pot.exponent not in (0.5, 2.0))
+
+    def resolvent(self, r, previous=None):
         """Unique solution s of 0 in s - r + eps * subdiff(s).
 
         Equals the minimizer of ``|r - s|^2 / (2 eps) + value(s)``.
+        ``previous`` is an optional ``(r0, values0)`` pair, an earlier
+        argument of the shape of ``r`` and its ``evaluate`` values.  An
+        ``iterative`` resolvent then starts from its tangent at ``r0`` and
+        agrees with the solve without it to the solver tolerance, and an
+        element whose argument equals ``r0`` bit for bit keeps its value in
+        ``values0`` bit for bit.  The other kinds ignore ``previous``.
         """
         r = np.asarray(r, dtype=float)
         pot, eps = self.potential, self.eps
-        if pot.kind in ("fast_diffusion", "porous_medium"):
+        if previous is not None and self.iterative:
+            r0, values0 = previous
+            r0 = np.asarray(r0, dtype=float)
+            s = _power_resolvent(pot.exponent, eps, r,
+                                 self._tangent(r, r0, values0))
+            s = np.where(r.view(np.int64) == r0.view(np.int64),
+                         values0.resolvent, s)
+        elif pot.kind in ("fast_diffusion", "porous_medium"):
             s = _power_resolvent(pot.exponent, eps, r)
         elif pot.kind == "zhang":
             s = _zhang_resolvent(eps, r)
@@ -272,6 +308,21 @@ class MoreauYosida:
             s = self._piecewise_resolvent(r)
         self._check_residual(r, s)
         return s
+
+    def _tangent(self, r, r0, values0):
+        # Newton start at |r| on the tangent of the root at |r0|:
+        # d|s|/d|r| = 1 - eps * slope derivative, and for p < 1 the Newton
+        # variable y = |s|^p has dy/d|r| = slope derivative.  y equals
+        # |slope| too, but (r - s) / eps loses all its digits where eps y
+        # is below the roundoff of r, and a start far below the root sends
+        # the sublinear Newton step far above it.
+        p, eps = self.potential.exponent, self.eps
+        moved = np.abs(r) - np.abs(r0)
+        if p < 1.0:
+            return (np.abs(values0.resolvent) ** p
+                    + values0.slope_derivative * moved)
+        return (np.abs(values0.resolvent)
+                + (1.0 - eps * values0.slope_derivative) * moved)
 
     def _check_residual(self, r, s):
         # Distance of r - s from eps * subdiff(s), one point for power kinds.
@@ -318,11 +369,12 @@ class MoreauYosida:
         # unused even indices (idx // 2 up to the knot count) in range.
         return np.where(on_knot, np.append(pot.knots, np.nan)[idx // 2], s)
 
-    def evaluate(self, r) -> MoreauYosidaValues:
+    def evaluate(self, r, previous=None) -> MoreauYosidaValues:
         """Resolvent, slope, slope derivative and envelope from one
-        resolvent solve; each equals the matching method bit for bit."""
+        resolvent solve, with ``previous`` as in ``resolvent``.  Without
+        ``previous`` each equals the matching method bit for bit."""
         r = np.asarray(r, dtype=float)
-        s = self.resolvent(r)
+        s = self.resolvent(r, previous)
         return MoreauYosidaValues(
             resolvent=s,
             slope=(r - s) / self.eps,

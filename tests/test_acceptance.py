@@ -349,8 +349,8 @@ def test_criterion_11_svi(accept_space, accept_noise):
                 ("replayed", build_test_process(ens, ens.config.initial,
                                                 drift=ens)),
             )
-            for tag, proc in cases:
-                rep = check_svi(ens, proc, functional)
+            reps = check_svi(ens, [proc for _, proc in cases], functional)
+            for (tag, _), rep in zip(cases, reps):
                 fitted.append(rep.constants["fitted_constant"])
                 if not (rep.passed and np.isfinite(fitted[-1])):
                     failures.append((kind, ens.config.eps, tag))

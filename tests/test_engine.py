@@ -176,9 +176,9 @@ def test_step_evaluates_the_step_taken_after_exhausted_line_search():
         def __init__(self, inner):
             self.inner, self.eps, self.args = inner, inner.eps, []
 
-        def evaluate(self, r):
+        def evaluate(self, r, previous=None):
             self.args.append(np.array(r))
-            values = self.inner.evaluate(r)
+            values = self.inner.evaluate(r, previous)
             if 2 <= len(self.args) <= 41:
                 return values._replace(envelope=values.envelope + 1e6)
             return values
@@ -191,12 +191,12 @@ def test_step_evaluates_the_step_taken_after_exhausted_line_search():
     rhs = np.zeros((1, 4))
     smoother = RejectingSmoother(inner)
     system = _NewtonSystem(space, 0.05)
-    x, residual, _ = _implicit_step_batch(system, smoother, rhs, 1e-10, 100)
+    x, residual, *_ = _implicit_step_batch(system, smoother, rhs, 1e-10, 100)
     delta = smoother.args[1]
     assert np.abs(delta).max() > 0
     assert np.array_equal(smoother.args[40], 0.5**39 * delta)
     assert np.array_equal(smoother.args[41], 0.5**40 * delta)
-    expected, _, _ = _implicit_step_batch(system, inner, rhs, 1e-10, 100)
+    expected, *_ = _implicit_step_batch(system, inner, rhs, 1e-10, 100)
     assert residual[0] <= 1e-10
     assert np.abs(x - expected).max() <= 1e-9
 

@@ -235,7 +235,7 @@ def test_svi_self_test_degenerate():
     ens = simulate(cfg)
     func = EnergyFunctional(space, zhang())
     proc = build_test_process(ens, cfg.initial, drift=ens)
-    report = check_svi(ens, proc, func)
+    (report,) = check_svi(ens, [proc], func)
     assert report.passed
     assert np.isfinite(report.constants["fitted_constant"])
 
@@ -250,7 +250,7 @@ def test_svi_linear_regime_closed_form():
     ens = simulate(cfg)
     func = EnergyFunctional(space, zhang())
     proc = build_test_process(ens, x0)
-    report = check_svi(ens, proc, func)
+    (report,) = check_svi(ens, [proc], func)
     # closed-form reference: backward linear flow, potential vanishes on
     # nonpositive states
     dt = cfg.dt
@@ -277,11 +277,17 @@ def test_svi_generic_run_passes_with_fitted_constant():
                           eps=0.05, seed=21)
         ens = simulate(cfg)
         func = EnergyFunctional(space, pot)
-        for drift in (None, np.full(8, 0.1), ens):
-            proc = build_test_process(ens, np.zeros(8), drift=drift)
-            report = check_svi(ens, proc, func)
+        procs = [build_test_process(ens, np.zeros(8), drift=drift)
+                 for drift in (None, np.full(8, 0.1), ens)]
+        reports = check_svi(ens, procs, func)
+        for proc, report in zip(procs, reports, strict=True):
             assert report.passed, (pot.kind, proc.mode)
             assert np.isfinite(report.constants["fitted_constant"])
+            # The run's integral is shared; each report is that of its own
+            # call.
+            (alone,) = check_svi(ens, [proc], func)
+            assert report.series == alone.series
+            assert report.constants == alone.constants
 
 
 def test_svi_replayed_drift_passes_for_every_builtin():
@@ -300,7 +306,7 @@ def test_svi_replayed_drift_passes_for_every_builtin():
             ens = simulate(cfg)
             func = EnergyFunctional(space, pot)
             proc = build_test_process(ens, cfg.initial, drift=ens)
-            report = check_svi(ens, proc, func)
+            (report,) = check_svi(ens, [proc], func)
             assert report.passed, (pot.kind, eps)
 
 
@@ -310,10 +316,11 @@ def test_svi_supplied_constant_can_fail():
     ens = simulate(cfg)
     func = EnergyFunctional(space, zhang())
     proc = build_test_process(ens, np.full(4, 2.0))
-    fitted = check_svi(ens, proc, func).constants["fitted_constant"]
+    (report,) = check_svi(ens, [proc], func)
+    fitted = report.constants["fitted_constant"]
     if fitted > 0:
-        bad = check_svi(ens, proc, func, constant=0.0)
-        generous = check_svi(ens, proc, func, constant=2 * fitted + 1.0)
+        (bad,) = check_svi(ens, [proc], func, constant=0.0)
+        (generous,) = check_svi(ens, [proc], func, constant=2 * fitted + 1.0)
         assert generous.passed
         assert not bad.passed or bad.worst_margin >= 0
 
@@ -325,7 +332,7 @@ def test_svi_decoupled_rejected():
     proc = build_test_process(other, np.zeros(3))
     func = EnergyFunctional(space, zhang())
     with pytest.raises(ValueError, match="coupled"):
-        check_svi(ens, proc, func)
+        check_svi(ens, [proc], func)
 
 
 # -- contraction -------------------------------------------------------------------

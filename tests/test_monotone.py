@@ -456,10 +456,92 @@ def test_power_newton_elements_independent_of_batch(p):
 
 
 def test_power_newton_halves_an_overflowing_residual():
-    # From the start a, eps a^1.2 overflows for a above about 1e258; the
-    # iterate is halved until the residual is finite, and Newton then
-    # converges within its iteration limit up to about a = 1e267.
-    a = np.logspace(259, 266, 8)
-    s = _power_newton(1.2, 0.05, a)
-    assert np.all(np.abs(s - power_root_bisection(1.2, 0.05, a)) <= 1e-12 * s)
+    # From a, eps a^1.2 would overflow for a above about 1e258; the start
+    # min(a, (a/eps)^(1/p)) keeps the residual finite there.  Near the top
+    # of the float range s^p overflows at that start although eps s^p is
+    # about a; the iterate is then halved until the residual is finite.
+    for p, eps, a in ((1.2, 0.05, np.logspace(259, 266, 8)),
+                      (1.001, 0.5, np.linspace(1e308, 1.7e308, 8))):
+        with np.errstate(over="ignore"):
+            start = np.minimum(a, a ** (1.0 / p) * eps ** (-1.0 / p))
+            assert np.all(np.isinf(start**p) == (p == 1.001))
+        s = _power_newton(p, eps, a)
+        assert np.all(np.abs(s - power_root_bisection(p, eps, a)) <= 1e-12 * s)
     assert _power_newton(1.2, 0.05, np.array([])).shape == (0,)
+
+
+def test_power_newton_porous_medium_at_large_arguments():
+    # Started from min(a, (a/eps)^(1/p)), Newton is in its quadratic phase
+    # from the first step; from a alone it converged only linearly and ran
+    # out of iterations, at eps 0.05 from |r| = 1e10 for p = 5.
+    a = np.concatenate([[0.0, 1e-300], np.logspace(-300, 300, 601)])
+    r = np.concatenate([a, -a])
+    for p in (1.5, 2.5, 5.0):
+        for eps in (1e-8, 0.05, 0.5):
+            s = MoreauYosida(porous_medium(p), eps).resolvent(r)
+            oracle = np.sign(r) * power_root_bisection(p, eps, np.abs(r))
+            assert np.all(np.abs(s - oracle) <= 2e-13 * (1.0 + np.abs(r)))
+
+
+# Previous and new arguments of the warm-started resolvent: zero, 1e-300,
+# 1e8 and a wide grid of both signs, against a (rows, 1) eps column.
+WARM_EPS = np.array([[1e-8], [0.05], [0.5]])
+WARM_R0 = np.broadcast_to(
+    np.concatenate([[0.0, 1e-300, 1e8], np.logspace(-12, 6, 200)]) * [[1.0]],
+    (3, 203))
+WARM_R0 = np.concatenate([WARM_R0, -WARM_R0], axis=1)
+
+
+def warm_arguments():
+    # Sign flips, neighbours, large and small moves, and zero.
+    r0 = WARM_R0
+    return (-r0, np.roll(r0, 1, axis=1), -1.5 * np.roll(r0, -7, axis=1),
+            1.001 * r0, np.zeros_like(r0))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.9, 1.5, 2.5, 5.0])
+def test_warm_resolvent_starts_above_the_root_and_matches_bisection(p):
+    pot = fast_diffusion(p) if p < 1.0 else porous_medium(p)
+    my = MoreauYosida(pot, WARM_EPS)
+    assert my.iterative
+    values0 = my.evaluate(WARM_R0)
+    # The Newton variable: y = |s|^p for p < 1, |s| for p > 1.
+    power = p if p < 1.0 else 1.0
+    y0 = np.abs(values0.resolvent) ** power
+    for r in warm_arguments():
+        root = np.stack([power_root_bisection(p, e, np.abs(row))
+                         for e, row in zip(WARM_EPS[:, 0], r)])
+        y = root**power
+        # The inverse of the convex residual is concave: its tangent lies
+        # above it, up to the roundoff of the tangent's terms, except where
+        # the earlier resolvent underflowed to zero (r0 = 1e-300 at small
+        # p) and took y0 with it.
+        start = my._tangent(r, WARM_R0, values0)
+        above = start >= y - 4e-15 * (y + y0)
+        assert np.all(above | (values0.resolvent == 0.0))
+        values = my.evaluate(r, (WARM_R0, values0))
+        assert np.all(np.abs(values.resolvent - np.sign(r) * root)
+                      <= 2e-13 * (1.0 + np.abs(r)))
+
+
+@pytest.mark.parametrize("pot", [
+    fast_diffusion(0.3), fast_diffusion(0.5), porous_medium(2.5), zhang(),
+    sample_piecewise(),
+], ids=["fd0.3", "fd0.5", "pm2.5", "zhang", "piecewise"])
+def test_evaluate_keeps_values_at_an_unchanged_argument(pot):
+    my = MoreauYosida(pot, WARM_EPS)
+    values0 = my.evaluate(WARM_R0)
+    r = np.roll(WARM_R0, 1, axis=1)
+    values1 = my.evaluate(r, (WARM_R0, values0))
+    # Every element unchanged: the values of the earlier call, bit for bit,
+    # also when those came from a warm start.
+    for r0, v0 in ((WARM_R0, values0), (r, values1)):
+        again = my.evaluate(r0.copy(), (r0, v0))
+        for got, want in zip(again, v0):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # Half the elements moved: the others keep their values.
+    mixed = np.where(np.arange(r.shape[1]) % 2 == 0, r, WARM_R0)
+    values = my.evaluate(mixed, (WARM_R0, values0))
+    kept = mixed == WARM_R0
+    for got, want in zip(values, values0):
+        assert np.array_equal(got[kept], want[kept])
