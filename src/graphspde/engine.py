@@ -254,7 +254,7 @@ class _StepStart(NamedTuple):
 
     shift: np.ndarray       # x - rhs, minus dt K drift(x) up to the residual
     gradient: np.ndarray    # dual(shift), as the Newton loop tracked it
-    previous: tuple | None  # (x, smoother values at x), or None
+    previous: tuple | None  # (x, resolvent, slope derivative at x) or None
 
 
 def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
@@ -293,19 +293,20 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
         return np.sqrt((a**2 * mu).sum(-1))
 
     def newton_terms(x, previous):
-        # Values, drift, slope derivative and local merit terms, from one
-        # solve.
+        # The start point that x gives the next resolvent, and the drift,
+        # slope derivative and local merit terms, from one solve.
         my = smoother.evaluate(x, previous)
-        return (my, my.slope + eps * x, my.slope_derivative + eps,
-                my.envelope + 0.5 * eps * x**2)
+        return ((x, my.resolvent, my.slope_derivative), my.slope + eps * x,
+                my.slope_derivative + eps, my.envelope + 0.5 * eps * x**2)
 
     if start is None:
         x, g, previous = rhs.copy(), np.zeros_like(rhs), None
     else:
         x, g, previous = (rhs + start.shift, start.gradient.copy(),
                           start.previous)
-    my, drift, slope, local = newton_terms(x, previous)
-    # The merit itself only scales the Armijo slack.
+    point, drift, slope, local = newton_terms(x, previous)
+    # The merit itself only scales the Armijo slack; at x = rhs + shift its
+    # quadratic part is shift.g/2 - rhs.dual(rhs)/2.
     merit = dt * (local * mu).sum(-1) - 0.5 * (rhs * system.dual(rhs)).sum(-1)
     if start is not None:
         merit += 0.5 * (start.shift * g).sum(-1)
@@ -336,7 +337,7 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
         step = np.ones(paths)
         for halvings in range(41):
             trial = x + step[:, None] * delta
-            t_my, t_drift, t_slope, t_local = newton_terms(trial, (x, my))
+            t_point, t_drift, t_slope, t_local = newton_terms(trial, point)
             change = (step * linear + 0.5 * step**2 * curvature
                       + dt * ((t_local - local) * mu).sum(-1))
             bad = active & (change > 1e-4 * step * slope_dir + slack)
@@ -344,7 +345,8 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
             if halvings == 40 or not bad.any():
                 break
             step[bad] *= 0.5
-        x, my, drift, slope, local = trial, t_my, t_drift, t_slope, t_local
+        x, point, drift, slope, local = (trial, t_point, t_drift, t_slope,
+                                         t_local)
         merit += change
         g += step[:, None] * dual_delta
     else:
@@ -356,7 +358,7 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
                 f"implicit step did not converge: {row_name(worst)}, "
                 f"residual {residual[worst]:.3e} after {max_iter} iterations")
 
-    return x, residual, iterations, _StepStart(x - rhs, g, (x, my))
+    return x, residual, iterations, _StepStart(x - rhs, g, point)
 
 
 def step_semi_implicit(space: DirichletSpace, smoother: MoreauYosida,

@@ -5,9 +5,9 @@ the origin.  Its subdifferential is an interval-valued monotone graph; the
 resolvent of the graph, the single-valued Lipschitz slope and the smoothed
 envelope are available in closed form for the built-in kinds and through a
 scalar Newton solve, started above the root, for the other power exponents.
-``MoreauYosida.evaluate`` can start that solve from the tangent of the
-resolvent at an earlier argument; without one it equals the separate
-methods bit for bit.
+``MoreauYosida.resolvent`` and ``evaluate`` can start that solve from the
+tangent of the resolvent at an earlier argument; without one ``evaluate``
+equals the separate methods bit for bit.
 """
 
 from __future__ import annotations
@@ -173,10 +173,8 @@ def piecewise_quadratic(knots, pieces) -> ConvexPotential:
 # -- resolvent machinery -------------------------------------------------
 
 
-def _power_resolvent(p: float, eps: float, r: np.ndarray,
-                     start=None) -> np.ndarray:
-    """Solve s + eps * sign(s) |s|**p = r, vectorized and odd in r; ``start``
-    is handed to the Newton solve of the exponents without a closed form."""
+def _power_resolvent(p: float, eps: float, r: np.ndarray) -> np.ndarray:
+    """Solve s + eps * sign(s) |s|**p = r, vectorized and odd in r."""
     a = np.abs(r)
     if p == 0.5:
         x = 0.5 * (-eps + np.sqrt(eps * eps + 4.0 * a))
@@ -184,21 +182,22 @@ def _power_resolvent(p: float, eps: float, r: np.ndarray,
     elif p == 2.0:
         s = np.where(a > 0, 2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * eps * a)), 0.0)
     else:
-        s = _power_newton(p, eps, a, start)
+        s = _power_newton(p, eps, a)
     return np.sign(r) * s
 
 
 def _power_newton(p: float, eps, a: np.ndarray, start=None) -> np.ndarray:
     # Scalar Newton solve of s + eps s^p = a for a >= 0, in s for p > 1 and
     # in y = s^p for p < 1, where the root can be exponentially small in
-    # 1/p.  The root lies below min(a/eps, a^p) in y and below
-    # min(a, (a/eps)^(1/p)) in s, computed as a^(1/p) eps^(-1/p) so that it
-    # cannot overflow where the root does not.  Either residual is convex
-    # and increasing, so its inverse is concave and a tangent of the inverse
-    # (``start``, in the same variable) bounds the root from above too; the
-    # iteration starts at the least of these bounds, and Newton from above
-    # falls onto the root with no bracket.  Converged elements leave the
-    # working arrays, so each is independent of the rest.
+    # 1/p; the residual in y has a derivative of at least eps.  The root
+    # lies below min(a/eps, a^p) in y and below min(a, (a/eps)^(1/p)) in s,
+    # computed as a^(1/p) eps^(-1/p) so that it cannot overflow where the
+    # root does not.  Either residual is convex and increasing, so its
+    # inverse is concave and a tangent of the inverse (``start``, in the
+    # same variable) bounds the root from above too; the iteration starts
+    # at the least of these bounds, and Newton from above falls onto the
+    # root with no bracket.  Converged elements leave the working arrays,
+    # so each is independent of the rest.
     q = 1.0 / p
     a, eps = np.broadcast_arrays(a, eps)
     av, ev = a.reshape(-1), eps.reshape(-1)
@@ -284,22 +283,22 @@ class MoreauYosida:
         """Unique solution s of 0 in s - r + eps * subdiff(s).
 
         Equals the minimizer of ``|r - s|^2 / (2 eps) + value(s)``.
-        ``previous`` is an optional ``(r0, values0)`` pair, an earlier
-        argument of the shape of ``r`` and its ``evaluate`` values.  An
-        ``iterative`` resolvent then starts from its tangent at ``r0`` and
-        agrees with the solve without it to the solver tolerance, and an
-        element whose argument equals ``r0`` bit for bit keeps its value in
-        ``values0`` bit for bit.  The other kinds ignore ``previous``.
+        ``previous`` is an optional ``(r0, s0, d0)`` triple: an earlier
+        argument of the shape of ``r``, its resolvent and its slope
+        derivative.  An ``iterative`` resolvent then starts from its tangent
+        at ``r0`` and agrees with the solve without it to the solver
+        tolerance, and an element whose argument equals ``r0`` bit for bit
+        keeps its value in ``s0`` bit for bit.  The other kinds ignore
+        ``previous``.
         """
         r = np.asarray(r, dtype=float)
         pot, eps = self.potential, self.eps
         if previous is not None and self.iterative:
-            r0, values0 = previous
+            r0, s0, d0 = previous
             r0 = np.asarray(r0, dtype=float)
-            s = _power_resolvent(pot.exponent, eps, r,
-                                 self._tangent(r, r0, values0))
-            s = np.where(r.view(np.int64) == r0.view(np.int64),
-                         values0.resolvent, s)
+            s = np.sign(r) * _power_newton(pot.exponent, eps, np.abs(r),
+                                           self._tangent(r, r0, s0, d0))
+            s = np.where(r.view(np.int64) == r0.view(np.int64), s0, s)
         elif pot.kind in ("fast_diffusion", "porous_medium"):
             s = _power_resolvent(pot.exponent, eps, r)
         elif pot.kind == "zhang":
@@ -309,7 +308,7 @@ class MoreauYosida:
         self._check_residual(r, s)
         return s
 
-    def _tangent(self, r, r0, values0):
+    def _tangent(self, r, r0, s0, d0):
         # Newton start at |r| on the tangent of the root at |r0|:
         # d|s|/d|r| = 1 - eps * slope derivative, and for p < 1 the Newton
         # variable y = |s|^p has dy/d|r| = slope derivative.  y equals
@@ -319,10 +318,8 @@ class MoreauYosida:
         p, eps = self.potential.exponent, self.eps
         moved = np.abs(r) - np.abs(r0)
         if p < 1.0:
-            return (np.abs(values0.resolvent) ** p
-                    + values0.slope_derivative * moved)
-        return (np.abs(values0.resolvent)
-                + (1.0 - eps * values0.slope_derivative) * moved)
+            return np.abs(s0) ** p + d0 * moved
+        return np.abs(s0) + (1.0 - eps * d0) * moved
 
     def _check_residual(self, r, s):
         # Distance of r - s from eps * subdiff(s), one point for power kinds.

@@ -431,6 +431,44 @@ def test_one_dual_solve_per_newton_pass(monkeypatch, space):
     assert calls["dual"] == cfg.step_count + passes
 
 
+@pytest.mark.parametrize("potential", [fast_diffusion(0.3), zhang()],
+                         ids=["fd0.3", "zhang"])
+@pytest.mark.parametrize("space", [
+    path_space(16),
+    subordinate(path_space(16), BernsteinFunction.power(0.5)),
+], ids=["tridiagonal", "dense"])
+def test_step_starts_from_the_previous_drift_increment(space, potential):
+    # A step hands the next its drift increment x - rhs and the merit
+    # gradient dual(x - rhs) that its loop tracked.  Started there, each
+    # step solves the same system as from its right side, and over a run
+    # of 64 steps in fewer Newton iterations (about 10 to 30 % fewer here;
+    # at 16 steps the sandpile takes more from the predictor than from its
+    # right side).
+    n, steps, tol = space.node_count, 64, 1e-10
+    dt = 1.0 / steps
+    system = _NewtonSystem(space, dt)
+    smoother = MoreauYosida(potential, 0.05)
+    noise = diagonal_noise(n, 0.3)
+    dW = brownian_increments(5, "warm", 12, steps, n, dt)
+    x = np.tile(np.linspace(1.0, -0.5, n), (12, 1))
+    start, warm_total, cold_total = None, 0, 0
+    for k in range(steps):
+        rhs = x + noise.apply(x, dW[:, k])
+        x, residual, warm_its, start = _implicit_step_batch(
+            system, smoother, rhs, tol, 100, start=start)
+        cold, _, cold_its, _ = _implicit_step_batch(system, smoother, rhs,
+                                                    tol, 100)
+        assert np.array_equal(start.shift, x - rhs)
+        dual_shift = system.dual(start.shift)
+        assert np.abs(start.gradient - dual_shift).max() <= (
+            1e-12 * np.abs(dual_shift).max())
+        assert np.all(residual <= tol * (1.0 + np.abs(rhs).max() * n))
+        assert np.abs(x - cold).max() <= 1e-9
+        warm_total += warm_its.sum()
+        cold_total += cold_its.sum()
+    assert warm_total < cold_total
+
+
 def test_simulate_zero_noise_zero_initial():
     cfg = base_config(noise=diagonal_noise(4, 0.0),
                       initial=np.zeros(4), path_count=2)

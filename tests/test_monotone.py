@@ -516,10 +516,12 @@ def test_warm_resolvent_starts_above_the_root_and_matches_bisection(p):
         # above it, up to the roundoff of the tangent's terms, except where
         # the earlier resolvent underflowed to zero (r0 = 1e-300 at small
         # p) and took y0 with it.
-        start = my._tangent(r, WARM_R0, values0)
+        start = my._tangent(r, WARM_R0, values0.resolvent,
+                            values0.slope_derivative)
         above = start >= y - 4e-15 * (y + y0)
         assert np.all(above | (values0.resolvent == 0.0))
-        values = my.evaluate(r, (WARM_R0, values0))
+        values = my.evaluate(r, (WARM_R0, values0.resolvent,
+                                 values0.slope_derivative))
         assert np.all(np.abs(values.resolvent - np.sign(r) * root)
                       <= 2e-13 * (1.0 + np.abs(r)))
 
@@ -530,18 +532,22 @@ def test_warm_resolvent_starts_above_the_root_and_matches_bisection(p):
 ], ids=["fd0.3", "fd0.5", "pm2.5", "zhang", "piecewise"])
 def test_evaluate_keeps_values_at_an_unchanged_argument(pot):
     my = MoreauYosida(pot, WARM_EPS)
+
+    def start_at(r0, values0):
+        return r0, values0.resolvent, values0.slope_derivative
+
     values0 = my.evaluate(WARM_R0)
     r = np.roll(WARM_R0, 1, axis=1)
-    values1 = my.evaluate(r, (WARM_R0, values0))
+    values1 = my.evaluate(r, start_at(WARM_R0, values0))
     # Every element unchanged: the values of the earlier call, bit for bit,
     # also when those came from a warm start.
     for r0, v0 in ((WARM_R0, values0), (r, values1)):
-        again = my.evaluate(r0.copy(), (r0, v0))
+        again = my.evaluate(r0.copy(), start_at(r0, v0))
         for got, want in zip(again, v0):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # Half the elements moved: the others keep their values.
     mixed = np.where(np.arange(r.shape[1]) % 2 == 0, r, WARM_R0)
-    values = my.evaluate(mixed, (WARM_R0, values0))
+    values = my.evaluate(mixed, start_at(WARM_R0, values0))
     kept = mixed == WARM_R0
     for got, want in zip(values, values0):
         assert np.array_equal(got[kept], want[kept])
