@@ -29,7 +29,6 @@ from .engine import (
     energy_budget,
     simulate,
     simulate_coupled,
-    step_semi_implicit,
     write_metadata,
     write_trajectories,
 )
@@ -68,7 +67,6 @@ from .noise import (
     certify_noise,
     diagonal_noise,
     eigenmode_noise,
-    linear_combination_noise,
 )
 from .reports import CheckResult, EstimateReport, batch_mean_ci
 

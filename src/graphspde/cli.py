@@ -22,13 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, parse_config, preset_names, run_experiment
-
-_PRESET_HELP = {
-    "single": "one absorbing node, unit rate and mass",
-    "path_<n>": "path graph, unit conductances, unit killing on every node",
-    "complete_<n>": "complete graph with conductance 1/n and unit killing",
-}
+from .config import PRESETS, ConfigError, parse_config, run_experiment
 
 
 def _default_out_dir() -> str:
@@ -64,8 +58,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "presets":
-        for name in preset_names():
-            print(f"{name:15s} {_PRESET_HELP[name]}")
+        for name, help_text in PRESETS.items():
+            print(f"{name:15s} {help_text}")
         return 0
 
     try:

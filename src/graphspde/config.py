@@ -64,8 +64,8 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "parse_config",
+    "PRESETS",
     "preset_space",
-    "preset_names",
     "run_experiment",
 ]
 
@@ -74,33 +74,20 @@ EXPERIMENTS = ("svi", "contraction", "eps_convergence", "energy",
 _SIM_EXPERIMENTS = ("svi", "contraction", "eps_convergence", "energy",
                     "regularity")
 
+# Every key a config may set, with the text it defaults to (None: no
+# default).
 _KNOWN_KEYS = {
-    "experiment": {"kind"},
-    "space": {"preset", "nodes", "edges", "killing", "measure", "bernstein"},
-    "potential": {"kind", "theta", "gamma", "knots", "pieces"},
-    "noise": {"kind", "sigma", "clip", "modes", "amplitude"},
-    "run": {"epsilon", "epsilon_list", "horizon", "steps", "paths", "seed",
-            "tag", "x0", "y0", "drift_const", "decay_rate"},
-}
-
-_DEFAULTS = {
-    ("experiment", "kind"): "norms",
-    ("potential", "kind"): "fast_diffusion",
-    ("potential", "theta"): "0.5",
-    ("potential", "gamma"): "2",
-    ("noise", "kind"): "diagonal",
-    ("noise", "sigma"): "0.2",
-    ("noise", "clip"): "1000",
-    ("noise", "modes"): "4",
-    ("noise", "amplitude"): "0.2",
-    ("run", "epsilon"): "0.1",
-    ("run", "horizon"): "1",
-    ("run", "steps"): "64",
-    ("run", "paths"): "100",
-    ("run", "seed"): "0",
-    ("run", "tag"): "default",
-    ("run", "x0"): "constant:1",
-    ("run", "drift_const"): "0.1",
+    "experiment": {"kind": "norms"},
+    "space": {"preset": None, "nodes": None, "edges": None, "killing": None,
+              "measure": None, "bernstein": None},
+    "potential": {"kind": "fast_diffusion", "theta": "0.5", "gamma": "2",
+                  "knots": None, "pieces": None},
+    "noise": {"kind": "diagonal", "sigma": "0.2", "clip": "1000",
+              "modes": "4", "amplitude": "0.2"},
+    "run": {"epsilon": "0.1", "epsilon_list": None, "horizon": "1",
+            "steps": "64", "paths": "100", "seed": "0", "tag": "default",
+            "x0": "constant:1", "y0": None, "drift_const": "0.1",
+            "decay_rate": None},
 }
 
 
@@ -148,8 +135,12 @@ class ExperimentConfig:
 # -- preset spaces -------------------------------------------------------------
 
 
-def preset_names() -> list[str]:
-    return ["single", "path_<n>", "complete_<n>"]
+# Name pattern of each preset space -> one line of help.
+PRESETS = {
+    "single": "one absorbing node, unit rate and mass",
+    "path_<n>": "path graph, unit conductances, unit killing on every node",
+    "complete_<n>": "complete graph with conductance 1/n and unit killing",
+}
 
 
 def preset_space(name: str) -> DirichletSpace:
@@ -309,8 +300,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     provided = frozenset(entries)
     has_custom_space = ("space", "nodes") in entries
-    for (section, key), value in _DEFAULTS.items():
-        entries.setdefault((section, key), value)
+    for section, keys in _KNOWN_KEYS.items():
+        for key, value in keys.items():
+            if value is not None:
+                entries.setdefault((section, key), value)
     if ("space", "preset") not in entries and not has_custom_space:
         entries[("space", "preset")] = "single"
     return _build(entries, provided, problems)

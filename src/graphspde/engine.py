@@ -41,7 +41,6 @@ __all__ = [
     "SimulationConfig",
     "TrajectoryEnsemble",
     "StepSolverError",
-    "step_semi_implicit",
     "simulate",
     "simulate_coupled",
     "energy_budget",
@@ -313,12 +312,17 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
     tol_vec = tol * (1.0 + mu_norm(rhs))
     iterations = np.zeros(paths, dtype=int)
 
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         F = x + dt * system.apply_k(drift) - rhs
         residual = mu_norm(F)
         active = residual > tol_vec
         if not active.any():
             break
+        if it == max_iter:
+            worst = int(np.argmax(residual - tol_vec))
+            raise StepSolverError(
+                f"implicit step did not converge: {row_name(worst)}, "
+                f"residual {residual[worst]:.3e} after {max_iter} iterations")
         iterations[active] += 1
 
         # Minus zero leaves a converged row exactly as it is, zero signs
@@ -349,31 +353,8 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
                                          t_local)
         merit += change
         g += step[:, None] * dual_delta
-    else:
-        F = x + dt * system.apply_k(drift) - rhs
-        residual = mu_norm(F)
-        if np.any(residual > tol_vec):
-            worst = int(np.argmax(residual - tol_vec))
-            raise StepSolverError(
-                f"implicit step did not converge: {row_name(worst)}, "
-                f"residual {residual[worst]:.3e} after {max_iter} iterations")
 
     return x, residual, iterations, _StepStart(x - rhs, g, point)
-
-
-def step_semi_implicit(space: DirichletSpace, smoother: MoreauYosida,
-                       noise: NoiseModel, state: np.ndarray, dt: float,
-                       dw: np.ndarray) -> np.ndarray:
-    """One drift-implicit step from ``state`` with the given increment, at
-    the solver tolerance and Newton limit of ``SimulationConfig``."""
-    if dt <= 0:
-        raise ValueError("step size must be positive")
-    state = np.asarray(state, dtype=float)
-    rhs = state + noise.apply(state, np.asarray(dw, dtype=float))
-    new, *_ = _implicit_step_batch(
-        _NewtonSystem(space, dt), smoother, rhs[None, :],
-        SimulationConfig.solver_tol, SimulationConfig.max_newton)
-    return new[0]
 
 
 def simulate(config: SimulationConfig) -> TrajectoryEnsemble:

@@ -102,7 +102,6 @@ class TestProcess:
     """
 
     ensemble: TrajectoryEnsemble
-    initial: np.ndarray
     drift: np.ndarray | None     # (paths, steps, nodes) or None for zero
     states: np.ndarray           # (paths, steps + 1, nodes)
     mode: str
@@ -150,7 +149,7 @@ def build_test_process(ensemble: TrajectoryEnsemble, initial,
     for k in range(N):
         inc = noise.apply(Z[:, k], ensemble.increments[:, k])
         Z[:, k + 1] = Z[:, k] + (0.0 if G is None else dt * G[:, k]) + inc
-    return TestProcess(ensemble, initial, G, Z, mode)
+    return TestProcess(ensemble, G, Z, mode)
 
 
 # -- experiment helpers -----------------------------------------------------------

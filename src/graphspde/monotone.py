@@ -362,9 +362,13 @@ class MoreauYosida:
         on_knot = idx % 2 == 1
         piece = np.asarray(pot.pieces)[idx // 2]
         s = (r - eps * piece[..., 1]) / (1.0 + 2.0 * eps * piece[..., 0])
+        # At a band edge the formula can round past its piece's knot, where
+        # the subgradient is the neighbouring piece's: clip to the piece.
+        ends = np.concatenate([[-np.inf], pot.knots, [np.inf]])
+        s = np.minimum(np.maximum(s, ends[idx // 2]), ends[idx // 2 + 1])
         # Odd band indices sit on knot idx // 2; the padding keeps the
         # unused even indices (idx // 2 up to the knot count) in range.
-        return np.where(on_knot, np.append(pot.knots, np.nan)[idx // 2], s)
+        return np.where(on_knot, ends[1:][idx // 2], s)
 
     def evaluate(self, r, previous=None) -> MoreauYosidaValues:
         """Resolvent, slope, slope derivative and envelope from one

@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import DirichletSpace
-from .reports import CheckResult
 
 __all__ = [
     "NoiseModel",
     "NoiseCertificate",
     "additive_noise",
     "diagonal_noise",
-    "linear_combination_noise",
     "eigenmode_noise",
     "certify_noise",
     "brownian_increments",
@@ -34,6 +32,8 @@ __all__ = [
 _SHIFT_GRID = (1.0, 0.5, 0.1, 0.01)
 _PAIR_COUNT = 128
 _PAIR_SEED = 0xB0B
+
+_KINDS = ("additive", "diagonal_multiplicative")
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,6 @@ class NoiseModel:
         One mode per node; column ``i`` is ``sigma * clip(u_i)`` times the
         node indicator, where the clip at ``clip_at`` keeps the map globally
         Lipschitz.
-    linear_combination
-        Column ``k`` is ``offset_k + gain_k @ u``, affine in the state.
 
     No kind depends on time, so progressive measurability is structural.
     """
@@ -59,8 +57,10 @@ class NoiseModel:
     sigma: float = 0.0
     clip_at: float = 1e3
     columns: tuple = ()   # additive: (n, m) matrix rows as tuples
-    offsets: tuple = ()   # linear_combination: (n, m)
-    gains: tuple = ()     # linear_combination: (m, n, n)
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown noise kind {self.kind!r}")
 
     def _diagonal(self, u: np.ndarray) -> np.ndarray:
         # Diagonal of a diagonal_multiplicative operator at ``u``.
@@ -72,15 +72,10 @@ class NoiseModel:
         if self.kind == "additive":
             base = np.asarray(self.columns)
             return np.broadcast_to(base, u.shape[:-1] + base.shape).copy()
-        if self.kind == "diagonal_multiplicative":
-            out = np.zeros(u.shape + (u.shape[-1],))
-            idx = np.arange(u.shape[-1])
-            out[..., idx, idx] = self._diagonal(u)
-            return out
-        offsets = np.asarray(self.offsets)
-        gains = np.asarray(self.gains)
-        cols = np.einsum("kij,...j->...ik", gains, u)
-        return offsets + cols
+        out = np.zeros(u.shape + (u.shape[-1],))
+        idx = np.arange(u.shape[-1])
+        out[..., idx, idx] = self._diagonal(u)
+        return out
 
     def apply(self, u: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """Increment ``B(u) dw``; batched over leading axes."""
@@ -88,11 +83,9 @@ class NoiseModel:
         dw = np.asarray(dw, dtype=float)
         if self.kind == "diagonal_multiplicative":
             return self._diagonal(u) * dw
-        if self.kind == "additive":
-            # One vector-matrix product per row keeps each row's roundoff
-            # independent of how many rows are batched.
-            return (dw[..., None, :] @ np.asarray(self.columns).T)[..., 0, :]
-        return np.einsum("...ik,...k->...i", self.matrix(u), dw)
+        # One vector-matrix product per row keeps each row's roundoff
+        # independent of how many rows are batched.
+        return (dw[..., None, :] @ np.asarray(self.columns).T)[..., 0, :]
 
 
 def additive_noise(columns) -> NoiseModel:
@@ -110,20 +103,6 @@ def diagonal_noise(node_count: int, sigma: float, clip_at: float = 1e3) -> Noise
         raise ValueError("clip level must be nonnegative")
     return NoiseModel("diagonal_multiplicative", mode_count=node_count,
                       sigma=float(sigma), clip_at=float(clip_at))
-
-
-def linear_combination_noise(offsets, gains) -> NoiseModel:
-    offsets = np.asarray(offsets, dtype=float)
-    gains = np.asarray(gains, dtype=float)
-    if offsets.ndim != 2:
-        raise ValueError("offsets must form an (n, m) matrix")
-    m = offsets.shape[1]
-    n = offsets.shape[0]
-    if gains.shape != (m, n, n):
-        raise ValueError("gains must form an (m, n, n) stack")
-    return NoiseModel("linear_combination", mode_count=m,
-                      offsets=tuple(map(tuple, offsets.tolist())),
-                      gains=tuple(tuple(map(tuple, g)) for g in gains.tolist()))
 
 
 def eigenmode_noise(space: DirichletSpace, modes: int,
@@ -153,23 +132,11 @@ class NoiseCertificate:
     lipschitz: float
     dual_growth: float
     l2_growth: float
-    shift_grid: tuple
     lipschitz_by_shift: tuple
     dual_growth_by_shift: tuple
     uniform_lipschitz: bool
     uniform_dual_growth: bool
     sample_count: int
-
-    @property
-    def checks(self) -> list[CheckResult]:
-        return [
-            CheckResult("lipschitz_uniform_over_shifts", self.uniform_lipschitz,
-                        0.0 if self.uniform_lipschitz else -1.0,
-                        detail=f"per-shift {self.lipschitz_by_shift}"),
-            CheckResult("growth_uniform_over_shifts", self.uniform_dual_growth,
-                        0.0 if self.uniform_dual_growth else -1.0,
-                        detail=f"per-shift {self.dual_growth_by_shift}"),
-        ]
 
 
 def _spectral_energy(coef: np.ndarray) -> np.ndarray:
@@ -235,7 +202,6 @@ def certify_noise(model: NoiseModel, space: DirichletSpace) -> NoiseCertificate:
         lipschitz=max(lip_by_shift),
         dual_growth=max(growth_by_shift),
         l2_growth=l2,
-        shift_grid=_SHIFT_GRID,
         lipschitz_by_shift=tuple(lip_by_shift),
         dual_growth_by_shift=tuple(growth_by_shift),
         uniform_lipschitz=_uniform_within(lip_by_shift),

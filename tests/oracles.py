@@ -64,7 +64,6 @@ def certify_noise_dense(model, space):
         lipschitz=max(lip),
         dual_growth=max(growth),
         l2_growth=float(np.max(l2_energy / (space.lp_norm(u, 2) ** 2 + 1.0))),
-        shift_grid=_SHIFT_GRID,
         lipschitz_by_shift=tuple(lip),
         dual_growth_by_shift=tuple(growth),
         uniform_lipschitz=_uniform_within(lip),

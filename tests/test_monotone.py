@@ -111,6 +111,41 @@ def test_piecewise_resolvent_against_grid():
         assert my.resolvent(r) == pytest.approx(expected, abs=1.01e-4)
 
 
+def test_piecewise_resolvent_at_band_edges():
+    # At the upper band edge 1.2 of the knot 1 the right piece's formula
+    # rounds to 0.9999999999999999, left of the knot; the answer is the
+    # knot itself.
+    pot = piecewise_quadratic([1.0], [(0.5, 0.0, 0.0), (0.5, 1.0, -1.0)])
+    assert MoreauYosida(pot, 0.1).resolvent(1.2) == 1.0
+    # Random convex two-knot potentials at every band edge, one ulp either
+    # side of it, and random arguments: the resolvent is accepted, is
+    # nondecreasing, and is within roundoff of the knot at its edges.
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        knots = np.sort(rng.uniform(-3.0, 3.0, 2))
+        a = rng.uniform(0.0, 2.0, 3) * (rng.uniform(size=3) < 0.8)
+        jump = rng.uniform(0.0, 2.0, 2)
+        b = np.empty(3)
+        b[0] = rng.uniform(-2.0, 2.0)
+        c = np.empty(3)
+        c[0] = rng.uniform(-1.0, 1.0)
+        for j, k in enumerate(knots):
+            b[j + 1] = 2 * (a[j] - a[j + 1]) * k + b[j] + jump[j]
+            c[j + 1] = (a[j] - a[j + 1]) * k**2 + (b[j] - b[j + 1]) * k + c[j]
+        pot = piecewise_quadratic(knots, np.stack([a, b, c], axis=1))
+        for eps in (0.05, 0.3, 0.9):
+            my = MoreauYosida(pot, eps)
+            edges = my._piecewise_bands
+            near = np.stack([np.nextafter(edges, -np.inf), edges,
+                             np.nextafter(edges, np.inf)], axis=-1)
+            r = np.sort(np.concatenate([near.ravel(),
+                                        rng.uniform(-8.0, 8.0, 40)]))
+            s = my.resolvent(r)
+            assert np.all(np.diff(s) >= 0.0)
+            at_knot = my.resolvent(near) - np.repeat(knots, 2)[:, None]
+            assert np.abs(at_knot).max() <= 1e-12 * (1.0 + np.abs(near).max())
+
+
 def test_prox_oracle_equivalence_refining_grid():
     # Ten thousand random (kind, smoothing, point) cases against the
     # brute-force minimizer on a two-stage refining grid; the oracle never
