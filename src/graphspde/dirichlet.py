@@ -13,7 +13,6 @@ stepper uses to avoid dense linear algebra.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -50,9 +49,8 @@ class BernsteinFunction:
 
     Built-in kinds are ``power`` (``lam**alpha``) and ``shifted_power``
     (``(lam + 1)**alpha - 1``) with ``alpha`` in (0, 1).  A ``custom`` kind
-    wraps an arbitrary evaluator; it is the caller's responsibility that it
-    is a genuine Bernstein function, violations are reported rather than
-    rejected downstream.
+    wraps an arbitrary evaluator; ``subordinate`` refuses one that fails
+    the Bernstein grid checks or gives a space that fails the invariants.
     """
 
     kind: str
@@ -451,13 +449,20 @@ def subordinate(space: DirichletSpace, fn: BernsteinFunction) -> DirichletSpace:
     """Space generated by minus ``fn`` of minus the generator.
 
     The eigenbasis and measure are reused; eigenvalues are mapped through
-    the evaluator exactly.  For the built-in Bernstein kinds the result is
-    again sub-Markovian and that is asserted; for custom evaluators
-    violations are reported as warnings instead.
+    the evaluator exactly.  The result must again be sub-Markovian: a
+    custom evaluator that fails the Bernstein grid checks raises
+    ``ValueError``, and a space that fails ``check_space_invariants``
+    raises ``SpaceError``, as for the built-in kinds.
     """
     f0 = float(fn(0.0))
     if abs(f0) > 1e-12:
         raise ValueError(f"subordinating function must vanish at zero, got {f0}")
+    if not fn.is_builtin:
+        margins = fn.grid_margins(np.linspace(0.0, 1.5 * space.eigenvalues[-1], 257))
+        bad = {k: v for k, v in margins.items() if v < -1e-12}
+        if bad:
+            raise ValueError(f"custom subordinating function fails Bernstein "
+                             f"grid checks: {bad}")
     new_eigs = np.asarray(fn(space.eigenvalues), dtype=float)
     if np.any(new_eigs <= 0):
         raise ValueError("subordinated spectrum must stay strictly positive")
@@ -465,19 +470,7 @@ def subordinate(space: DirichletSpace, fn: BernsteinFunction) -> DirichletSpace:
     witness = _witness_from_spectrum(space.measure, space.basis, new_eigs)
     out = DirichletSpace(space.measure, generator, new_eigs, space.basis,
                          witness, label=f"{space.label}|{fn.kind}")
-    if not fn.is_builtin:
-        margins = fn.grid_margins(np.linspace(0.0, 1.5 * space.eigenvalues[-1], 257))
-        bad = {k: v for k, v in margins.items() if v < -1e-12}
-        if bad:
-            warnings.warn(f"custom subordinating function fails Bernstein "
-                          f"grid checks: {bad}", RuntimeWarning)
-    try:
-        check_space_invariants(out)
-    except SpaceError:
-        if fn.is_builtin:
-            raise
-        warnings.warn("subordinated space violates the sub-Markov sign "
-                      "structure beyond tolerance", RuntimeWarning)
+    check_space_invariants(out)
     return out
 
 

@@ -49,6 +49,12 @@ __all__ = [
 ]
 
 
+# Newton stops once a row's residual is at most _SOLVER_TOL (1 + |rhs|) in
+# the mu-norm, and fails after _MAX_NEWTON passes.
+_SOLVER_TOL = 1e-10
+_MAX_NEWTON = 100
+
+
 class StepSolverError(RuntimeError):
     """Implicit step failed to converge; message carries residual data."""
 
@@ -73,14 +79,12 @@ class SimulationConfig:
     initial: np.ndarray
     seed: int = 0
     coupling_tag: str = "default"
-    solver_tol: float = 1e-10
-    max_newton: int = 100
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.step_count < 1 or self.path_count < 1:
             raise ValueError("need at least one step and one path")
         initial = np.asarray(self.initial, dtype=float)
@@ -257,8 +261,7 @@ class _StepStart(NamedTuple):
 
 
 def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
-                         rhs: np.ndarray, tol: float, max_iter: int,
-                         row_name="path {}".format,
+                         rhs: np.ndarray, row_name="path {}".format,
                          start: _StepStart | None = None):
     """Solve the implicit system for a (paths, nodes) batch of right sides.
 
@@ -268,22 +271,22 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
     slopes the iteration is finite.  Each direction solves
     ``(1/d + dt K) z = -F`` and takes ``delta = z / d`` (see
     ``_NewtonSystem``, which also fixes ``dt``).  The objective
-    ``x.(dual(x)/2 - dual(rhs))`` plus ``dt`` times a local sum is tracked
-    by its changes, free of cancellation: a step ``t`` changes it by
-    ``t delta.g + t^2/2 delta.dual(delta)`` plus the local change, with
-    ``g = dual(x - rhs)``.  So each pass makes one dual-metric solve and
-    each trial one Moreau-Yosida solve, whose values the accepted trial
-    hands to the next pass; each trial's resolvent starts from the values
-    at the current iterate.  Converged rows get no direction and keep their
-    state and values bit for bit while other rows iterate, so every row is
-    independent of the batch; a row that does not converge is named by
-    ``row_name(row)``.
+    ``x.(dual(x)/2 - dual(rhs))`` plus ``dt`` times a local sum is never
+    evaluated, only its changes, free of cancellation: a step ``t``
+    changes it by ``t delta.g + t^2/2 delta.dual(delta)`` plus the local
+    change, with ``g = dual(x - rhs)``.  So each pass makes one dual-metric
+    solve and each trial one Moreau-Yosida solve, whose values the accepted
+    trial hands to the next pass; each trial's resolvent starts from the
+    values at the current iterate.  Converged rows get no direction and
+    keep their state and values bit for bit while other rows iterate, so
+    every row is independent of the batch; a row that does not converge is
+    named by ``row_name(row)``.
 
-    The iteration starts at ``rhs`` with ``g = 0``, or, given the
-    ``_StepStart`` of the step before, at ``rhs + shift`` with that step's
-    ``g``: consecutive steps differ by one noise increment, so the last
-    drift increment predicts the next.  Returns the solution, residuals,
-    iteration counts and the ``_StepStart`` for the next step.
+    The iteration starts at ``rhs + shift`` with the ``g`` of the
+    ``_StepStart`` of the step before: consecutive steps differ by one
+    noise increment, so the last drift increment predicts the next.
+    Without a start, the shift and ``g`` are zero.  Returns the solution,
+    residuals, iteration counts and the ``_StepStart`` for the next step.
     """
     mu, dt, eps = system.mu, system.dt, smoother.eps
     paths = rhs.shape[0]
@@ -292,37 +295,34 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
         return np.sqrt((a**2 * mu).sum(-1))
 
     def newton_terms(x, previous):
-        # The start point that x gives the next resolvent, and the drift,
-        # slope derivative and local merit terms, from one solve.
+        # The start point that x gives the next resolvent (None for a
+        # closed-form one), and the drift, slope derivative and local
+        # objective terms, from one solve.
         my = smoother.evaluate(x, previous)
-        return ((x, my.resolvent, my.slope_derivative), my.slope + eps * x,
-                my.slope_derivative + eps, my.envelope + 0.5 * eps * x**2)
+        point = ((x, my.resolvent, my.slope_derivative)
+                 if smoother.iterative else None)
+        return (point, my.slope + eps * x, my.slope_derivative + eps,
+                my.envelope + 0.5 * eps * x**2)
 
     if start is None:
-        x, g, previous = rhs.copy(), np.zeros_like(rhs), None
-    else:
-        x, g, previous = (rhs + start.shift, start.gradient.copy(),
-                          start.previous)
-    point, drift, slope, local = newton_terms(x, previous)
-    # The merit itself only scales the Armijo slack; at x = rhs + shift its
-    # quadratic part is shift.g/2 - rhs.dual(rhs)/2.
-    merit = dt * (local * mu).sum(-1) - 0.5 * (rhs * system.dual(rhs)).sum(-1)
-    if start is not None:
-        merit += 0.5 * (start.shift * g).sum(-1)
-    tol_vec = tol * (1.0 + mu_norm(rhs))
+        # Adding minus zero leaves rhs bit for bit, zero signs included.
+        start = _StepStart(np.full_like(rhs, -0.0), np.zeros_like(rhs), None)
+    x, g = rhs + start.shift, start.gradient.copy()
+    point, drift, slope, local = newton_terms(x, start.previous)
+    tol_vec = _SOLVER_TOL * (1.0 + mu_norm(rhs))
     iterations = np.zeros(paths, dtype=int)
 
-    for it in range(max_iter + 1):
+    for it in range(_MAX_NEWTON + 1):
         F = x + dt * system.apply_k(drift) - rhs
         residual = mu_norm(F)
         active = residual > tol_vec
         if not active.any():
             break
-        if it == max_iter:
+        if it == _MAX_NEWTON:
             worst = int(np.argmax(residual - tol_vec))
             raise StepSolverError(
                 f"implicit step did not converge: {row_name(worst)}, "
-                f"residual {residual[worst]:.3e} after {max_iter} iterations")
+                f"residual {residual[worst]:.3e} after {it} iterations")
         iterations[active] += 1
 
         # Minus zero leaves a converged row exactly as it is, zero signs
@@ -331,13 +331,15 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
         delta[active] = system.direction(F[active], slope[active])
         dual_delta = system.dual(delta)
         curvature, linear = (delta * dual_delta).sum(-1), (delta * g).sum(-1)
-        # Gradient of the merit is M K^-1 F; along the Newton direction
+        # Gradient of the objective is M K^-1 F; along the Newton direction
         # its slope is minus the quadratic form of the Newton matrix.
         slope_dir = -(curvature + dt * ((slope * delta**2) * mu).sum(-1))
         # Near the solution the predicted decrease sits below the roundoff
-        # of the objective; the slack keeps full Newton steps acceptable
-        # there so the final quadratic phase is never rejected.
-        slack = 1e-14 * (1.0 + np.abs(merit))
+        # of the change, and the slack keeps full Newton steps acceptable
+        # there so the final quadratic phase is never rejected.  The
+        # quadratic terms of the change are O(|delta|); only the local
+        # change carries roundoff of the objective's size.
+        slack = 1e-14 * (1.0 + dt * (np.abs(local) * mu).sum(-1))
         step = np.ones(paths)
         for halvings in range(41):
             trial = x + step[:, None] * delta
@@ -351,7 +353,6 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
             step[bad] *= 0.5
         x, point, drift, slope, local = (trial, t_point, t_drift, t_slope,
                                          t_local)
-        merit += change
         g += step[:, None] * dual_delta
 
     return x, residual, iterations, _StepStart(x - rhs, g, point)
@@ -369,21 +370,19 @@ def simulate_coupled(configs) -> list[TrajectoryEnsemble]:
     The runs share one increment array and one Newton loop, with each
     row's own smoothing parameter; every ensemble equals ``simulate`` of
     its own config bit for bit.  Raises ``ValueError`` unless all runs are
-    coupled and share the space, potential, noise and solver settings.
+    coupled and share the space, potential and noise.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("need at least one run")
     first = configs[0]
-    shared = (first.space, first.potential, first.noise, first.solver_tol,
-              first.max_newton)
+    shared = (first.space, first.potential, first.noise)
     for config in configs[1:]:
         if not _coupled(first, config):
             raise ValueError("the runs are not coupled")
-        if (config.space, config.potential, config.noise, config.solver_tol,
-                config.max_newton) != shared:
-            raise ValueError("coupled runs must share the space, potential, "
-                             "noise and solver settings")
+        if (config.space, config.potential, config.noise) != shared:
+            raise ValueError("coupled runs must share the space, potential "
+                             "and noise")
     space, noise, dt = first.space, first.noise, first.dt
     R, P, N, n = len(configs), first.path_count, first.step_count, space.node_count
     eps = np.repeat([config.eps for config in configs], P)[:, None]
@@ -410,13 +409,9 @@ def simulate_coupled(configs) -> list[TrajectoryEnsemble]:
         rhs = current + noise.apply(current, dW[path_of_row, k])
         try:
             nxt, res, its, start = _implicit_step_batch(
-                system, smoother, rhs, first.solver_tol, first.max_newton,
-                row_name, start)
+                system, smoother, rhs, row_name, start)
         except StepSolverError as err:
             raise StepSolverError(f"step {k} (t = {k * dt:g}): {err}") from err
-        if not smoother.iterative:
-            # Closed-form resolvents take no start point.
-            start = start._replace(previous=None)
         states[:, k + 1] = nxt
         residuals[:, k] = res
         iterations[:, k] = its
@@ -494,7 +489,7 @@ def write_metadata(ensemble: TrajectoryEnsemble, path) -> None:
         ("run.paths", c.path_count),
         ("run.seed", c.seed),
         ("run.tag", c.coupling_tag),
-        ("solver.tolerance", c.solver_tol),
+        ("solver.tolerance", _SOLVER_TOL),
         ("solver.max_residual", float(ensemble.residuals.max())),
         ("solver.mean_newton_iterations",
          float(ensemble.newton_iterations.mean())),

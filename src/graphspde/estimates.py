@@ -222,7 +222,6 @@ def _svi_report(ensemble, test, functional, int_phi_x, constant):
     need = mean_lhs - mean_rhs_free
     usable = mean_int > 1e-14
     fitted = float(np.max(need[usable] / mean_int[usable], initial=0.0))
-    fitted = max(fitted, 0.0)
     if np.any(~usable & (need > 1e-10 * (1.0 + np.abs(mean_lhs)))):
         fitted = np.inf
 

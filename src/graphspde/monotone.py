@@ -267,8 +267,10 @@ class MoreauYosida:
     eps: float | np.ndarray
 
     def __post_init__(self):
-        if np.any(np.asarray(self.eps) <= 0):
-            raise ValueError(f"smoothing parameter must be positive, got {self.eps}")
+        eps = np.asarray(self.eps)
+        if not np.all((0 < eps) & (eps < np.inf)):
+            raise ValueError("smoothing parameter must be positive and "
+                             f"finite, got {self.eps}")
 
     @property
     def iterative(self) -> bool:

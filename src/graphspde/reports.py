@@ -10,6 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -99,31 +100,21 @@ class EstimateReport:
             lines.append(",".join(format_value(x) for x in row))
         return "\n".join(lines) + "\n"
 
-    def write(self, directory, stem: str) -> list:
+    def write(self, directory, stem: str) -> None:
         """Write the text report and, when a series exists, its CSV."""
-        import pathlib
-
-        directory = pathlib.Path(directory)
+        directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        paths = []
-        txt = directory / f"{stem}.txt"
-        txt.write_text(self.to_text())
-        paths.append(txt)
+        (directory / f"{stem}.txt").write_text(self.to_text())
         if self.series:
-            csv = directory / f"{stem}.csv"
-            csv.write_text(self.to_csv())
-            paths.append(csv)
-        return paths
+            (directory / f"{stem}.csv").write_text(self.to_csv())
 
 
-def bundle_report(name: str, checks: list[CheckResult],
-                  constants: dict | None = None) -> EstimateReport:
+def bundle_report(name: str, checks: list[CheckResult]) -> EstimateReport:
     """Collapse named checks into one report with a margin table."""
     return EstimateReport(
         name=name,
         passed=all(c.passed for c in checks),
         worst_margin=min((c.margin for c in checks), default=0.0),
-        constants=dict(constants or {}),
         columns=("check", "passed", "margin", "detail"),
         series=tuple((c.name, c.passed, c.margin, c.detail) for c in checks),
     )

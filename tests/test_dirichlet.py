@@ -2,7 +2,6 @@
 Gamma-transform, dual norms, subordination and operator norms."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -402,11 +401,18 @@ def test_subordinate_alpha_validation():
         BernsteinFunction.shifted_power(0.0)
 
 
-def test_subordinate_custom_warns_when_not_bernstein():
-    space = path_space(4)
-    convexish = BernsteinFunction.custom(lambda lam: lam**2 / (1 + 0 * lam))
-    with pytest.warns(RuntimeWarning):
-        subordinate(space, convexish)
+def test_subordinate_custom_refuses_when_not_bernstein():
+    # A convex evaluator fails the Bernstein grid checks.  A concave one
+    # capped at half the top eigenvalue passes them, but its generator has
+    # a negative off-diagonal entry.  Both are refused, as a built-in kind
+    # would be.
+    space = path_space(6)
+    with pytest.raises(ValueError, match="Bernstein grid checks"):
+        subordinate(space, BernsteinFunction.custom(lambda lam: lam**2))
+    cap = space.eigenvalues[-1] / 2
+    capped = BernsteinFunction.custom(lambda lam: np.sqrt(np.minimum(lam, cap)))
+    with pytest.raises(SpaceError, match="negative off-diagonal"):
+        subordinate(space, capped)
 
 
 def test_bernstein_grid_margins():

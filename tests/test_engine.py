@@ -15,7 +15,10 @@ from graphspde.dirichlet import (
     single_node_space,
     subordinate,
 )
+from graphspde import engine
 from graphspde.engine import (
+    _MAX_NEWTON,
+    _SOLVER_TOL,
     SimulationConfig,
     StepSolverError,
     TrajectoryEnsemble,
@@ -148,8 +151,7 @@ def test_step_single_node_against_double_bisection():
     # is solved directly.
     system = _NewtonSystem(single_node_space(), 1.0)
     smoother = MoreauYosida(fast_diffusion(0.5), 1.0)
-    got, *_ = _implicit_step_batch(system, smoother, np.array([[4.0]]),
-                                   1e-10, 100)
+    got, *_ = _implicit_step_batch(system, smoother, np.array([[4.0]]))
     assert got[0, 0] == pytest.approx(outer(), abs=1e-9)
 
 
@@ -179,6 +181,7 @@ def test_step_evaluates_the_step_taken_after_exhausted_line_search():
     class RejectingSmoother:
         def __init__(self, inner):
             self.inner, self.eps, self.args = inner, inner.eps, []
+            self.iterative = inner.iterative
 
         def evaluate(self, r, previous=None):
             self.args.append(np.array(r))
@@ -195,12 +198,12 @@ def test_step_evaluates_the_step_taken_after_exhausted_line_search():
     rhs = np.zeros((1, 4))
     smoother = RejectingSmoother(inner)
     system = _NewtonSystem(space, 0.05)
-    x, residual, *_ = _implicit_step_batch(system, smoother, rhs, 1e-10, 100)
+    x, residual, *_ = _implicit_step_batch(system, smoother, rhs)
     delta = smoother.args[1]
     assert np.abs(delta).max() > 0
     assert np.array_equal(smoother.args[40], 0.5**39 * delta)
     assert np.array_equal(smoother.args[41], 0.5**40 * delta)
-    expected, *_ = _implicit_step_batch(system, inner, rhs, 1e-10, 100)
+    expected, *_ = _implicit_step_batch(system, inner, rhs)
     assert residual[0] <= 1e-10
     assert np.abs(x - expected).max() <= 1e-9
 
@@ -400,9 +403,9 @@ def test_path_results_independent_of_batch_composition(monkeypatch):
     subordinate(path_space(16), BernsteinFunction.power(0.5)),
 ], ids=["tridiagonal", "dense"])
 def test_one_dual_solve_per_newton_pass(monkeypatch, space):
-    # The merit is tracked by its changes, so each Newton pass solves the
-    # dual metric once (for its direction) and each step once more (for
-    # the right side); the line-search trials solve none.
+    # The objective is tracked by its changes alone, so each Newton pass
+    # solves the dual metric once, for its direction; the steps and the
+    # line-search trials solve none.
     calls = {"dual": 0, "direction": 0}
     dual, direction = _NewtonSystem.dual, _NewtonSystem.direction
 
@@ -424,7 +427,7 @@ def test_one_dual_solve_per_newton_pass(monkeypatch, space):
     # A pass runs while any path of the step still iterates.
     passes = int(ens.newton_iterations.max(axis=0).sum())
     assert calls["direction"] == passes > 2 * cfg.step_count
-    assert calls["dual"] == cfg.step_count + passes
+    assert calls["dual"] == passes
 
 
 @pytest.mark.parametrize("potential", [fast_diffusion(0.3), zhang()],
@@ -434,13 +437,13 @@ def test_one_dual_solve_per_newton_pass(monkeypatch, space):
     subordinate(path_space(16), BernsteinFunction.power(0.5)),
 ], ids=["tridiagonal", "dense"])
 def test_step_starts_from_the_previous_drift_increment(space, potential):
-    # A step hands the next its drift increment x - rhs and the merit
+    # A step hands the next its drift increment x - rhs and the objective
     # gradient dual(x - rhs) that its loop tracked.  Started there, each
     # step solves the same system as from its right side, and over a run
     # of 64 steps in fewer Newton iterations (about 10 to 30 % fewer here;
     # at 16 steps the sandpile takes more from the predictor than from its
     # right side).
-    n, steps, tol = space.node_count, 64, 1e-10
+    n, steps, tol = space.node_count, 64, _SOLVER_TOL
     dt = 1.0 / steps
     system = _NewtonSystem(space, dt)
     smoother = MoreauYosida(potential, 0.05)
@@ -451,9 +454,8 @@ def test_step_starts_from_the_previous_drift_increment(space, potential):
     for k in range(steps):
         rhs = x + noise.apply(x, dW[:, k])
         x, residual, warm_its, start = _implicit_step_batch(
-            system, smoother, rhs, tol, 100, start=start)
-        cold, _, cold_its, _ = _implicit_step_batch(system, smoother, rhs,
-                                                    tol, 100)
+            system, smoother, rhs, start=start)
+        cold, _, cold_its, _ = _implicit_step_batch(system, smoother, rhs)
         assert np.array_equal(start.shift, x - rhs)
         dual_shift = system.dual(start.shift)
         assert np.abs(start.gradient - dual_shift).max() <= (
@@ -475,9 +477,9 @@ def test_simulate_zero_noise_zero_initial():
 def test_simulate_residuals_and_iterations_bounded():
     cfg = base_config(path_count=16)
     ens = simulate(cfg)
-    bound = cfg.solver_tol * (1.0 + np.abs(ens.states).max() * 4)
+    bound = _SOLVER_TOL * (1.0 + np.abs(ens.states).max() * 4)
     assert ens.residuals.max() <= bound
-    assert ens.newton_iterations.max() <= cfg.max_newton
+    assert ens.newton_iterations.max() <= _MAX_NEWTON
 
 
 def test_zero_noise_sandpile_flat_region_is_linear_flow():
@@ -532,7 +534,7 @@ def test_linear_gaussian_scheme_is_the_closed_form_recursion(make_space):
     pytest.param(path_space(4), id="path_4"),
     pytest.param(complete_space(8), id="complete_8"),
 ])
-def test_newton_limit_raises_typed_error_with_context(space):
+def test_newton_limit_raises_typed_error_with_context(monkeypatch, space):
     # The same run with a one-iteration limit fails at the first step that
     # needs a second Newton iteration, and says where.  From the constant
     # 0.5 the first steps stay on one linear piece and take one iteration.
@@ -544,8 +546,9 @@ def test_newton_limit_raises_typed_error_with_context(space):
     its = simulate(cfg).newton_iterations
     k = int(np.argmax(its.max(axis=0) >= 2))
     assert k > 0 and its[:, k].max() >= 2
+    monkeypatch.setattr(engine, "_MAX_NEWTON", 1)
     with pytest.raises(StepSolverError) as info:
-        simulate(replace(cfg, max_newton=1))
+        simulate(cfg)
     match = re.fullmatch(
         r"step (\d+) \(t = (\S+)\): implicit step did not converge: "
         r"path (\d+), residual (\S+) after 1 iterations", str(info.value))
@@ -553,14 +556,14 @@ def test_newton_limit_raises_typed_error_with_context(space):
     assert int(match[1]) == k
     assert float(match[2]) == pytest.approx(k * cfg.dt)
     assert its[int(match[3]), k] >= 2
-    assert float(match[4]) > cfg.solver_tol
+    assert float(match[4]) > _SOLVER_TOL
 
 
 @pytest.mark.parametrize("space", [
     pytest.param(path_space(4), id="path_4"),
     pytest.param(complete_space(8), id="complete_8"),
 ])
-def test_coupled_newton_limit_names_the_failing_level(space):
+def test_coupled_newton_limit_names_the_failing_level(monkeypatch, space):
     # A ladder stepped as one batch under a one-iteration limit fails at the
     # first step where any level needs a second iteration, and names that
     # level's eps and the path within the level, not the batch row.
@@ -574,8 +577,9 @@ def test_coupled_newton_limit_names_the_failing_level(space):
     first = [int(np.argmax(i.max(axis=0) >= 2)) for i in its]
     k = min(first)
     assert k > 0 and len(set(first)) > 1
+    monkeypatch.setattr(engine, "_MAX_NEWTON", 1)
     with pytest.raises(StepSolverError) as info:
-        simulate_coupled([replace(c, max_newton=1) for c in ladder])
+        simulate_coupled(ladder)
     match = re.fullmatch(
         r"step (\d+) \(t = (\S+)\): implicit step did not converge: "
         r"eps (\S+) \(run (\d+)\), path (\d+), residual (\S+) after 1 "
@@ -586,7 +590,7 @@ def test_coupled_newton_limit_names_the_failing_level(space):
     run, path = int(match[4]), int(match[5])
     assert float(match[3]) == ladder[run].eps
     assert path < cfg.path_count and its[run][path, k] >= 2
-    assert float(match[6]) > cfg.solver_tol
+    assert float(match[6]) > _SOLVER_TOL
 
 
 @pytest.mark.parametrize("space", [
@@ -594,7 +598,8 @@ def test_coupled_newton_limit_names_the_failing_level(space):
     pytest.param(subordinate(path_space(16), BernsteinFunction.power(0.5)),
                  id="path_16|power(0.5)"),
 ])
-def test_newton_limit_is_exact_at_the_most_iterations_taken(space):
+def test_newton_limit_is_exact_at_the_most_iterations_taken(monkeypatch,
+                                                            space):
     # With m the most Newton iterations any step of a run takes, the limit
     # m changes nothing and the limit m - 1 fails.
     n = space.node_count
@@ -603,12 +608,14 @@ def test_newton_limit_is_exact_at_the_most_iterations_taken(space):
                       initial=np.linspace(-1.0, 1.5, n))
     ens = simulate(cfg)
     m = int(ens.newton_iterations.max())
-    assert 1 < m < cfg.max_newton
-    limited = simulate(replace(cfg, max_newton=m))
+    assert 1 < m < _MAX_NEWTON
+    monkeypatch.setattr(engine, "_MAX_NEWTON", m)
+    limited = simulate(cfg)
     for name in ("states", "increments", "residuals", "newton_iterations"):
         assert np.array_equal(getattr(limited, name), getattr(ens, name))
+    monkeypatch.setattr(engine, "_MAX_NEWTON", m - 1)
     with pytest.raises(StepSolverError, match=f"after {m - 1} iterations"):
-        simulate(replace(cfg, max_newton=m - 1))
+        simulate(cfg)
 
 
 def test_zero_noise_linear_flow_refines_to_semigroup_first_order():
@@ -667,8 +674,10 @@ def test_simulate_single_node_decay_and_energy_budget():
 def test_config_validation():
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         base_config(eps=1.5)
-    with pytest.raises(ValueError, match="horizon"):
-        base_config(horizon=0.0)
+    for horizon in (0.0, np.nan, np.inf):
+        # Refused at construction, not after simulating every step.
+        with pytest.raises(ValueError, match="horizon"):
+            base_config(horizon=horizon)
     with pytest.raises(ValueError, match="node-indexed"):
         base_config(initial=np.zeros(7))
     with pytest.raises(ValueError, match="finite"):

@@ -1,7 +1,6 @@
 """Tests for the integrated functional, mollification, test processes and
 the estimate experiments."""
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +36,6 @@ from graphspde.estimates import (
     regularity_uniformity,
 )
 from graphspde.monotone import (
-    MoreauYosida,
     fast_diffusion,
     piecewise_quadratic,
     zhang,
@@ -421,10 +419,9 @@ def test_pairwise_gap_vanishes_at_equal_levels():
     {"coupling_tag": "other"}, {"seed": 12}, {"path_count": 3},
     {"step_count": 8}, {"horizon": 0.25},
     {"space": path_space(3)}, {"potential": fast_diffusion(0.5)},
-    {"noise": diagonal_noise(3, 0.3)}, {"solver_tol": 1e-9},
-    {"max_newton": 50},
+    {"noise": diagonal_noise(3, 0.3)},
 ], ids=["tag", "seed", "paths", "steps", "horizon", "space", "potential",
-        "noise", "solver_tol", "max_newton"])
+        "noise"])
 def test_ladder_and_pair_estimators_refuse_uncoupled_runs(change):
     # The first five break the coupling of the increments: the estimators
     # and simulate_coupled refuse them.  The others keep the increments
@@ -433,8 +430,7 @@ def test_ladder_and_pair_estimators_refuse_uncoupled_runs(change):
     space = path_space(3)
     cfg = make_config(space, zhang(), paths=2)
     other = replace(cfg, eps=0.05, **change)
-    batch_only = set(change) & {"space", "potential", "noise",
-                                    "solver_tol", "max_newton"}
+    batch_only = set(change) & {"space", "potential", "noise"}
     with pytest.raises(ValueError, match=("must share" if batch_only
                                           else "not coupled")):
         simulate_coupled([cfg, other])

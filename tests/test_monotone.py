@@ -196,8 +196,11 @@ def test_resolvent_requires_convexity():
 
 
 def test_smoothing_parameter_validation():
-    with pytest.raises(ValueError, match="positive"):
-        MoreauYosida(zhang(), 0.0)
+    # A NaN level would give NaN resolvents that pass the residual check,
+    # since a NaN gap compares false.
+    for eps in (0.0, np.nan, np.inf, [[0.1], [np.nan]]):
+        with pytest.raises(ValueError, match="positive"):
+            MoreauYosida(zhang(), eps)
     MoreauYosida(zhang(), 1.0)  # values above one are legitimate here
 
 
