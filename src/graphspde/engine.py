@@ -22,15 +22,23 @@ previous point.  Paths evolve independently and are solved as one batch.
 Coupled runs (a smoothing ladder, a pair of initial states) share their
 increments, so ``simulate_coupled`` steps all their paths as one batch
 too, with one smoothing parameter per row.
+
+The tridiagonal routines come from scipy's compiled LAPACK wrapper,
+``scipy.linalg._flapack``, loaded without the ``scipy.linalg`` package,
+whose import costs more than a small run.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .dirichlet import DirichletSpace
 from .monotone import ConvexPotential, MoreauYosida
@@ -53,6 +61,28 @@ __all__ = [
 # the mu-norm, and fails after _MAX_NEWTON passes.
 _SOLVER_TOL = 1e-10
 _MAX_NEWTON = 100
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack(directory: Path):
+    """scipy's LAPACK wrapper module from ``directory``, without importing
+    its parent package.  It is registered under its own name, so a later
+    ``import scipy.linalg`` reuses this module object, and a registered one
+    is reused here."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    spec = PathFinder.find_spec(_FLAPACK, [str(directory)])
+    if spec is None:
+        raise ImportError(f"cannot find {_FLAPACK} in {directory}",
+                          name=_FLAPACK)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+lapack = _load_flapack(Path(scipy.__file__).parent / "linalg")
 
 
 class StepSolverError(RuntimeError):

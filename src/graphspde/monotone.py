@@ -180,7 +180,15 @@ def _power_resolvent(p: float, eps: float, r: np.ndarray) -> np.ndarray:
         x = 0.5 * (-eps + np.sqrt(eps * eps + 4.0 * a))
         s = x * x
     elif p == 2.0:
-        s = np.where(a > 0, 2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * eps * a)), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            two_a, four_eps_a = 2.0 * a, 4.0 * eps * a
+            s = np.where(a > 0, two_a / (1.0 + np.sqrt(1.0 + four_eps_a)), 0.0)
+        over = (two_a == np.inf) | (four_eps_a == np.inf)
+        if over.any():
+            # Near the top of the float range, the same root as
+            # a / (1/2 + sqrt(eps) sqrt(a + 1 / (4 eps))).
+            s = np.where(over, a / (0.5 + np.sqrt(eps)
+                                    * np.sqrt(a + 0.25 / eps)), s)
     else:
         s = _power_newton(p, eps, a)
     return np.sign(r) * s
@@ -215,10 +223,18 @@ def _power_newton(p: float, eps, a: np.ndarray, start=None) -> np.ndarray:
                 g = xs**q + ev * xs - av
                 step = g / (q * xs ** (q - 1.0) + ev)
             else:
-                # No step where the derivative is infinite.
                 g = xs + ev * xs**p - av
                 dg = 1.0 + ev * p * xs ** (p - 1.0)
-                step = np.where(np.isfinite(dg), g / dg, 0.0)
+                over = (g == np.inf) | (dg == np.inf)
+                if over.any():
+                    # Near the top of the float range s^p, eps s^p or the
+                    # sum can overflow where the residual does not: take
+                    # four times a quarter of it and of its derivative.
+                    x4 = xs[over]
+                    t4 = _quarter_power(ev[over], x4, p)
+                    g[over] = 4.0 * ((x4 - av[over]) / 4.0 + t4)
+                    dg[over] = 4.0 * (0.25 + p * t4 / x4)
+                step = g / dg
             # An overflowing residual would step to -inf; halve instead.
             if np.fmax.reduce(g, initial=0.0) == np.inf:
                 step = np.where(g == np.inf, 0.5 * xs, step)
@@ -234,6 +250,13 @@ def _power_newton(p: float, eps, a: np.ndarray, start=None) -> np.ndarray:
         else:
             x[live] = xs
     return (x**q if p < 1.0 else x).reshape(a.shape)
+
+
+def _quarter_power(eps, s: np.ndarray, p: float) -> np.ndarray:
+    # (eps / 4) s^p for s >= 0, as ((eps / 4)^(1/p) s)^p: finite wherever a
+    # quarter of the residual s + eps s^p - a is, for a up to the largest
+    # float, although s^p, eps s^p or s + eps s^p may overflow.
+    return ((eps / 4.0) ** (1.0 / p) * s) ** p
 
 
 def _zhang_resolvent(eps: float, r: np.ndarray) -> np.ndarray:
@@ -325,9 +348,24 @@ class MoreauYosida:
 
     def _check_residual(self, r, s):
         # Distance of r - s from eps * subdiff(s), one point for power kinds.
-        if self.potential.kind in ("fast_diffusion", "porous_medium"):
-            lo = np.sign(s) * np.abs(s) ** self.potential.exponent
+        pot = self.potential
+        if pot.kind == "fast_diffusion":
+            lo = np.sign(s) * np.abs(s) ** pot.exponent
             gap = np.abs(self.eps * lo - (r - s))
+        elif pot.kind == "porous_medium":
+            # Near the top of the float range |s|^p can overflow where the
+            # gap does not: take four times a quarter of it there, as in
+            # _power_newton.
+            p = pot.exponent
+            with np.errstate(over="ignore"):
+                lo = np.sign(s) * np.abs(s) ** p
+                gap = np.abs(self.eps * lo - (r - s))
+                over = gap == np.inf
+                if over.any():
+                    quarter = np.sign(s) * _quarter_power(self.eps,
+                                                          np.abs(s), p)
+                    gap = np.where(over, 4.0 * np.abs(quarter - (r - s) / 4.0),
+                                   gap)
         else:
             lo, hi = self.potential.subdiff(s)
             gap = np.maximum(self.eps * lo - (r - s), (r - s) - self.eps * hi)

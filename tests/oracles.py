@@ -75,15 +75,20 @@ def certify_noise_dense(model, space):
 def power_root_bisection(p: float, eps: float, a: np.ndarray) -> np.ndarray:
     """Root of ``s + eps s**p = a`` for ``a >= 0``: the largest double ``s``
     in ``[0, a]`` with ``s + eps s**p <= a``, by bisection on the bit
-    patterns of nonnegative doubles, which are ordered like their values."""
+    patterns of nonnegative doubles, which are ordered like their values.
+    Where ``s**p`` overflows, ``eps s**p`` is compared with ``a - s`` in
+    logarithms."""
     a = np.asarray(a, dtype=float)
     lo = np.zeros(a.shape, dtype=np.int64)
     hi = a.view(np.int64).copy()
     for _ in range(64):
         mid = lo + (hi - lo) // 2
         s = mid.view(np.float64)
-        with np.errstate(over="ignore"):
-            above = s + eps * s**p > a
+        with np.errstate(over="ignore", divide="ignore"):
+            power = s**p
+            above = np.where(power == np.inf,
+                             np.log(eps) + p * np.log(s) > np.log(a - s),
+                             s + eps * power > a)
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     return lo.view(np.float64)

@@ -1,7 +1,9 @@
 """Tests for the semi-implicit stepper, path simulation, noise
 certification, the reproducible increment source and trajectory artifacts."""
 
+import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -616,6 +618,26 @@ def test_newton_limit_is_exact_at_the_most_iterations_taken(monkeypatch,
     monkeypatch.setattr(engine, "_MAX_NEWTON", m - 1)
     with pytest.raises(StepSolverError, match=f"after {m - 1} iterations"):
         simulate(cfg)
+
+
+def test_lapack_failure_is_a_typed_error_naming_routine_and_info():
+    # A generator with a positive diagonal makes M K negative definite, so
+    # the LDL^T factorization of the dual metric stops at its first pivot.
+    space = SimpleNamespace(is_tridiagonal=True, measure=np.ones(3),
+                            generator=np.eye(3))
+    with pytest.raises(StepSolverError,
+                       match=r"^LAPACK dpttrf failed with info = 1 "):
+        _NewtonSystem(space, 0.1)
+
+
+def test_lapack_wrapper_loader_names_what_it_missed(monkeypatch, tmp_path):
+    wrapper = engine.lapack
+    assert engine._load_flapack(tmp_path) is wrapper
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError) as info:
+        engine._load_flapack(tmp_path)
+    assert info.value.name == "scipy.linalg._flapack"
+    assert str(info.value) == f"cannot find scipy.linalg._flapack in {tmp_path}"
 
 
 def test_zero_noise_linear_flow_refines_to_semigroup_first_order():

@@ -497,15 +497,37 @@ def test_power_newton_halves_an_overflowing_residual():
     # From a, eps a^1.2 would overflow for a above about 1e258; the start
     # min(a, (a/eps)^(1/p)) keeps the residual finite there.  Near the top
     # of the float range s^p overflows at that start although eps s^p is
-    # about a; the iterate is then halved until the residual is finite.
+    # about a; the residual is then taken as four times its quarter.  For
+    # p < 1 the sum s + eps s^p overflows at the start min(a/eps, a^p) in y
+    # where its terms are alike; the iterate is then halved until the
+    # residual is finite.
     for p, eps, a in ((1.2, 0.05, np.logspace(259, 266, 8)),
-                      (1.001, 0.5, np.linspace(1e308, 1.7e308, 8))):
+                      (1.001, 0.5, np.linspace(1e308, 1.7e308, 8)),
+                      (0.7, 1e92, np.linspace(1.4e308, 1.7e308, 8))):
         with np.errstate(over="ignore"):
-            start = np.minimum(a, a ** (1.0 / p) * eps ** (-1.0 / p))
-            assert np.all(np.isinf(start**p) == (p == 1.001))
+            if p < 1.0:
+                start = np.minimum(a / eps, a**p)
+                assert np.all(np.isinf(start ** (1.0 / p) + eps * start))
+            else:
+                start = np.minimum(a, a ** (1.0 / p) * eps ** (-1.0 / p))
+                assert np.all(np.isinf(start**p) == (p == 1.001))
         s = _power_newton(p, eps, a)
         assert np.all(np.abs(s - power_root_bisection(p, eps, a)) <= 1e-12 * s)
     assert _power_newton(1.2, 0.05, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0, 2.5, 5.0])
+def test_porous_medium_resolvent_where_the_power_overflows(p):
+    # From |r| = 1e300 to the largest float, s^p (and at small eps also
+    # eps s^p at the Newton start, or s + eps s^p) overflows although the
+    # root and eps s^p are finite; so do 2|r| and 4 eps |r| in the p = 2
+    # closed form.
+    a = np.append(np.logspace(300, 308, 33), [1.7e308, np.finfo(float).max])
+    r = np.concatenate([a, -a])
+    for eps in (1e-8, 0.05, 3.0):
+        s = MoreauYosida(porous_medium(p), eps).resolvent(r)
+        root = np.tile(power_root_bisection(p, eps, a), 2)
+        assert np.all(np.abs(s - np.sign(r) * root) <= 1e-12 * root)
 
 
 def test_power_newton_porous_medium_at_large_arguments():

@@ -1,5 +1,8 @@
-"""Start-up footprint: a run imports numpy and scipy.linalg, and no other
-scipy subpackage unless the experiment needs it."""
+"""Start-up footprint: a run imports numpy and scipy's compiled LAPACK
+wrapper ``scipy.linalg._flapack`` without the ``scipy.linalg`` package (and
+so without the ``numpy.f2py`` and ``numpy.testing`` that package pulls in),
+and no other scipy subpackage unless the experiment needs it.  Importing
+``scipy.linalg`` before or after graphspde leaves one wrapper module."""
 
 import os
 import subprocess
@@ -19,10 +22,8 @@ import graphspde.config
 from graphspde.config import parse_config, run_experiment
 cfg = parse_config({config!r})
 status = run_experiment(cfg, {out!r})
-loaded = sorted({{m.split(".")[1] for m in sys.modules
-                  if m.startswith("scipy.")}})
 print(status)
-print(" ".join(loaded))
+print(" ".join(sorted(sys.modules)))
 """
 
 ENERGY = """
@@ -40,24 +41,43 @@ run.paths = 6
 NORMS = "experiment.kind = norms\nspace.preset = path_4\n"
 
 
-def run_fresh(config: str, out: Path) -> tuple[int, set[str]]:
-    script = SCRIPT.format(config=config, out=str(out))
+def python(script: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120, check=True)
-    status, loaded = proc.stdout.splitlines()[-2:]
-    return int(status), set(loaded.split())
+    return proc.stdout
+
+
+def run_fresh(config: str, out: Path) -> tuple[int, set[str]]:
+    status, modules = python(SCRIPT.format(config=config, out=str(out))
+                             ).splitlines()[-2:]
+    return int(status), set(modules.split())
+
+
+def scipy_subpackages(modules: set[str]) -> set[str]:
+    return {m.split(".")[1] for m in modules if m.startswith("scipy.")}
 
 
 def test_simulation_run_imports_no_unused_scipy_subpackage(tmp_path):
-    status, loaded = run_fresh(ENERGY, tmp_path)
+    status, modules = run_fresh(ENERGY, tmp_path)
     assert status == 0
-    assert "linalg" in loaded
-    assert not loaded & set(NOT_NEEDED)
+    assert "scipy.linalg._flapack" in modules
+    assert not modules & {"scipy.linalg", "numpy.f2py", "numpy.testing"}
+    assert not scipy_subpackages(modules) & set(NOT_NEEDED)
 
 
 def test_quadrature_oracle_imports_scipy_special_on_first_use(tmp_path):
     # The norms experiment calls gamma_transform_quadrature.
-    status, loaded = run_fresh(NORMS, tmp_path)
+    status, modules = run_fresh(NORMS, tmp_path)
     assert status == 0
-    assert "special" in loaded
+    assert "special" in scipy_subpackages(modules)
+
+
+def test_one_lapack_wrapper_in_either_import_order():
+    for first, second in (("graphspde", "scipy.linalg"),
+                          ("scipy.linalg", "graphspde")):
+        out = python(f"import {first}\nimport {second}\n"
+                     "import scipy.linalg.lapack, graphspde.engine\n"
+                     "print(scipy.linalg.lapack.dgtsv"
+                     " is graphspde.engine.lapack.dgtsv)\n")
+        assert out.split() == ["True"], (first, second)
