@@ -62,7 +62,7 @@ for row in report.series:
     print("  pair", row[0], "gap", row[1])
 
 banner("regularity budget uniformity")
-print(regularity_uniformity([regularity_budget(ens, functional)
+print(regularity_uniformity([regularity_budget(ens)
                              for ens in ladder[:3]]).to_text())
 
 banner("variational inequality against three test processes")
@@ -70,7 +70,7 @@ for tag, drift, start in (("no drift", None, np.zeros(16)),
                           ("constant drift", np.full(16, 0.1), np.zeros(16)),
                           ("replayed drift", ensemble, config.initial)):
     proc = build_test_process(ensemble, start, drift=drift)
-    (rep,) = check_svi(ensemble, [proc], functional)
+    (rep,) = check_svi(ensemble, [proc])
     print(f"{tag:15s}: passed = {rep.passed}, fitted constant = "
           f"{rep.constants['fitted_constant']:.4g}")
 

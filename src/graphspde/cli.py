@@ -1,7 +1,7 @@
 """Command line front end: run experiments, validate configs, list presets.
 
 Usage:
-    graphspde run <config-file> [--seed S] [--paths P] [--out-dir D] [--threads N]
+    graphspde run <config-file> [--seed S] [--paths P] [--out-dir D]
     graphspde validate <config-file>
     graphspde presets
 
@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out-dir", default=_default_out_dir(),
                      help="artifact directory (default: GRAPHSPDE_OUT_DIR "
                           "or ./graphspde_out)")
-    run.add_argument("--threads", type=int, default=1,
-                     help="worker hint; results never depend on it")
 
     val = sub.add_parser("validate", help="parse a config and report all "
                                           "violations")
@@ -86,7 +84,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        status = run_experiment(cfg, args.out_dir, threads=args.threads)
+        status = run_experiment(cfg, args.out_dir)
     except Exception as err:
         # A crash is not a failed check: it gets its own status.
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)

@@ -38,7 +38,6 @@ from .engine import (
     write_trajectories,
 )
 from .estimates import (
-    EnergyFunctional,
     build_test_process,
     check_svi,
     contraction_experiment,
@@ -319,8 +318,9 @@ def _build(entries: dict, provided: frozenset,
     only when the space builds.  A simulation experiment also needs the
     potential's Moreau-Yosida resolvent at every smoothing level, which is
     where the convexity rule lives.  Kept here are the rules no builder
-    owns: the experiment kind, the run block and the noise block that
-    ``svi`` and ``contraction`` require.
+    owns: the experiment kind, the run block, the noise block that ``svi``
+    and ``contraction`` require and the linear minimal-section bound of the
+    potential that ``eps_convergence`` requires.
     """
 
     def attempt(section: str, build, *args):
@@ -375,6 +375,11 @@ def _build(entries: dict, provided: frozenset,
                             "least two strictly decreasing levels")
 
     potential = attempt("potential", _build_potential, entries)
+    if (potential is not None and exp == "eps_convergence"
+            and potential.slope_bound is None):
+        problems.append("potential: eps_convergence needs a linear "
+                        f"minimal-section bound, which {potential.kind} "
+                        "does not have")
     if potential is not None and exp in _SIM_EXPERIMENTS and eps_values:
         attempt("potential", lambda: [
             MoreauYosida(potential, eps).resolvent(0.0)
@@ -463,10 +468,11 @@ def _norms_checks(space: DirichletSpace, seed: int) -> list[CheckResult]:
 def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
     """Execute the experiment of a parsed config and write artifacts.
 
-    Returns 0 exactly when every report passes.  ``threads`` is accepted
-    for interface compatibility; path evaluation is already vectorized and
-    results never depend on it.  The first report written creates
-    ``out_dir``, so a run that fails before it leaves no directory behind.
+    Returns 0 exactly when every report passes.  The first report written
+    creates ``out_dir``, so a run that fails before it leaves no directory
+    behind.  ``threads`` selects nothing: path evaluation is vectorized and
+    results never depend on it.  It is accepted only because the benchmark
+    worker (``bench/worker.py``) passes it.
     """
     del threads
     out = Path(out_dir)
@@ -509,11 +515,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
             rep.write(out, "report_contraction")
             reports.append(rep)
         elif exp in ("energy", "regularity"):
-            functional = EnergyFunctional(base.space, base.potential)
             budgets = []
             for eps, ens in zip(cfg.eps_values, ensembles):
                 rep = (energy_budget(ens) if exp == "energy"
-                       else regularity_budget(ens, functional))
+                       else regularity_budget(ens))
                 rep.write(out, f"report_{exp}_eps{_eps_tag(eps)}")
                 budgets.append(rep)
                 _dump_run(ens, out, f"trajectories_eps{_eps_tag(eps)}")
@@ -525,7 +530,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
                 rep.write(out, f"report_{exp}_uniformity")
                 reports.append(rep)
         else:  # svi
-            functional = EnergyFunctional(base.space, base.potential)
             n = base.space.node_count
             for eps, ens in zip(cfg.eps_values, ensembles):
                 procs = {
@@ -535,7 +539,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
                     "replayed": build_test_process(ens, base.initial,
                                                    drift=ens),
                 }
-                reps = check_svi(ens, procs.values(), functional)
+                reps = check_svi(ens, procs.values())
                 for tag, rep in zip(procs, reps):
                     rep.write(out, f"report_svi_{tag}_eps{_eps_tag(eps)}")
                     reports.append(rep)

@@ -410,38 +410,37 @@ def build_graph_space(edge_weights, killing_rates, measure,
     return space
 
 
-def single_node_space(killing: float = 1.0, measure: float = 1.0) -> DirichletSpace:
-    """One absorbing node; the generator is minus ``killing / measure``."""
-    return build_graph_space(np.zeros((1, 1)), [killing], [measure],
+def single_node_space(killing: float = 1.0) -> DirichletSpace:
+    """One absorbing node of unit mass; the generator is minus ``killing``."""
+    return build_graph_space(np.zeros((1, 1)), [killing], [1.0],
                              label="single")
 
 
-def path_space(n: int, weight: float = 1.0, killing: float = 1.0,
-               measure: float = 1.0) -> DirichletSpace:
-    """Path graph with unit-type data and uniform killing on every node.
+def path_space(n: int) -> DirichletSpace:
+    """Path graph with unit conductances, unit measure and unit killing on
+    every node.
 
-    Uniform killing keeps the bottom of the spectrum at ``killing/measure``
-    or above, which makes the vanishing-shift limits of the dual norms
-    resolvable at tight tolerances.
+    Uniform killing keeps the bottom of the spectrum at one or above, which
+    makes the vanishing-shift limits of the dual norms resolvable at tight
+    tolerances.
     """
     if n < 1:
         raise SpaceError("path needs at least one node")
     W = np.zeros((n, n))
     idx = np.arange(n - 1)
-    W[idx, idx + 1] = weight
-    W[idx + 1, idx] = weight
-    return build_graph_space(W, np.full(n, killing), np.full(n, measure),
-                             label=f"path_{n}")
+    W[idx, idx + 1] = 1.0
+    W[idx + 1, idx] = 1.0
+    return build_graph_space(W, np.ones(n), np.ones(n), label=f"path_{n}")
 
 
-def complete_space(n: int, killing: float = 1.0,
-                   measure: float = 1.0) -> DirichletSpace:
-    """Complete graph with conductance 1/n per edge and uniform killing."""
+def complete_space(n: int) -> DirichletSpace:
+    """Complete graph with conductance 1/n per edge, unit measure and unit
+    killing on every node."""
     if n < 1:
         raise SpaceError("complete graph needs at least one node")
     W = np.full((n, n), 1.0 / n)
     np.fill_diagonal(W, 0.0)
-    return build_graph_space(W, np.full(n, killing), np.full(n, measure),
+    return build_graph_space(W, np.ones(n), np.ones(n),
                              label=f"complete_{n}")
 
 

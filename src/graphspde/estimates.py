@@ -171,31 +171,31 @@ def _cum_trapz(f: np.ndarray, dt: float) -> np.ndarray:
 # -- the variational inequality -----------------------------------------------------
 
 
-def check_svi(ensemble: TrajectoryEnsemble, tests,
-              functional: EnergyFunctional,
-              constant: float | None = None) -> list[EstimateReport]:
+def check_svi(ensemble: TrajectoryEnsemble, tests) -> list[EstimateReport]:
     """Check the variational inequality of the run against each of the
     test processes ``tests``, one report each.
 
-    Both sides are evaluated at every grid time with trapezoid quadrature
-    for the time integrals and the transient dual norm for distances; the
-    run's own integral is computed once for all test processes.  Each
-    report carries the smallest constant that closes the inequality at all
-    checkpoints; the verdict uses the supplied constant when given, that
-    fitted constant otherwise, with CI slack.
+    The functional is the integral of the run's own potential against its
+    space's measure.  Both sides are evaluated at every grid time with
+    trapezoid quadrature for the time integrals and the transient dual norm
+    for distances; the run's own integral is computed once for all test
+    processes.  Each report carries the smallest constant that closes the
+    inequality at all checkpoints, and the verdict uses that fitted
+    constant with CI slack.
     """
     tests = list(tests)
     for test in tests:
         if test.ensemble is not ensemble and not _coupled(
                 test.ensemble.config, ensemble.config):
             raise ValueError("test process is not coupled to the ensemble")
-    int_phi_x = _cum_trapz(functional.value(ensemble.states),
-                           ensemble.config.dt)
-    return [_svi_report(ensemble, test, functional, int_phi_x, constant)
+    cfg = ensemble.config
+    functional = EnergyFunctional(cfg.space, cfg.potential)
+    int_phi_x = _cum_trapz(functional.value(ensemble.states), cfg.dt)
+    return [_svi_report(ensemble, test, functional, int_phi_x)
             for test in tests]
 
 
-def _svi_report(ensemble, test, functional, int_phi_x, constant):
+def _svi_report(ensemble, test, functional, int_phi_x):
     cfg = ensemble.config
     space = cfg.space
     dt = cfg.dt
@@ -225,23 +225,23 @@ def _svi_report(ensemble, test, functional, int_phi_x, constant):
     if np.any(~usable & (need > 1e-10 * (1.0 + np.abs(mean_lhs)))):
         fitted = np.inf
 
-    c_use = fitted if constant is None else float(constant)
-    margin_samples = rhs_free + c_use * int_dsq - lhs
+    margin_samples = rhs_free + fitted * int_dsq - lhs
     margin, ci = batch_mean_ci(margin_samples)
     adjusted = margin + ci + 1e-10 * (1.0 + np.abs(mean_lhs))
-    passed = bool(np.isfinite(c_use) and np.all(adjusted >= 0.0))
+    passed = bool(np.isfinite(fitted) and np.all(adjusted >= 0.0))
 
     times = ensemble.times
     series = tuple(
         (float(times[k]), float(mean_lhs[k]),
-         float(mean_rhs_free[k] + c_use * mean_int[k]),
+         float(mean_rhs_free[k] + fitted * mean_int[k]),
          float(margin[k]), float(ci[k]))
         for k in range(times.size))
     return EstimateReport(
         name="svi_inequality",
         passed=passed,
         worst_margin=float(np.min(adjusted)),
-        constants={"fitted_constant": fitted, "used_constant": c_use,
+        # The report keeps the verdict's constant under its own key.
+        constants={"fitted_constant": fitted, "used_constant": fitted,
                    "eps": cfg.eps},
         columns=("time", "lhs", "rhs", "margin", "ci"),
         series=series,
@@ -379,12 +379,12 @@ def epsilon_convergence(ensembles,
 # -- regularity budget ---------------------------------------------------------------
 
 
-def regularity_budget(ensemble: TrajectoryEnsemble,
-                      functional: EnergyFunctional) -> EstimateReport:
-    """Time integral of the smoothed functional along the run and the
-    constant it implies against one plus the squared dual norm of the
-    initial state."""
+def regularity_budget(ensemble: TrajectoryEnsemble) -> EstimateReport:
+    """Time integral of the smoothed functional of the run's own potential
+    and space along the run, and the constant it implies against one plus
+    the squared dual norm of the initial state."""
     cfg = ensemble.config
+    functional = EnergyFunctional(cfg.space, cfg.potential)
     vals = functional.smoothed(cfg.eps, ensemble.states)     # (P, K+1)
     integral = np.trapezoid(vals, ensemble.times, axis=1)
     denom = float(cfg.space.dual_norm(cfg.initial) ** 2) + 1.0

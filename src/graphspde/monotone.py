@@ -12,7 +12,7 @@ equals the separate methods bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -177,8 +177,18 @@ def _power_resolvent(p: float, eps: float, r: np.ndarray) -> np.ndarray:
     """Solve s + eps * sign(s) |s|**p = r, vectorized and odd in r."""
     a = np.abs(r)
     if p == 0.5:
-        x = 0.5 * (-eps + np.sqrt(eps * eps + 4.0 * a))
-        s = x * x
+        with np.errstate(over="ignore"):
+            x = 0.5 * (-eps + np.sqrt(eps * eps + 4.0 * a))
+            s = x * x
+            if np.fmax.reduce(s, axis=None, initial=0.0) == np.inf:
+                over = s == np.inf
+                # Where eps^2, 4a or x^2 overflows: the same root x = sqrt(s)
+                # as a / (eps/2 + hypot(eps/2, sqrt(a))), and s = a - eps x
+                # where x^2 still rounds above the largest float.
+                x = np.where(over, a / (0.5 * eps + np.hypot(0.5 * eps,
+                                                              np.sqrt(a))), x)
+                s = np.where(over, x * x, s)
+                s = np.where(s == np.inf, a - eps * x, s)
     elif p == 2.0:
         with np.errstate(over="ignore", invalid="ignore"):
             two_a, four_eps_a = 2.0 * a, 4.0 * eps * a
@@ -235,8 +245,17 @@ def _power_newton(p: float, eps, a: np.ndarray, start=None) -> np.ndarray:
                     g[over] = 4.0 * ((x4 - av[over]) / 4.0 + t4)
                     dg[over] = 4.0 * (0.25 + p * t4 / x4)
                 step = g / dg
-            # An overflowing residual would step to -inf; halve instead.
             if np.fmax.reduce(g, initial=0.0) == np.inf:
+                if p < 1.0:
+                    # y^q, eps y or the sum can overflow where the residual
+                    # does not: take four times a quarter of it and of its
+                    # derivative, with y^q / 4 = (4^-p y)^q.
+                    over = g == np.inf
+                    x4, e4, a4 = xs[over], ev[over], av[over]
+                    t4 = _quarter_power(1.0, x4, q)
+                    g[over] = 4.0 * (t4 + 0.25 * e4 * x4 - 0.25 * a4)
+                    step[over] = g[over] / (4.0 * (q * t4 / x4 + 0.25 * e4))
+                # An overflowing residual would step to -inf; halve instead.
                 step = np.where(g == np.inf, 0.5 * xs, step)
             keep = ~(np.abs(g) <= tol)
             if not keep.all():
@@ -249,13 +268,25 @@ def _power_newton(p: float, eps, a: np.ndarray, start=None) -> np.ndarray:
             xs = xs - step
         else:
             x[live] = xs
-    return (x**q if p < 1.0 else x).reshape(a.shape)
+        if p < 1.0:
+            s = x**q
+            if np.fmax.reduce(s, initial=0.0) == np.inf:
+                # y rounded up can put y^q above the largest float although
+                # the root s = a - eps y lies below it.
+                over = s == np.inf
+                s[over] = a.reshape(-1)[over] - eps.reshape(-1)[over] * x[over]
+            x = s
+    return x.reshape(a.shape)
 
 
 def _quarter_power(eps, s: np.ndarray, p: float) -> np.ndarray:
-    # (eps / 4) s^p for s >= 0, as ((eps / 4)^(1/p) s)^p: finite wherever a
-    # quarter of the residual s + eps s^p - a is, for a up to the largest
-    # float, although s^p, eps s^p or s + eps s^p may overflow.
+    # (eps / 4) s^p for s >= 0: finite wherever a quarter of the residual
+    # s + eps s^p - a is, for a up to the largest float, although s^p,
+    # eps s^p or s + eps s^p may overflow.  For p > 1 it is taken as
+    # ((eps / 4)^(1/p) s)^p; for p < 1, s^p cannot overflow but
+    # (eps / 4)^(1/p) can.
+    if p < 1.0:
+        return eps / 4.0 * s**p
     return ((eps / 4.0) ** (1.0 / p) * s) ** p
 
 
@@ -348,29 +379,32 @@ class MoreauYosida:
 
     def _check_residual(self, r, s):
         # Distance of r - s from eps * subdiff(s), one point for power kinds.
-        pot = self.potential
-        if pot.kind == "fast_diffusion":
-            lo = np.sign(s) * np.abs(s) ** pot.exponent
-            gap = np.abs(self.eps * lo - (r - s))
-        elif pot.kind == "porous_medium":
-            # Near the top of the float range |s|^p can overflow where the
-            # gap does not: take four times a quarter of it there, as in
-            # _power_newton.
-            p = pot.exponent
-            with np.errstate(over="ignore"):
-                lo = np.sign(s) * np.abs(s) ** p
-                gap = np.abs(self.eps * lo - (r - s))
-                over = gap == np.inf
-                if over.any():
-                    quarter = np.sign(s) * _quarter_power(self.eps,
-                                                          np.abs(s), p)
-                    gap = np.where(over, 4.0 * np.abs(quarter - (r - s) / 4.0),
-                                   gap)
-        else:
-            lo, hi = self.potential.subdiff(s)
-            gap = np.maximum(self.eps * lo - (r - s), (r - s) - self.eps * hi)
-        bad = gap > 1e-12 * (1.0 + np.abs(r))
-        if np.any(bad):
+        pot, eps = self.potential, self.eps
+        power = pot.kind in ("fast_diffusion", "porous_medium")
+        with np.errstate(over="ignore"):
+            if power:
+                lo = hi = np.sign(s) * np.abs(s) ** pot.exponent
+            else:
+                lo, hi = pot.subdiff(s)
+            gap = np.maximum(eps * lo - (r - s), (r - s) - eps * hi)
+            tol = 1e-12 * (1.0 + np.abs(r))
+            if not np.any(gap > tol):
+                return
+            # Near the top of the float range |s|^p, eps |s|^p or a piecewise
+            # slope 2 a s + b can overflow where the gap does not: take four
+            # times the gap of a quarter of the potential there, with
+            # (eps/4) |s|^p as in _power_newton.
+            if power:
+                lo = hi = np.sign(s) * _quarter_power(eps, np.abs(s),
+                                                      pot.exponent)
+            else:
+                quarter = replace(pot, pieces=tuple(
+                    tuple(c / 4.0 for c in piece) for piece in pot.pieces))
+                lo, hi = (eps * b for b in quarter.subdiff(s))
+            d = (r - s) / 4.0
+            gap = np.where(gap == np.inf, 4.0 * np.maximum(lo - d, d - hi),
+                           gap)
+        if np.any(gap > tol):
             raise ResolventError(
                 f"resolvent residual {float(np.max(gap)):g} exceeds tolerance")
 

@@ -317,12 +317,10 @@ def test_criterion_10_budget_uniformity(accept_space, accept_noise):
     ladder = [0.2, 0.1, 0.05]
     bands = {}
     for kind in ("zhang", "fast_diffusion"):
-        functional = EnergyFunctional(accept_space, BUILTINS[kind])
         runs = accept_ladder(accept_space, BUILTINS[kind], accept_noise,
                              ladder)
         e = energy_uniformity([energy_budget(ens) for ens in runs])
-        r = regularity_uniformity([regularity_budget(ens, functional)
-                                   for ens in runs])
+        r = regularity_uniformity([regularity_budget(ens) for ens in runs])
         bands[kind] = (e, r)
     ok = all(e.passed and r.passed for e, r in bands.values())
     detail = ", ".join(
@@ -339,7 +337,6 @@ def test_criterion_11_svi(accept_space, accept_noise):
     n = accept_space.node_count
     failures, fitted = [], []
     for kind in ("zhang", "fast_diffusion"):
-        functional = EnergyFunctional(accept_space, BUILTINS[kind])
         for ens in accept_ladder(accept_space, BUILTINS[kind], accept_noise,
                                  [0.1, 0.05]):
             cases = (
@@ -349,7 +346,7 @@ def test_criterion_11_svi(accept_space, accept_noise):
                 ("replayed", build_test_process(ens, ens.config.initial,
                                                 drift=ens)),
             )
-            reps = check_svi(ens, [proc for _, proc in cases], functional)
+            reps = check_svi(ens, [proc for _, proc in cases])
             for (tag, _), rep in zip(cases, reps):
                 fitted.append(rep.constants["fitted_constant"])
                 if not (rep.passed and np.isfinite(fitted[-1])):
@@ -405,10 +402,9 @@ def test_criterion_13_determinism(tmp_path):
     cfg_file = tmp_path / "accept.cfg"
     cfg_file.write_text(config_text)
     outs = []
-    for name, threads in (("a", "1"), ("b", "8"), ("c", "1")):
+    for name in ("a", "b", "c"):
         out = tmp_path / name
-        status = cli_main(["run", str(cfg_file), "--out-dir", str(out),
-                           "--threads", threads])
+        status = cli_main(["run", str(cfg_file), "--out-dir", str(out)])
         assert status == 0
         outs.append(out)
     names = sorted(p.name for p in outs[0].iterdir())
@@ -418,5 +414,5 @@ def test_criterion_13_determinism(tmp_path):
         for fname in names:
             if (outs[0] / fname).read_bytes() != (other / fname).read_bytes():
                 identical = False
-    announce(13, "bitwise-identical artifacts across reruns and thread "
-                 "counts", identical, f"{len(names)} artifacts compared")
+    announce(13, "bitwise-identical artifacts across reruns", identical,
+             f"{len(names)} artifacts compared")

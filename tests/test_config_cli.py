@@ -314,7 +314,7 @@ def test_ladder_experiment_simulates_each_level_once(tmp_path, monkeypatch,
                                lambda e: [("energy", e.config.eps)]),
         regularity_budget: counted(
             regularity_budget, budgets,
-            lambda e, f: [("regularity", e.config.eps)]),
+            lambda e: [("regularity", e.config.eps)]),
     }
     for module in (graphspde.config, graphspde.estimates):
         for fn, wrapper in wrappers.items():
@@ -403,9 +403,9 @@ def test_cli_run_with_overrides_and_thread_independence(tmp_path, capsys):
     cfg_file.write_text(EPS_CONV)
     a = tmp_path / "outa"
     b = tmp_path / "outb"
-    assert main(["run", str(cfg_file), "--out-dir", str(a), "--threads", "1",
+    assert main(["run", str(cfg_file), "--out-dir", str(a),
                  "--seed", "99", "--paths", "30"]) == 0
-    assert main(["run", str(cfg_file), "--out-dir", str(b), "--threads", "8",
+    assert main(["run", str(cfg_file), "--out-dir", str(b),
                  "--seed", "99", "--paths", "30"]) == 0
     files_a = sorted(p.name for p in a.iterdir())
     files_b = sorted(p.name for p in b.iterdir())
@@ -514,6 +514,29 @@ def test_cli_run_crash_leaves_no_out_dir(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     assert main(["run", str(cfg_file), "--out-dir", str(out)]) == 3
     assert "error: StepSolverError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eps_convergence_refuses_a_potential_without_linear_bound(
+        tmp_path, capsys):
+    # The smoothing-gap comparison needs the potential's linear
+    # minimal-section bound; without it, run used to certify the noise and
+    # simulate the ladder before the estimator refused it with exit 3.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("experiment.kind = eps_convergence\n"
+                        "space.preset = path_4\n"
+                        "potential.kind = porous_medium\n"
+                        "potential.gamma = 2\n"
+                        "run.epsilon_list = 0.2, 0.1\n"
+                        "run.paths = 4\n"
+                        "run.steps = 4\n")
+    message = ("potential: eps_convergence needs a linear minimal-section "
+               "bound, which porous_medium does not have")
+    out = tmp_path / "out"
+    assert main(["validate", str(cfg_file)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["run", str(cfg_file), "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

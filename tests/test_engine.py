@@ -532,6 +532,54 @@ def test_linear_gaussian_scheme_is_the_closed_form_recursion(make_space):
     assert np.all(ens.newton_iterations == 1)
 
 
+@pytest.mark.parametrize("make_space", [
+    lambda: path_space(8),
+    lambda: path_space(32),
+    lambda: complete_space(4),
+    lambda: complete_space(12),
+    lambda: subordinate(path_space(8), BernsteinFunction("power", 0.5)),
+    lambda: subordinate(path_space(24), BernsteinFunction("power", 0.5)),
+], ids=["path_8", "path_32", "complete_4", "complete_12", "path_8_power_0.5",
+        "path_24_power_0.5"])
+def test_dual_norm_energy_identity_per_path(make_space):
+    # The step X_{k+1} = X_k + dt L w(X_{k+1}) + B(X_k) dW_k + F_k, with
+    # w = slope + eps id and F_k its Newton residual, gives per path
+    #   |X_N|_*^2 - |X_0|_*^2 + sum_k |X_{k+1} - X_k|_*^2
+    #     + 2 dt sum_k <w(X_{k+1}), X_{k+1}>_mu
+    #     = 2 sum_k <B(X_k) dW_k, X_{k+1}>_* + 2 sum_k <F_k, X_{k+1}>_*
+    # from <L w, v>_* = -<w, v>_mu and 2 <a - b, a> = |a|^2 - |b|^2
+    # + |a - b|^2.  |F|_* <= |F|_mu / sqrt(lambda_min), and |F_k|_mu is the
+    # residual the ensemble records, so the defect is bounded by the
+    # recorded residuals plus the roundoff of the terms, which sum about
+    # steps + nodes rounded products each.
+    space = make_space()
+    n = space.node_count
+    for potential in (zhang(), fast_diffusion(0.3), porous_medium(2.5)):
+        cfg = base_config(space=space, potential=potential,
+                          noise=diagonal_noise(n, 0.4), eps=0.05,
+                          horizon=1.0, step_count=32, path_count=12,
+                          initial=np.linspace(-2.0, 2.0, n), seed=5,
+                          coupling_tag="identity")
+        ens = simulate(cfg)
+        X = ens.states
+        before, after = X[:, :-1], X[:, 1:]
+        noise = cfg.noise.apply(before, ens.increments)
+        rhs_size = np.sqrt(space.inner(before + noise, before + noise))
+        assert np.all(ens.residuals <= _SOLVER_TOL * (1.0 + rhs_size))
+        w = MoreauYosida(potential, cfg.eps).yosida(after) + cfg.eps * after
+        dual = space.dual_norm
+        terms = (dual(X[:, -1]) ** 2, -dual(X[:, 0]) ** 2,
+                 (dual(after - before) ** 2).sum(1),
+                 2.0 * cfg.dt * space.inner(w, after).sum(1),
+                 -2.0 * space.dual_inner(noise, after).sum(1))
+        defect = np.abs(sum(terms))
+        newton = (2.0 * (ens.residuals * dual(after)).sum(1)
+                  / np.sqrt(space.eigenvalues.min()))
+        roundoff = ((cfg.step_count + n) * np.finfo(float).eps
+                    * sum(np.abs(t) for t in terms))
+        assert np.all(defect <= newton + roundoff), potential.kind
+
+
 @pytest.mark.parametrize("space", [
     pytest.param(path_space(4), id="path_4"),
     pytest.param(complete_space(8), id="complete_8"),

@@ -231,9 +231,8 @@ def test_svi_self_test_degenerate():
     space = path_space(4)
     cfg = make_config(space, zhang(), sigma=0.2, paths=8, steps=16)
     ens = simulate(cfg)
-    func = EnergyFunctional(space, zhang())
     proc = build_test_process(ens, cfg.initial, drift=ens)
-    (report,) = check_svi(ens, [proc], func)
+    (report,) = check_svi(ens, [proc])
     assert report.passed
     assert np.isfinite(report.constants["fitted_constant"])
 
@@ -246,9 +245,8 @@ def test_svi_linear_regime_closed_form():
     cfg = make_config(space, zhang(), sigma=0.0, paths=1, steps=8,
                       horizon=0.4, initial=x0)
     ens = simulate(cfg)
-    func = EnergyFunctional(space, zhang())
     proc = build_test_process(ens, x0)
-    (report,) = check_svi(ens, [proc], func)
+    (report,) = check_svi(ens, [proc])
     # closed-form reference: backward linear flow, potential vanishes on
     # nonpositive states
     dt = cfg.dt
@@ -274,16 +272,15 @@ def test_svi_generic_run_passes_with_fitted_constant():
         cfg = make_config(space, pot, sigma=0.2, paths=40, steps=16,
                           eps=0.05, seed=21)
         ens = simulate(cfg)
-        func = EnergyFunctional(space, pot)
         procs = [build_test_process(ens, np.zeros(8), drift=drift)
                  for drift in (None, np.full(8, 0.1), ens)]
-        reports = check_svi(ens, procs, func)
+        reports = check_svi(ens, procs)
         for proc, report in zip(procs, reports, strict=True):
             assert report.passed, (pot.kind, proc.mode)
             assert np.isfinite(report.constants["fitted_constant"])
             # The run's integral is shared; each report is that of its own
             # call.
-            (alone,) = check_svi(ens, [proc], func)
+            (alone,) = check_svi(ens, [proc])
             assert report.series == alone.series
             assert report.constants == alone.constants
 
@@ -302,25 +299,9 @@ def test_svi_replayed_drift_passes_for_every_builtin():
                               eps=eps, seed=33,
                               initial=np.full(6, 0.4))
             ens = simulate(cfg)
-            func = EnergyFunctional(space, pot)
             proc = build_test_process(ens, cfg.initial, drift=ens)
-            (report,) = check_svi(ens, [proc], func)
+            (report,) = check_svi(ens, [proc])
             assert report.passed, (pot.kind, eps)
-
-
-def test_svi_supplied_constant_can_fail():
-    space = path_space(4)
-    cfg = make_config(space, zhang(), sigma=0.1, paths=8, steps=8)
-    ens = simulate(cfg)
-    func = EnergyFunctional(space, zhang())
-    proc = build_test_process(ens, np.full(4, 2.0))
-    (report,) = check_svi(ens, [proc], func)
-    fitted = report.constants["fitted_constant"]
-    if fitted > 0:
-        (bad,) = check_svi(ens, [proc], func, constant=0.0)
-        (generous,) = check_svi(ens, [proc], func, constant=2 * fitted + 1.0)
-        assert generous.passed
-        assert not bad.passed or bad.worst_margin >= 0
 
 
 def test_svi_decoupled_rejected():
@@ -328,9 +309,8 @@ def test_svi_decoupled_rejected():
     ens = simulate(make_config(space, zhang(), paths=2))
     other = simulate(make_config(space, zhang(), paths=2, tag="zzz"))
     proc = build_test_process(other, np.zeros(3))
-    func = EnergyFunctional(space, zhang())
     with pytest.raises(ValueError, match="coupled"):
-        check_svi(ens, [proc], func)
+        check_svi(ens, [proc])
 
 
 # -- contraction -------------------------------------------------------------------
@@ -479,8 +459,7 @@ def test_epsilon_convergence_refuses_unbounded_slope_kind():
 def test_regularity_budget_zero_run():
     cfg = make_config(path_space(3), zhang(), sigma=0.0,
                       initial=np.zeros(3), paths=2)
-    report = regularity_budget(simulate(cfg),
-                               EnergyFunctional(cfg.space, cfg.potential))
+    report = regularity_budget(simulate(cfg))
     assert report.constants["budget"] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -491,7 +470,7 @@ def test_regularity_budget_deterministic_quadrature():
         path_count=1, initial=np.array([2.0]), seed=3, coupling_tag="rb")
     ens = simulate(cfg)
     func = EnergyFunctional(cfg.space, cfg.potential)
-    report = regularity_budget(ens, func)
+    report = regularity_budget(ens)
     smoothed = func.smoothed(cfg.eps, ens.states)[0]
     expected = np.trapezoid(smoothed, ens.times)
     assert report.constants["budget"] == pytest.approx(expected, rel=1e-12)
@@ -504,10 +483,8 @@ def test_uniformity_bands():
     cfg = make_config(path_space(4), zhang(), sigma=0.1, paths=20, steps=16,
                       initial=np.full(4, 0.5))
     ladder = simulate_ladder(cfg, [0.2, 0.1, 0.05])
-    func = EnergyFunctional(cfg.space, cfg.potential)
     rep_e = energy_uniformity([energy_budget(ens) for ens in ladder])
-    rep_r = regularity_uniformity([regularity_budget(ens, func)
-                                   for ens in ladder])
+    rep_r = regularity_uniformity([regularity_budget(ens) for ens in ladder])
     assert [row[0] for row in rep_e.series] == [0.2, 0.1, 0.05]
     assert rep_e.constants["band_ratio"] < np.inf
     assert rep_r.constants["band_ratio"] < np.inf

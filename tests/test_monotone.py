@@ -530,6 +530,20 @@ def test_porous_medium_resolvent_where_the_power_overflows(p):
         assert np.all(np.abs(s - np.sign(r) * root) <= 1e-12 * root)
 
 
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_fast_diffusion_resolvent_up_to_the_largest_float(p):
+    # Near the top of the float range 4|r| and eps^2 overflow in the p = 1/2
+    # closed form, and y^(1/p) or y^(1/p) + eps y in the Newton solve in
+    # y = s^p, although the root is finite; at eps 1e215 the overflowing
+    # residual halved the iterate without end from |r| = 1.5e308 for p = 0.3.
+    a = np.append(np.logspace(299, 308, 37), [1.7e308, np.finfo(float).max])
+    r = np.concatenate([a, -a])
+    for eps in (1e-8, 0.05) + ((1e215,) if p == 0.3 else ()):
+        s = MoreauYosida(fast_diffusion(p), eps).resolvent(r)
+        root = np.tile(power_root_bisection(p, eps, a), 2)
+        assert np.all(np.abs(s - np.sign(r) * root) <= 1e-12 * root)
+
+
 def test_power_newton_porous_medium_at_large_arguments():
     # Started from min(a, (a/eps)^(1/p)), Newton is in its quadratic phase
     # from the first step; from a alone it converged only linearly and ran
