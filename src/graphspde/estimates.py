@@ -8,7 +8,10 @@ smoothing levels, and the time-integrated regularity budget.  The checks
 read ensembles that were already simulated and never run the simulator
 themselves.  Every Monte Carlo verdict uses path-batch confidence
 intervals; supremum-in-time quantities are taken over the simulation grid,
-a lower bound for the continuum supremum.
+a lower bound for the continuum supremum.  The variational-inequality
+check and the replayed drift of a test process work over blocks of
+consecutive time steps, so their (paths, steps, nodes) temporaries hold
+one block at a time, never a whole run.
 """
 
 from __future__ import annotations
@@ -91,6 +94,28 @@ def mollify_sequence(functional: EnergyFunctional, v,
 
 # -- test processes ------------------------------------------------------------
 
+# Float64 values of a (paths, block, nodes) temporary of the svi estimators
+# (256 KiB): they work over blocks of time steps, not over whole runs.
+_BLOCK_VALUES = 2**15
+
+
+def _block_rows(paths: int, nodes: int) -> int:
+    # Grid rows or steps of a block: about _BLOCK_VALUES values, rounded
+    # down to a multiple of four rows and at least four.  OpenBLAS's
+    # matrix-vector kernels take rows in groups of four, so aligned blocks
+    # round every row as one whole-run product does.
+    return max(4, _BLOCK_VALUES // (paths * nodes) // 4 * 4)
+
+
+def _row_blocks(rows: int, paths: int, nodes: int):
+    # Consecutive (start, stop) ranges covering range(rows).  Only a lone
+    # block has fewer than three rows: numpy hands a one-row product to
+    # another BLAS routine, and the last block of steps in _svi_report is
+    # one row shorter than its block of grid rows, so a last block of one
+    # or two rows joins the one before.
+    starts = range(0, max(rows - 2, 1), _block_rows(paths, nodes))
+    return zip(starts, [*starts[1:], rows])
+
 
 @dataclass(frozen=True, eq=False)
 class TestProcess:
@@ -98,7 +123,8 @@ class TestProcess:
 
     The path solves ``Z_{k+1} = Z_k + dt G_k + B(Z_k) dW_k`` with the
     increments of the reference ensemble, so comparisons against the run
-    are exact in the noise.
+    are exact in the noise.  A constant drift is a read-only broadcast
+    view of its node vector, not a copy per path and step.
     """
 
     ensemble: TrajectoryEnsemble
@@ -132,15 +158,18 @@ def build_test_process(ensemble: TrajectoryEnsemble, initial,
         if not _coupled(other, cfg):
             raise ValueError("drift ensemble is not coupled to the reference")
         smoother = MoreauYosida(other.potential, other.eps)
+        generator_t = other.space.generator.T
         post = drift.states[:, 1:]    # drift is implicit in the next state
-        w = smoother.yosida(post) + other.eps * post
-        G = w @ other.space.generator.T
+        G = np.empty((P, N, space.node_count))
+        for a, b in _row_blocks(N, P, space.node_count):
+            w = smoother.yosida(post[:, a:b]) + other.eps * post[:, a:b]
+            G[:, a:b] = w @ generator_t
         mode = "from_regularized"
     else:
-        g = np.asarray(drift, dtype=float)
+        g = np.array(drift, dtype=float)
         if g.shape != (space.node_count,):
             raise ValueError("constant drift must be node-indexed")
-        G = np.broadcast_to(g, (P, N, space.node_count)).copy()
+        G = np.broadcast_to(g, (P, N, space.node_count))
         mode = "constant"
 
     dt = cfg.dt
@@ -190,9 +219,18 @@ def check_svi(ensemble: TrajectoryEnsemble, tests) -> list[EstimateReport]:
             raise ValueError("test process is not coupled to the ensemble")
     cfg = ensemble.config
     functional = EnergyFunctional(cfg.space, cfg.potential)
-    int_phi_x = _cum_trapz(functional.value(ensemble.states), cfg.dt)
+    int_phi_x = _value_integral(functional, ensemble.states, cfg.dt)
     return [_svi_report(ensemble, test, functional, int_phi_x)
             for test in tests]
+
+
+def _value_integral(functional, states, dt):
+    # Cumulative time integral of the functional along each path.
+    P, rows, n = states.shape
+    values = np.empty((P, rows))
+    for a, b in _row_blocks(rows, P, n):
+        values[:, a:b] = functional.value(states[:, a:b])
+    return _cum_trapz(values, dt)
 
 
 def _svi_report(ensemble, test, functional, int_phi_x):
@@ -200,18 +238,26 @@ def _svi_report(ensemble, test, functional, int_phi_x):
     space = cfg.space
     dt = cfg.dt
     X, Z = ensemble.states, test.states
-    diff = X - Z
-    dsq = space.dual_norm(diff) ** 2                    # (P, K+1)
-    int_phi_z = _cum_trapz(functional.value(Z), dt)
+    P, rows, n = X.shape
+    dsq = np.empty((P, rows))
+    pair = None if test.drift is None else np.empty((P, rows - 1))
+    for a, b in _row_blocks(rows, P, n):
+        # The grid row after the block closes the midpoint of its last step.
+        end = min(b + 1, rows)
+        diff = X[:, a:end] - Z[:, a:end]
+        dsq[:, a:b] = space.dual_norm(diff[:, :b - a]) ** 2
+        if pair is not None:
+            mid = 0.5 * (diff[:, :-1] + diff[:, 1:])
+            pair[:, a:end - 1] = space.dual_inner(test.drift[:, a:end - 1],
+                                                  mid)
+    int_phi_z = _value_integral(functional, Z, dt)
     int_dsq = _cum_trapz(dsq, dt)
 
-    if test.drift is None:
+    if pair is None:
         int_pair = np.zeros_like(dsq)
     else:
-        mid = 0.5 * (diff[:, :-1] + diff[:, 1:])
-        pair = space.dual_inner(test.drift, mid)        # (P, K)
         int_pair = np.concatenate(
-            [np.zeros((dsq.shape[0], 1)), dt * np.cumsum(pair, axis=1)], axis=1)
+            [np.zeros((P, 1)), dt * np.cumsum(pair, axis=1)], axis=1)
 
     lhs = dsq + 2.0 * int_phi_x
     rhs_free = dsq[:, :1] + 2.0 * int_phi_z - 2.0 * int_pair

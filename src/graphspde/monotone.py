@@ -77,7 +77,15 @@ class ConvexPotential:
         if self.kind == "zhang":
             return np.where(r > 0, 0.5 * r**2 + r, 0.0)
         coeff = np.asarray(self.pieces)[self._piece_index(r)]
-        return coeff[..., 0] * r**2 + coeff[..., 1] * r + coeff[..., 2]
+        a, b, c = coeff[..., 0], coeff[..., 1], coeff[..., 2]
+        with np.errstate(invalid="ignore"):
+            v = a * r**2 + b * r + c
+        # Near the top of the float range a r^2 and b r can overflow with
+        # opposite signs, inf - inf; the nested form cannot read NaN there.
+        nan = np.isnan(v) & np.isfinite(r)
+        if nan.any():
+            v = np.where(nan, (a * r + b) * r + c, v)
+        return v
 
     def subdiff(self, r):
         """Subdifferential interval as a pair of arrays (lower, upper)."""

@@ -92,3 +92,83 @@ def power_root_bisection(p: float, eps: float, a: np.ndarray) -> np.ndarray:
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     return lo.view(np.float64)
+
+
+def replayed_test_process(ensemble):
+    """``build_test_process(ensemble, ensemble.config.initial,
+    drift=ensemble)`` with the replayed drift from whole (paths, steps,
+    nodes) arrays."""
+    from graphspde.estimates import TestProcess
+    from graphspde.monotone import MoreauYosida
+
+    cfg = ensemble.config
+    smoother = MoreauYosida(cfg.potential, cfg.eps)
+    post = ensemble.states[:, 1:]    # drift is implicit in the next state
+    w = smoother.yosida(post) + cfg.eps * post
+    G = w @ cfg.space.generator.T
+    Z = np.empty_like(ensemble.states)
+    Z[:, 0] = cfg.initial
+    for k in range(cfg.step_count):
+        inc = cfg.noise.apply(Z[:, k], ensemble.increments[:, k])
+        Z[:, k + 1] = Z[:, k] + cfg.dt * G[:, k] + inc
+    return TestProcess(ensemble, G, Z, "from_regularized")
+
+
+def svi_report(ensemble, test):
+    """``check_svi(ensemble, [test])[0]`` from whole (paths, steps, nodes)
+    arrays."""
+    from graphspde.estimates import EnergyFunctional, _cum_trapz
+    from graphspde.reports import EstimateReport, batch_mean_ci
+
+    cfg = ensemble.config
+    space = cfg.space
+    dt = cfg.dt
+    functional = EnergyFunctional(space, cfg.potential)
+    int_phi_x = _cum_trapz(functional.value(ensemble.states), dt)
+    X, Z = ensemble.states, test.states
+    diff = X - Z
+    dsq = space.dual_norm(diff) ** 2                    # (P, K+1)
+    int_phi_z = _cum_trapz(functional.value(Z), dt)
+    int_dsq = _cum_trapz(dsq, dt)
+
+    if test.drift is None:
+        int_pair = np.zeros_like(dsq)
+    else:
+        mid = 0.5 * (diff[:, :-1] + diff[:, 1:])
+        pair = space.dual_inner(test.drift, mid)        # (P, K)
+        int_pair = np.concatenate(
+            [np.zeros((dsq.shape[0], 1)), dt * np.cumsum(pair, axis=1)], axis=1)
+
+    lhs = dsq + 2.0 * int_phi_x
+    rhs_free = dsq[:, :1] + 2.0 * int_phi_z - 2.0 * int_pair
+
+    mean_lhs = lhs.mean(axis=0)
+    mean_rhs_free = rhs_free.mean(axis=0)
+    mean_int = int_dsq.mean(axis=0)
+    need = mean_lhs - mean_rhs_free
+    usable = mean_int > 1e-14
+    fitted = float(np.max(need[usable] / mean_int[usable], initial=0.0))
+    if np.any(~usable & (need > 1e-10 * (1.0 + np.abs(mean_lhs)))):
+        fitted = np.inf
+
+    margin_samples = rhs_free + fitted * int_dsq - lhs
+    margin, ci = batch_mean_ci(margin_samples)
+    adjusted = margin + ci + 1e-10 * (1.0 + np.abs(mean_lhs))
+    passed = bool(np.isfinite(fitted) and np.all(adjusted >= 0.0))
+
+    times = ensemble.times
+    series = tuple(
+        (float(times[k]), float(mean_lhs[k]),
+         float(mean_rhs_free[k] + fitted * mean_int[k]),
+         float(margin[k]), float(ci[k]))
+        for k in range(times.size))
+    return EstimateReport(
+        name="svi_inequality",
+        passed=passed,
+        worst_margin=float(np.min(adjusted)),
+        constants={"fitted_constant": fitted, "used_constant": fitted,
+                   "eps": cfg.eps},
+        columns=("time", "lhs", "rhs", "margin", "ci"),
+        series=series,
+        notes=(f"test process mode = {test.mode}",),
+    )

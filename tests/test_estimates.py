@@ -5,7 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import gap_bound_folded, gap_bound_pointwise
+from oracles import (
+    gap_bound_folded,
+    gap_bound_pointwise,
+    replayed_test_process,
+    svi_report,
+)
 
 from graphspde.dirichlet import (
     BernsteinFunction,
@@ -23,6 +28,7 @@ from graphspde.engine import (
 )
 from graphspde.estimates import (
     EnergyFunctional,
+    _block_rows,
     _cum_trapz,
     build_test_process,
     check_svi,
@@ -187,6 +193,19 @@ def test_constant_drift_is_linear_ramp():
     assert proc.mode == "constant"
 
 
+def test_constant_drift_is_a_read_only_view():
+    space = path_space(3)
+    cfg = make_config(space, zhang(), sigma=0.0, paths=2, steps=10)
+    ens = simulate(cfg)
+    g = np.array([1.0, -2.0, 0.5])
+    proc = build_test_process(ens, np.zeros(3), drift=g)
+    assert proc.drift.shape == (2, 10, 3)
+    assert not proc.drift.flags.writeable
+    assert np.array_equal(proc.drift, np.broadcast_to(g, (2, 10, 3)))
+    g[0] = 7.0    # the view is of the process's own copy
+    assert np.all(proc.drift[..., 0] == 1.0)
+
+
 def test_large_state_test_process_builds():
     # States near 1e4 once tripped a 1e-12 absolute self-check of the
     # recursion; the recursion itself must hold to relative roundoff.
@@ -311,6 +330,78 @@ def test_svi_decoupled_rejected():
     proc = build_test_process(other, np.zeros(3))
     with pytest.raises(ValueError, match="coupled"):
         check_svi(ens, [proc])
+
+
+# -- blocks of time steps ----------------------------------------------------------
+
+
+def _bits(report):
+    return np.array(report.series).view(np.int64), report.to_text()
+
+
+@pytest.mark.parametrize("bernstein", [None, BernsteinFunction.power(0.5)],
+                         ids=["tridiagonal", "subordinated"])
+def test_svi_blocks_match_the_whole_run_oracle(bernstein):
+    paths, n = 64, 32
+    space = path_space(n)
+    if bernstein is not None:
+        space = subordinate(space, bernstein)
+    block = _block_rows(paths, n)
+    assert 3 * block + 4 < 64     # several blocks in a short run
+    # Grid rows are steps + 1: one step, one block, a last block of one,
+    # two and three rows, and three blocks plus a remainder.
+    for steps in (1, block - 1, block, block + 1, block + 2, 3 * block + 4):
+        cfg = make_config(space, zhang(), paths=paths, steps=steps, eps=0.05,
+                          seed=17)
+        ens = simulate(cfg)
+        procs = [build_test_process(ens, np.zeros(n)),
+                 build_test_process(ens, np.zeros(n), drift=np.full(n, 0.3)),
+                 build_test_process(ens, cfg.initial, drift=ens)]
+        reports = check_svi(ens, procs)
+        for proc, report in zip(procs[:2], reports):
+            got, want = _bits(report), _bits(svi_report(ens, proc))
+            assert np.array_equal(got[0], want[0]), (steps, proc.mode)
+            assert got[1] == want[1], (steps, proc.mode)
+
+        oracle = replayed_test_process(ens)
+        scale = np.abs(oracle.drift).max()
+        assert np.abs(procs[2].drift - oracle.drift).max() <= 1e-12 * scale
+        want = svi_report(ens, oracle)
+        got, ref = np.array(reports[2].series), np.array(want.series)
+        np.testing.assert_allclose(got[:, :3], ref[:, :3], rtol=1e-12, atol=0)
+        sides = np.abs(ref[:, 1:3]).max()
+        np.testing.assert_allclose(got[:, 3:], ref[:, 3:], rtol=0,
+                                   atol=1e-12 * sides)
+        assert reports[2].passed == want.passed
+        assert reports[2].constants["fitted_constant"] == pytest.approx(
+            want.constants["fitted_constant"], rel=1e-12, abs=1e-12)
+
+
+def test_svi_estimators_hold_no_whole_run_temporary():
+    import tracemalloc
+
+    paths, n = 50, 64
+    cfg = make_config(path_space(n), zhang(), paths=paths, steps=128,
+                      eps=0.05, seed=19)
+    ens = simulate(cfg)
+    whole = ens.states.nbytes
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        procs = [build_test_process(ens, np.zeros(n)),
+                 build_test_process(ens, np.zeros(n), drift=np.full(n, 0.3)),
+                 build_test_process(ens, cfg.initial, drift=ens)]
+        build_peak = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        check_svi(ens, procs)
+        check_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # The constant drift is a view; the replayed drift is an array.
+    returned = sum(p.states.nbytes for p in procs) + procs[2].drift.nbytes
+    assert build_peak < returned + whole
+    assert check_peak < whole
 
 
 # -- contraction -------------------------------------------------------------------
