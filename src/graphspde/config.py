@@ -88,6 +88,8 @@ _KNOWN_KEYS = {
             "x0": "constant:1", "y0": None, "drift_const": "0.1",
             "decay_rate": None},
 }
+# The space keys of a custom graph, given instead of space.preset.
+_GRAPH_KEYS = ("nodes", "edges", "killing", "measure")
 
 
 class ConfigError(ValueError):
@@ -177,24 +179,21 @@ def _parse_number(name: str, text: str | None, kind=float):
     return value
 
 
-def _parse_state(text: str, n: int) -> np.ndarray:
+def _parse_state(name: str, text: str, n: int) -> np.ndarray:
     text = text.strip()
     if text.startswith("spike:"):
-        j = int(text.split(":", 1)[1])
+        j = _parse_number(name, text.split(":", 1)[1], int)
         if not 0 <= j < n:
             raise ValueError(f"spike node {j} is outside 0..{n - 1}")
         out = np.zeros(n)
         out[j] = 1.0
         return out
     if text.startswith("constant:"):
-        values = np.full(n, float(text.split(":", 1)[1]))
-    else:
-        values = np.array([float(p) for p in _split_list(text)])
-        if values.size != n:
-            raise ValueError(f"state has {values.size} entries, space has "
-                             f"{n} nodes")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("state values must be finite")
+        return np.full(n, _parse_number(name, text.split(":", 1)[1]))
+    values = np.array([_parse_number(name, p) for p in _split_list(text)])
+    if values.size != n:
+        raise ValueError(f"state has {values.size} entries, space has "
+                         f"{n} nodes")
     return values
 
 
@@ -209,16 +208,31 @@ def _numbers(entries: dict, name: str) -> list[float]:
 
 def _epsilon_values(entries: dict) -> list[float]:
     if entries.get(("run", "epsilon_list")):
+        # A ladder config carries the defaulted run.epsilon (as does its
+        # normalized form); any other value would be dropped unread.
+        if entries[("run", "epsilon")] != _KNOWN_KEYS["run"]["epsilon"]:
+            raise ConfigError(["run.epsilon: cannot be combined with "
+                               "run.epsilon_list, which sets the levels"])
         return _numbers(entries, "run.epsilon_list")
     return [_number(entries, "run.epsilon")]
 
 
 def _build_space(entries: dict) -> DirichletSpace:
+    custom = [f"space.{key}" for key in _GRAPH_KEYS if ("space", key) in entries]
     if ("space", "preset") in entries:
+        if custom:
+            raise ConfigError([f"space.preset: cannot be combined with a "
+                               f"custom graph ({', '.join(custom)})"])
         space = preset_space(entries[("space", "preset")])
     else:
+        if ("space", "nodes") not in entries:
+            raise ConfigError(["space.nodes: a custom graph needs its "
+                               "node count"])
         n = _number(entries, "space.nodes", int)
+        if n < 1:
+            raise ConfigError(["space.nodes: need at least one node"])
         W = np.zeros((n, n))
+        seen = set()
         for part in _split_list(entries.get(("space", "edges"), "")):
             m = re.fullmatch(r"(\d+)-(\d+):(\S+)", part)
             if not m:
@@ -229,6 +243,11 @@ def _build_space(entries: dict) -> DirichletSpace:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge {part!r} references a node "
                                  f"outside 0..{n - 1}")
+            pair = frozenset((i, j))
+            if pair in seen:
+                raise ConfigError([f"space.edges: edge {i}-{j} is given "
+                                   "twice"])
+            seen.add(pair)
             W[i, j] = W[j, i] = w
         killing = _numbers(entries, "space.killing")
         measure = _numbers(entries, "space.measure") or [1.0] * n
@@ -237,9 +256,15 @@ def _build_space(entries: dict) -> DirichletSpace:
     if bernstein:
         m = re.fullmatch(r"(power|shifted_power)\(([^)]+)\)", bernstein)
         if not m:
-            raise ValueError(f"cannot parse Bernstein spec {bernstein!r}")
-        space = subordinate(space, BernsteinFunction(
-            m.group(1), _parse_number("space.bernstein", m.group(2))))
+            raise ConfigError([f"space.bernstein: cannot parse "
+                               f"{bernstein!r}, expected power(<alpha>) or "
+                               "shifted_power(<alpha>)"])
+        alpha = _parse_number("space.bernstein", m.group(2))
+        try:
+            fn = BernsteinFunction(m.group(1), alpha)
+        except ValueError as err:
+            raise ConfigError([f"space.bernstein: {err}"]) from None
+        space = subordinate(space, fn)
     return space
 
 
@@ -298,12 +323,12 @@ def parse_config(text: str) -> ExperimentConfig:
         entries[(section, key)] = value
 
     provided = frozenset(entries)
-    has_custom_space = ("space", "nodes") in entries
     for section, keys in _KNOWN_KEYS.items():
         for key, value in keys.items():
             if value is not None:
                 entries.setdefault((section, key), value)
-    if ("space", "preset") not in entries and not has_custom_space:
+    if not any(("space", key) in provided
+               for key in ("preset",) + _GRAPH_KEYS):
         entries[("space", "preset")] = "single"
     return _build(entries, provided, problems)
 
@@ -388,11 +413,11 @@ def _build(entries: dict, provided: frozenset,
     noise = x0 = y0 = None
     if space is not None:
         noise = attempt("noise", _build_noise, entries, space)
-        x0 = attempt("run.x0", _parse_state, entries[("run", "x0")],
-                     space.node_count)
+        x0 = attempt("run.x0", _parse_state, "run.x0",
+                     entries[("run", "x0")], space.node_count)
         if entries.get(("run", "y0")):
-            y0 = attempt("run.y0", _parse_state, entries[("run", "y0")],
-                         space.node_count)
+            y0 = attempt("run.y0", _parse_state, "run.y0",
+                         entries[("run", "y0")], space.node_count)
     if problems:
         raise ConfigError(problems)
     run = SimulationConfig(

@@ -100,7 +100,22 @@ def test_all_violations_reported_together():
     ("noise.kind = additive\nnoise.modes = 0", "noise: need at least one mode"),
     ("run.x0 = spike:5", "run.x0: spike node 5 is outside 0..0"),
     ("run.x0 = spike:-1", "run.x0: spike node -1 is outside 0..0"),
-    ("run.x0 = constant:nan", "run.x0: state values must be finite"),
+    ("run.x0 = constant:nan", "run.x0: expected a finite number, got 'nan'"),
+    ("run.x0 = spike:x", "run.x0: expected an integer, got 'x'"),
+    ("run.x0 = constant:", "run.x0: expected a number, got ''"),
+    ("run.y0 = spike:x", "run.y0: expected an integer, got 'x'"),
+    ("run.y0 = constant:", "run.y0: expected a number, got ''"),
+    ("run.y0 = inf", "run.y0: expected a finite number, got 'inf'"),
+    ("run.epsilon = 0.3\nrun.epsilon_list = 0.2, 0.1",
+     "run.epsilon: cannot be combined with run.epsilon_list"),
+    ("space.bernstein = custom(0.5)",
+     "space.bernstein: cannot parse 'custom(0.5)'"),
+    ("space.bernstein = power(1.5)",
+     "space.bernstein: alpha must lie in (0, 1), got 1.5"),
+    ("space.bernstein = power(x)",
+     "space.bernstein: expected a number, got 'x'"),
+    ("space.bernstein = shifted_power(0)",
+     "space.bernstein: alpha must lie in (0, 1), got 0.0"),
     ("experiment.kind = eps_convergence\nrun.epsilon_list = 0.1, 0.2",
      "run.epsilon_list: eps_convergence needs at least two strictly"),
     ("experiment.kind = eps_convergence\nrun.epsilon_list = 0.1, 0.1",
@@ -160,6 +175,29 @@ def test_custom_graph_block():
     assert space.node_count == 3
     assert space.generator[0, 1] == pytest.approx(1.0)
     assert space.generator[1, 2] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("space.preset = path_4\nspace.nodes = 3\nspace.killing = 1, 1, 1",
+     "space.preset: cannot be combined with a custom graph (space.nodes, "
+     "space.killing)"),
+    ("space.preset = path_4\nspace.edges = 0-1:1.0",
+     "space.preset: cannot be combined with a custom graph (space.edges)"),
+    ("space.edges = 0-1:1.0\nspace.killing = 1, 1",
+     "space.nodes: a custom graph needs its node count"),
+    ("space.nodes = 0\nspace.killing = 1", "space.nodes: need at least one node"),
+    ("space.nodes = -2", "space.nodes: need at least one node"),
+    ("space.nodes = 2\nspace.edges = 0-1:1, 0-1:2\nspace.killing = 1, 1",
+     "space.edges: edge 0-1 is given twice"),
+    ("space.nodes = 2\nspace.edges = 0-1:1, 1-0:1\nspace.killing = 1, 1",
+     "space.edges: edge 1-0 is given twice"),
+], ids=["preset_and_nodes", "preset_and_edges", "edges_without_nodes",
+        "zero_nodes", "negative_nodes", "repeated_edge", "reversed_edge"])
+def test_custom_graph_refusals(text, message):
+    # Keys that would otherwise be dropped or overwritten unread.
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "\n")
+    assert message in err.value.problems
 
 
 def test_subordinated_preset_block():

@@ -79,6 +79,11 @@ def test_component_without_killing_rejected():
         build_graph_space(np.zeros((2, 2)), [1.0, 0.0], [1.0, 1.0])
 
 
+def test_empty_graph_rejected():
+    with pytest.raises(SpaceError, match="nonempty square matrix"):
+        build_graph_space(np.zeros((0, 0)), [], [])
+
+
 def test_negative_weight_and_diagonal_rejected():
     with pytest.raises(SpaceError, match="nonnegative"):
         build_graph_space([[0.0, -1.0], [-1.0, 0.0]], [1.0, 1.0], [1.0, 1.0])
@@ -401,26 +406,31 @@ def test_subordinate_alpha_validation():
         BernsteinFunction.shifted_power(0.0)
 
 
-def test_subordinate_custom_refuses_when_not_bernstein():
-    # A convex evaluator fails the Bernstein grid checks.  A concave one
-    # capped at half the top eigenvalue passes them, but its generator has
-    # a negative off-diagonal entry.  Both are refused, as a built-in kind
-    # would be.
-    space = path_space(6)
-    with pytest.raises(ValueError, match="Bernstein grid checks"):
-        subordinate(space, BernsteinFunction.custom(lambda lam: lam**2))
-    cap = space.eigenvalues[-1] / 2
-    capped = BernsteinFunction.custom(lambda lam: np.sqrt(np.minimum(lam, cap)))
-    with pytest.raises(SpaceError, match="negative off-diagonal"):
-        subordinate(space, capped)
+def test_bernstein_kinds_are_the_papers_two():
+    with pytest.raises(ValueError, match="unknown Bernstein kind"):
+        BernsteinFunction("custom", 0.5)
+    with pytest.raises(TypeError):
+        BernsteinFunction("power")
 
 
-def test_bernstein_grid_margins():
-    fn = BernsteinFunction.power(0.5)
-    margins = fn.grid_margins(np.linspace(0.0, 10.0, 101))
-    assert margins["zero_at_zero"] <= 1e-15
-    assert margins["monotone"] >= 0.0
-    assert margins["concave"] >= -1e-12
+@pytest.mark.parametrize("killing", [1e-17, 1e-10])
+def test_shifted_power_small_eigenvalue_matches_binomial_series(killing):
+    # (lam + 1)**alpha - 1 cancels at small lam: at 1e-17 it is 0 and the
+    # space was refused, at 1e-10 it was off by 8e-8 relative.
+    alpha = 0.5
+    out = subordinate(single_node_space(killing),
+                      BernsteinFunction.shifted_power(alpha))
+    series = alpha * killing + alpha * (alpha - 1) * killing**2 / 2
+    assert out.eigenvalues[0] == pytest.approx(series, rel=1e-15, abs=0.0)
+
+
+def test_shifted_power_matches_direct_formula_on_preset_spectra():
+    for space in (path_space(8), path_space(64), complete_space(8)):
+        lam = space.eigenvalues
+        for alpha in (0.3, 0.5, 0.8):
+            direct = (lam + 1.0) ** alpha - 1.0
+            fn = BernsteinFunction.shifted_power(alpha)
+            assert np.allclose(fn(lam), direct, rtol=2e-15, atol=0.0)
 
 
 # -- operator norms ------------------------------------------------------------
