@@ -322,7 +322,14 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
     paths = rhs.shape[0]
 
     def mu_norm(a):
-        return np.sqrt((a**2 * mu).sum(-1))
+        with np.errstate(over="ignore"):
+            norm = np.sqrt((a**2 * mu).sum(-1))
+        over = norm == np.inf
+        if over.any():
+            # Where the squares overflow: scaled by the row's largest entry.
+            m = np.abs(a[over]).max(-1, keepdims=True)
+            norm[over] = m[:, 0] * np.sqrt(((a[over] / m) ** 2 * mu).sum(-1))
+        return norm
 
     def newton_terms(x, previous):
         # The start point that x gives the next resolvent (None for a
@@ -345,7 +352,8 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
     for it in range(_MAX_NEWTON + 1):
         F = x + dt * system.apply_k(drift) - rhs
         residual = mu_norm(F)
-        active = residual > tol_vec
+        # A NaN residual never counts as converged.
+        active = ~(residual <= tol_vec)
         if not active.any():
             break
         if it == _MAX_NEWTON:

@@ -7,7 +7,10 @@ envelope are available in closed form for the built-in kinds and through a
 scalar Newton solve, started above the root, for the other power exponents.
 ``MoreauYosida.resolvent`` and ``evaluate`` can start that solve from the
 tangent of the resolvent at an earlier argument; without one ``evaluate``
-equals the separate methods bit for bit.
+equals the separate methods bit for bit.  The power-law solves use plain
+arithmetic; each element whose residual misses the tolerance, as where that
+arithmetic overflows near the top of the float range, is solved again in
+logarithms, from a cold or a warm start alike.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
 ]
 
 _KINDS = ("fast_diffusion", "porous_medium", "zhang", "piecewise")
+_RESIDUAL_TOL = 1e-12  # largest resolvent residual gap, relative to 1 + |r|
 
 
 @dataclass(frozen=True)
@@ -181,34 +185,27 @@ def piecewise_quadratic(knots, pieces) -> ConvexPotential:
 # -- resolvent machinery -------------------------------------------------
 
 
-def _power_resolvent(p: float, eps: float, r: np.ndarray) -> np.ndarray:
-    """Solve s + eps * sign(s) |s|**p = r, vectorized and odd in r."""
+def _power_resolvent(p: float, eps, r: np.ndarray, start=None) -> np.ndarray:
+    """Solve s + eps * sign(s) |s|**p = r, vectorized and odd in r.
+
+    The closed forms of p = 1/2 and 2 and the Newton solve (from ``start``
+    when given) use plain arithmetic; every element whose residual gap
+    misses the tolerance, as where they overflow, is solved again in
+    logarithms, and only a miss there is refused.  A NaN or infinite
+    argument gives NaN."""
     a = np.abs(r)
-    if p == 0.5:
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p == 0.5 and start is None:
             x = 0.5 * (-eps + np.sqrt(eps * eps + 4.0 * a))
             s = x * x
-            if np.fmax.reduce(s, axis=None, initial=0.0) == np.inf:
-                over = s == np.inf
-                # Where eps^2, 4a or x^2 overflows: the same root x = sqrt(s)
-                # as a / (eps/2 + hypot(eps/2, sqrt(a))), and s = a - eps x
-                # where x^2 still rounds above the largest float.
-                x = np.where(over, a / (0.5 * eps + np.hypot(0.5 * eps,
-                                                              np.sqrt(a))), x)
-                s = np.where(over, x * x, s)
-                s = np.where(s == np.inf, a - eps * x, s)
-    elif p == 2.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            two_a, four_eps_a = 2.0 * a, 4.0 * eps * a
-            s = np.where(a > 0, two_a / (1.0 + np.sqrt(1.0 + four_eps_a)), 0.0)
-        over = (two_a == np.inf) | (four_eps_a == np.inf)
-        if over.any():
-            # Near the top of the float range, the same root as
-            # a / (1/2 + sqrt(eps) sqrt(a + 1 / (4 eps))).
-            s = np.where(over, a / (0.5 + np.sqrt(eps)
-                                    * np.sqrt(a + 0.25 / eps)), s)
-    else:
-        s = _power_newton(p, eps, a)
+        elif p == 2.0 and start is None:
+            s = 2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * eps * a))
+        else:
+            s = _power_newton(p, eps, a, start)
+    miss = ~(_power_gap(p, eps, a, s) <= _RESIDUAL_TOL * (1.0 + a))
+    if miss.any():
+        s = np.where(miss, _power_log_solve(p, eps, a), s)
+        _refuse(_power_gap(p, eps, a, s), a)
     return np.sign(r) * s
 
 
@@ -223,7 +220,9 @@ def _power_newton(p: float, eps, a: np.ndarray, start=None) -> np.ndarray:
     # same variable) bounds the root from above too; the iteration starts
     # at the least of these bounds, and Newton from above falls onto the
     # root with no bracket.  Converged elements leave the working arrays,
-    # so each is independent of the rest.
+    # so each is independent of the rest, and so do NaN ones: in plain
+    # arithmetic the residual can overflow, and _power_resolvent solves
+    # such elements again in logarithms.
     q = 1.0 / p
     a, eps = np.broadcast_arrays(a, eps)
     av, ev = a.reshape(-1), eps.reshape(-1)
@@ -242,30 +241,8 @@ def _power_newton(p: float, eps, a: np.ndarray, start=None) -> np.ndarray:
                 step = g / (q * xs ** (q - 1.0) + ev)
             else:
                 g = xs + ev * xs**p - av
-                dg = 1.0 + ev * p * xs ** (p - 1.0)
-                over = (g == np.inf) | (dg == np.inf)
-                if over.any():
-                    # Near the top of the float range s^p, eps s^p or the
-                    # sum can overflow where the residual does not: take
-                    # four times a quarter of it and of its derivative.
-                    x4 = xs[over]
-                    t4 = _quarter_power(ev[over], x4, p)
-                    g[over] = 4.0 * ((x4 - av[over]) / 4.0 + t4)
-                    dg[over] = 4.0 * (0.25 + p * t4 / x4)
-                step = g / dg
-            if np.fmax.reduce(g, initial=0.0) == np.inf:
-                if p < 1.0:
-                    # y^q, eps y or the sum can overflow where the residual
-                    # does not: take four times a quarter of it and of its
-                    # derivative, with y^q / 4 = (4^-p y)^q.
-                    over = g == np.inf
-                    x4, e4, a4 = xs[over], ev[over], av[over]
-                    t4 = _quarter_power(1.0, x4, q)
-                    g[over] = 4.0 * (t4 + 0.25 * e4 * x4 - 0.25 * a4)
-                    step[over] = g[over] / (4.0 * (q * t4 / x4 + 0.25 * e4))
-                # An overflowing residual would step to -inf; halve instead.
-                step = np.where(g == np.inf, 0.5 * xs, step)
-            keep = ~(np.abs(g) <= tol)
+                step = g / (1.0 + ev * p * xs ** (p - 1.0))
+            keep = np.abs(g) > tol
             if not keep.all():
                 # x holds the final value of every element that has left.
                 x[live[~keep]] = xs[~keep]
@@ -277,25 +254,48 @@ def _power_newton(p: float, eps, a: np.ndarray, start=None) -> np.ndarray:
         else:
             x[live] = xs
         if p < 1.0:
-            s = x**q
-            if np.fmax.reduce(s, initial=0.0) == np.inf:
-                # y rounded up can put y^q above the largest float although
-                # the root s = a - eps y lies below it.
-                over = s == np.inf
-                s[over] = a.reshape(-1)[over] - eps.reshape(-1)[over] * x[over]
-            x = s
+            x = x**q
     return x.reshape(a.shape)
 
 
-def _quarter_power(eps, s: np.ndarray, p: float) -> np.ndarray:
-    # (eps / 4) s^p for s >= 0: finite wherever a quarter of the residual
-    # s + eps s^p - a is, for a up to the largest float, although s^p,
-    # eps s^p or s + eps s^p may overflow.  For p > 1 it is taken as
-    # ((eps / 4)^(1/p) s)^p; for p < 1, s^p cannot overflow but
-    # (eps / 4)^(1/p) can.
-    if p < 1.0:
-        return eps / 4.0 * s**p
-    return ((eps / 4.0) ** (1.0 / p) * s) ** p
+def _power_log_solve(p: float, eps, a: np.ndarray) -> np.ndarray:
+    # The root of s + eps s^p = a > 0 as s = a e^u: the equation divided by
+    # a, in logarithms, is h(u) = log(e^u + e^(c + p u)) = 0 with
+    # c = log eps + (p - 1) log a.  h is convex, h(0) >= 0, and its slope
+    # 1 + (p - 1) e^(c + p u - h) lies between min(1, p) and max(1, p); so
+    # Newton from u = 0 falls monotonically onto the root u <= 0, nothing
+    # overflows, and s <= a.  An infinite a has no root: u is NaN there.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.log(eps) + (p - 1.0) * np.log(a)
+        u = np.where(a == np.inf, np.nan, 0.0)
+        for _ in range(100):
+            h = np.logaddexp(u, c + p * u)
+            lower = u - h / (1.0 + (p - 1.0) * np.exp(c + p * u - h))
+            if not np.any(lower < u):
+                break
+            u = np.fmin(lower, u)
+    return a * np.exp(u)
+
+
+def _power_gap(p: float, eps, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # Residual gap |s + eps s^p - a| for a, s >= 0; where that overflows,
+    # a |expm1(h(log s - log a))| with h of _power_log_solve.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gap = np.abs(s + eps * s**p - a)
+        over = gap == np.inf
+        if over.any():
+            u = np.log(s) - np.log(a)
+            h = np.logaddexp(u, np.log(eps) + (p - 1.0) * np.log(a) + p * u)
+            gap = np.where(over, a * np.abs(np.expm1(h)), gap)
+    return gap
+
+
+def _refuse(gap, r):
+    # Raise where the gap at a finite argument is not within tolerance.
+    miss = ~(gap <= _RESIDUAL_TOL * (1.0 + np.abs(r))) & np.isfinite(r)
+    if miss.any():
+        raise ResolventError(
+            f"resolvent residual {float(np.max(gap[miss])):g} exceeds tolerance")
 
 
 def _zhang_resolvent(eps: float, r: np.ndarray) -> np.ndarray:
@@ -357,15 +357,15 @@ class MoreauYosida:
         """
         r = np.asarray(r, dtype=float)
         pot, eps = self.potential, self.eps
-        if previous is not None and self.iterative:
+        if pot.kind in ("fast_diffusion", "porous_medium"):
+            if previous is None or not self.iterative:
+                return _power_resolvent(pot.exponent, eps, r)
             r0, s0, d0 = previous
             r0 = np.asarray(r0, dtype=float)
-            s = np.sign(r) * _power_newton(pot.exponent, eps, np.abs(r),
-                                           self._tangent(r, r0, s0, d0))
-            s = np.where(r.view(np.int64) == r0.view(np.int64), s0, s)
-        elif pot.kind in ("fast_diffusion", "porous_medium"):
-            s = _power_resolvent(pot.exponent, eps, r)
-        elif pot.kind == "zhang":
+            s = _power_resolvent(pot.exponent, eps, r,
+                                 self._tangent(r, r0, s0, d0))
+            return np.where(r.view(np.int64) == r0.view(np.int64), s0, s)
+        if pot.kind == "zhang":
             s = _zhang_resolvent(eps, r)
         else:
             s = self._piecewise_resolvent(r)
@@ -388,33 +388,23 @@ class MoreauYosida:
     def _check_residual(self, r, s):
         # Distance of r - s from eps * subdiff(s), one point for power kinds.
         pot, eps = self.potential, self.eps
-        power = pot.kind in ("fast_diffusion", "porous_medium")
+        if pot.kind in ("fast_diffusion", "porous_medium"):
+            return _refuse(_power_gap(pot.exponent, eps, np.abs(r),
+                                      np.abs(s)), r)
         with np.errstate(over="ignore"):
-            if power:
-                lo = hi = np.sign(s) * np.abs(s) ** pot.exponent
-            else:
-                lo, hi = pot.subdiff(s)
+            lo, hi = pot.subdiff(s)
             gap = np.maximum(eps * lo - (r - s), (r - s) - eps * hi)
-            tol = 1e-12 * (1.0 + np.abs(r))
-            if not np.any(gap > tol):
-                return
-            # Near the top of the float range |s|^p, eps |s|^p or a piecewise
-            # slope 2 a s + b can overflow where the gap does not: take four
-            # times the gap of a quarter of the potential there, with
-            # (eps/4) |s|^p as in _power_newton.
-            if power:
-                lo = hi = np.sign(s) * _quarter_power(eps, np.abs(s),
-                                                      pot.exponent)
-            else:
+            over = gap == np.inf
+            if over.any():
+                # Near the top of the float range a piecewise slope 2 a s + b
+                # can overflow where the gap does not: take four times the
+                # gap of a quarter of the potential there.
                 quarter = replace(pot, pieces=tuple(
                     tuple(c / 4.0 for c in piece) for piece in pot.pieces))
                 lo, hi = (eps * b for b in quarter.subdiff(s))
-            d = (r - s) / 4.0
-            gap = np.where(gap == np.inf, 4.0 * np.maximum(lo - d, d - hi),
-                           gap)
-        if np.any(gap > tol):
-            raise ResolventError(
-                f"resolvent residual {float(np.max(gap)):g} exceeds tolerance")
+                d = (r - s) / 4.0
+                gap = np.where(over, 4.0 * np.maximum(lo - d, d - hi), gap)
+        _refuse(gap, r)
 
     @cached_property
     def _piecewise_bands(self):

@@ -484,6 +484,27 @@ def test_simulate_residuals_and_iterations_bounded():
     assert ens.newton_iterations.max() <= _MAX_NEWTON
 
 
+# At these states the envelope and the line search's objective changes
+# overflow; the sandpile's Newton step is exact, so the full step is taken.
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_large_states_step_like_small_ones():
+    # The step's mu-norms square the state; from about 1.3e154 the squares
+    # overflow, and the tolerance with them.  The sandpile step with
+    # multiplicative noise is homogeneous in the state up to its unit
+    # offset, which is below the roundoff of these states.
+    def ratios(x0):
+        cfg = base_config(eps=0.05, horizon=1.0, step_count=4, path_count=2,
+                          initial=np.full(4, x0))
+        ens = simulate(cfg)
+        assert np.all(ens.newton_iterations >= 1)
+        return ens.states / x0
+
+    small = ratios(1e100)
+    for x0 in (1e200, 1e300):
+        assert np.all(np.abs(ratios(x0) - small) <= 1e-12 * np.abs(small))
+
+
 def test_zero_noise_sandpile_flat_region_is_linear_flow():
     # Nonpositive data stays in the flat region, so the step reduces to the
     # linear implicit flow with the eps-scaled generator, exactly.

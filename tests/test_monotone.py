@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import breakpoints, power_root_bisection
 
+from graphspde import monotone
 from graphspde.monotone import (
     MoreauYosida,
     ResolventError,
@@ -193,6 +194,43 @@ def test_resolvent_requires_convexity():
     concave = piecewise_quadratic([0.0], [(-1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)])
     with pytest.raises(ResolventError, match="convex"):
         MoreauYosida(concave, 0.5).resolvent(1.0)
+
+
+def test_resolvent_refuses_a_log_solve_that_misses(monkeypatch):
+    # At |r| = 1.7e308, eps s^2.5 overflows in the plain Newton solve, so
+    # the element is solved again in logarithms; a wrong root there is the
+    # last word and is refused.
+    calls = []
+
+    def wrong_root(p, eps, a):
+        calls.append(a)
+        return 0.5 * a
+
+    monkeypatch.setattr(monotone, "_power_log_solve", wrong_root)
+    my = MoreauYosida(porous_medium(2.5), 0.05)
+    with pytest.raises(ResolventError, match="resolvent residual"):
+        my.resolvent(np.array([1.0, -1.7e308]))
+    assert len(calls) == 1
+
+
+def test_resolvent_refuses_nan_at_a_finite_argument(monkeypatch):
+    # A NaN gap at a finite argument misses the tolerance: a NaN from the
+    # plain solve is solved again in logarithms, and a NaN from there too
+    # is refused.  The other kinds refuse a NaN resolvent the same way.
+    r = np.array([0.5, -3.0, 1e10])
+    my = MoreauYosida(porous_medium(2.5), 0.05)
+    cold = my.resolvent(r)
+    monkeypatch.setattr(monotone, "_power_newton",
+                        lambda p, eps, a, start=None: np.full(a.shape, np.nan))
+    assert np.all(np.abs(my.resolvent(r) - cold) <= 2e-12 * (1.0 + np.abs(r)))
+    monkeypatch.setattr(monotone, "_power_log_solve",
+                        lambda p, eps, a: np.full(a.shape, np.nan))
+    with pytest.raises(ResolventError, match="resolvent residual nan"):
+        my.resolvent(r)
+    sandpile = MoreauYosida(zhang(), 0.05)
+    with pytest.raises(ResolventError, match="resolvent residual nan"):
+        sandpile._check_residual(r, np.full(3, np.nan))
+    sandpile._check_residual(np.array([np.nan, np.inf]), np.full(2, np.nan))
 
 
 def test_smoothing_parameter_validation():
@@ -493,14 +531,14 @@ def test_power_newton_elements_independent_of_batch(p):
     assert np.array_equal(batch.view(np.int64), alone.view(np.int64))
 
 
-def test_power_newton_halves_an_overflowing_residual():
+def test_power_resolvent_rescues_an_overflowing_residual():
     # From a, eps a^1.2 would overflow for a above about 1e258; the start
     # min(a, (a/eps)^(1/p)) keeps the residual finite there.  Near the top
     # of the float range s^p overflows at that start although eps s^p is
-    # about a; the residual is then taken as four times its quarter.  For
-    # p < 1 the sum s + eps s^p overflows at the start min(a/eps, a^p) in y
-    # where its terms are alike; the iterate is then halved until the
-    # residual is finite.
+    # about a, and for p < 1 the sum s + eps s^p overflows at the start
+    # min(a/eps, a^p) in y where its terms are alike.  The plain Newton
+    # solve then misses, and the resolvent solves those elements again in
+    # logarithms.
     for p, eps, a in ((1.2, 0.05, np.logspace(259, 266, 8)),
                       (1.001, 0.5, np.linspace(1e308, 1.7e308, 8)),
                       (0.7, 1e92, np.linspace(1.4e308, 1.7e308, 8))):
@@ -511,9 +549,9 @@ def test_power_newton_halves_an_overflowing_residual():
             else:
                 start = np.minimum(a, a ** (1.0 / p) * eps ** (-1.0 / p))
                 assert np.all(np.isinf(start**p) == (p == 1.001))
-        s = _power_newton(p, eps, a)
+        s = _power_resolvent(p, eps, a)
         assert np.all(np.abs(s - power_root_bisection(p, eps, a)) <= 1e-12 * s)
-    assert _power_newton(1.2, 0.05, np.array([])).shape == (0,)
+    assert _power_resolvent(1.2, 0.05, np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("p", [1.2, 2.0, 2.5, 5.0])
@@ -598,6 +636,24 @@ def test_warm_resolvent_starts_above_the_root_and_matches_bisection(p):
                                  values0.slope_derivative))
         assert np.all(np.abs(values.resolvent - np.sign(r) * root)
                       <= 2e-13 * (1.0 + np.abs(r)))
+
+
+# The envelope overflows where the potential's value does.
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.5, 5.0])
+def test_warm_resolvent_where_the_tangent_start_rounds_below_zero(p):
+    # At eps 1e-8 the slope derivative at these r0 rounds to 1/eps, so
+    # 1 - eps d0 rounds to about -2e-16 and the tangent start falls below
+    # zero.  Clipped to zero, the first Newton step jumps to s = a, where
+    # eps a^p overflows; the warm solve must still find the root.
+    r0 = np.logspace(-300, 307.5, 20000)
+    r0 = r0[r0 > 1e280]
+    r = 1.001 * r0
+    my = MoreauYosida(porous_medium(p), 1e-8)
+    values0 = my.evaluate(r0)
+    s = my.resolvent(r, (r0, values0.resolvent, values0.slope_derivative))
+    root = power_root_bisection(p, 1e-8, r)
+    assert np.all(np.abs(s - root) <= 1e-12 * root)
 
 
 @pytest.mark.parametrize("pot", [

@@ -69,3 +69,32 @@ def test_resolvent_properties_over_the_float_range(name, args, eps):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     if pot.kind == "piecewise":
         assert not np.isnan(values.envelope).any()
+
+
+# The envelope of the earlier argument overflows where the potential's
+# value does.
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("name", [name for name, pot in POTENTIALS.items()
+                                  if pot.kind in ("fast_diffusion",
+                                                  "porous_medium")])
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+@hypothesis.given(ARGUMENTS, EPSILONS, st.sampled_from([1.0 - 1e-3,
+                                                        1.0 + 1e-3]))
+@hypothesis.example([-1e281, 3e306], 1e-8, 1.0 + 1e-3)
+def test_warm_resolvent_over_the_float_range(name, args, eps, factor):
+    # Started from the values at r (1 -+ 1e-3): nothing is refused, and the
+    # cold and warm roots each have a gap within 1e-12 (1 + |r|) on a
+    # residual of slope at least 1, so they differ by at most twice that.
+    # The explicit example is one where the tangent start of the porous
+    # medium kinds rounds below zero.
+    my = MoreauYosida(POTENTIALS[name], eps)
+    r = np.array(args)
+    with np.errstate(over="ignore"):
+        r0 = np.clip(factor * r, -LARGEST, LARGEST)
+    values0 = my.evaluate(r0)
+    previous = (r0, values0.resolvent, values0.slope_derivative)
+    s = my.resolvent(r, previous)
+    assert np.all(np.abs(s - my.resolvent(r)) <= 2e-12 * (1.0 + np.abs(r)))
+    again = my.resolvent(r0.copy(), previous)
+    assert np.array_equal(again.view(np.int64),
+                          values0.resolvent.view(np.int64))
