@@ -43,7 +43,7 @@ import scipy
 from .dirichlet import DirichletSpace
 from .monotone import ConvexPotential, MoreauYosida
 from .noise import NoiseModel, brownian_increments
-from .reports import EstimateReport, batch_mean_ci, format_value
+from .reports import EstimateReport, _implied_constant_report, format_value
 
 __all__ = [
     "SimulationConfig",
@@ -192,12 +192,11 @@ class _NewtonSystem:
     rows go to a batched dense solve.  Which route a row takes depends on
     its own ``d`` alone, so either way every path's arithmetic is
     independent of the rest of the batch.  The dense solve takes at most
-    ``lu_rows`` rows at a time (all of them when None), so a coupled batch
-    never holds more than one run's worth of matrices.
+    ``lu_rows`` rows at a time, so a coupled batch never holds more than
+    one run's worth of matrices.
     """
 
-    def __init__(self, space: DirichletSpace, dt: float,
-                 lu_rows: int | None = None):
+    def __init__(self, space: DirichletSpace, dt: float, lu_rows: int):
         self.dt = dt
         self.lu_rows = lu_rows
         self.tridiagonal = space.is_tridiagonal
@@ -269,10 +268,9 @@ class _NewtonSystem:
             coef /= 1.0 + self.dt * d[uniform, :1] * self._lam
             delta[uniform] = -(coef[:, None, :] @ self._from_spectral)[:, 0]
         rest = np.flatnonzero(~uniform)
-        chunk = self.lu_rows or max(rest.size, 1)
         idx = np.arange(n)
-        for start in range(0, rest.size, chunk):
-            rows = rest[start:start + chunk]
+        for start in range(0, rest.size, self.lu_rows):
+            rows = rest[start:start + self.lu_rows]
             inv_d = 1.0 / d[rows]
             A = np.repeat(self.dt * self._K[None], rows.size, axis=0)
             A[:, idx, idx] += inv_d
@@ -332,14 +330,12 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
         return norm
 
     def newton_terms(x, previous):
-        # The start point that x gives the next resolvent (None for a
-        # closed-form one), and the drift, slope derivative and local
-        # objective terms, from one solve.
+        # The start point that x gives the next resolvent, which alone
+        # decides whether to use it, and the drift, slope derivative and
+        # local objective terms, from one solve.
         my = smoother.evaluate(x, previous)
-        point = ((x, my.resolvent, my.slope_derivative)
-                 if smoother.iterative else None)
-        return (point, my.slope + eps * x, my.slope_derivative + eps,
-                my.envelope + 0.5 * eps * x**2)
+        return ((x, my.resolvent, my.slope_derivative), my.slope + eps * x,
+                my.slope_derivative + eps, my.envelope + 0.5 * eps * x**2)
 
     if start is None:
         # Adding minus zero leaves rhs bit for bit, zero signs included.
@@ -470,34 +466,10 @@ def energy_budget(ensemble: TrajectoryEnsemble) -> EstimateReport:
     sup_l2 = (space.lp_norm(ensemble.states, 2) ** 2).max(axis=1)   # (P,)
     graph_sq = space.bessel_norm(ensemble.states) ** 2              # (P, N+1)
     budget = config.eps * np.trapezoid(graph_sq, ensemble.times, axis=1)
-    total = sup_l2 + budget
     denom = float(space.lp_norm(config.initial, 2) ** 2) + 1.0
-
-    mean_sup, ci_sup = batch_mean_ci(sup_l2)
-    mean_budget, ci_budget = batch_mean_ci(budget)
-    mean_total, ci_total = batch_mean_ci(total)
-    c_hat = mean_total / denom
-
-    return EstimateReport(
-        name="energy_budget",
-        passed=bool(np.isfinite(c_hat)),
-        worst_margin=float(c_hat),
-        constants={
-            "sup_l2_sq": float(mean_sup),
-            "sup_l2_sq_ci": float(ci_sup),
-            "graph_budget": float(mean_budget),
-            "graph_budget_ci": float(ci_budget),
-            "implied_constant": float(c_hat),
-            "implied_constant_ci": float(ci_total / denom),
-            "eps": config.eps,
-        },
-        columns=("quantity", "value", "ci"),
-        series=(
-            ("sup_l2_sq", float(mean_sup), float(ci_sup)),
-            ("graph_budget", float(mean_budget), float(ci_budget)),
-            ("implied_constant", float(c_hat), float(ci_total / denom)),
-        ),
-    )
+    return _implied_constant_report(
+        "energy_budget", (("sup_l2_sq", sup_l2), ("graph_budget", budget)),
+        sup_l2 + budget, denom, config.eps)
 
 
 # -- artifacts ------------------------------------------------------------------

@@ -24,7 +24,13 @@ from .dirichlet import DirichletSpace
 from .engine import SimulationConfig, TrajectoryEnsemble, _coupled
 from .monotone import ConvexPotential, MoreauYosida
 from .noise import certify_noise
-from .reports import CI_Z, EstimateReport, _batch_bounds, batch_mean_ci
+from .reports import (
+    CI_Z,
+    EstimateReport,
+    _batch_bounds,
+    _implied_constant_report,
+    batch_mean_ci,
+)
 
 __all__ = [
     "EnergyFunctional",
@@ -434,20 +440,9 @@ def regularity_budget(ensemble: TrajectoryEnsemble) -> EstimateReport:
     vals = functional.smoothed(cfg.eps, ensemble.states)     # (P, K+1)
     integral = np.trapezoid(vals, ensemble.times, axis=1)
     denom = float(cfg.space.dual_norm(cfg.initial) ** 2) + 1.0
-    mean, ci = batch_mean_ci(integral)
-    c_hat = float(mean / denom)
-    return EstimateReport(
-        name="regularity_budget",
-        passed=bool(np.isfinite(c_hat)),
-        worst_margin=c_hat,
-        constants={"budget": float(mean), "budget_ci": float(ci),
-                   "implied_constant": c_hat,
-                   "implied_constant_ci": float(ci / denom),
-                   "eps": cfg.eps},
-        columns=("quantity", "value", "ci"),
-        series=(("budget", float(mean), float(ci)),
-                ("implied_constant", c_hat, float(ci / denom))),
-    )
+    return _implied_constant_report("regularity_budget",
+                                    (("budget", integral),), integral, denom,
+                                    cfg.eps)
 
 
 # -- uniformity over the smoothing ladder ----------------------------------------------

@@ -39,6 +39,7 @@ __all__ = [
 
 _KINDS = ("fast_diffusion", "porous_medium", "zhang", "piecewise")
 _RESIDUAL_TOL = 1e-12  # largest resolvent residual gap, relative to 1 + |r|
+_CLOSED_FORMS = (0.5, 2.0)  # power exponents whose resolvent is a formula
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,16 @@ class ConvexPotential:
         a, b, c = coeff[..., 0], coeff[..., 1], coeff[..., 2]
         with np.errstate(invalid="ignore"):
             v = a * r**2 + b * r + c
-        # Near the top of the float range a r^2 and b r can overflow with
-        # opposite signs, inf - inf; the nested form cannot read NaN there.
-        nan = np.isnan(v) & np.isfinite(r)
-        if nan.any():
-            v = np.where(nan, (a * r + b) * r + c, v)
+            # Near the top of the float range a r^2 and b r can overflow
+            # with opposite signs, inf - inf; the nested form cannot read
+            # NaN there.  At r = +-inf, where 0 inf reads NaN too, the
+            # value is the limit of the outer piece.
+            nan = np.isnan(v) & ~np.isnan(r)
+            if nan.any():
+                limit = np.where(a != 0, np.sign(a) * np.inf,
+                                 np.where(b != 0, np.sign(b * r) * np.inf, c))
+                v = np.where(nan, np.where(np.isfinite(r), (a * r + b) * r + c,
+                                           limit), v)
         return v
 
     def subdiff(self, r):
@@ -188,20 +194,21 @@ def piecewise_quadratic(knots, pieces) -> ConvexPotential:
 def _power_resolvent(p: float, eps, r: np.ndarray, start=None) -> np.ndarray:
     """Solve s + eps * sign(s) |s|**p = r, vectorized and odd in r.
 
-    The closed forms of p = 1/2 and 2 and the Newton solve (from ``start``
-    when given) use plain arithmetic; every element whose residual gap
-    misses the tolerance, as where they overflow, is solved again in
-    logarithms, and only a miss there is refused.  A NaN or infinite
+    The closed forms of the exponents in ``_CLOSED_FORMS``, which ignore
+    ``start``, and the Newton solve (from ``start`` when given) use plain
+    arithmetic; every element whose residual gap misses the tolerance, as
+    where they overflow, is solved again in logarithms, and only a miss
+    there is refused.  A NaN or infinite
     argument gives NaN."""
     a = np.abs(r)
     with np.errstate(over="ignore", invalid="ignore"):
-        if p == 0.5 and start is None:
+        if p not in _CLOSED_FORMS:
+            s = _power_newton(p, eps, a, start)
+        elif p < 1.0:
             x = 0.5 * (-eps + np.sqrt(eps * eps + 4.0 * a))
             s = x * x
-        elif p == 2.0 and start is None:
-            s = 2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * eps * a))
         else:
-            s = _power_newton(p, eps, a, start)
+            s = 2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * eps * a))
     miss = ~(_power_gap(p, eps, a, s) <= _RESIDUAL_TOL * (1.0 + a))
     if miss.any():
         s = np.where(miss, _power_log_solve(p, eps, a), s)
@@ -299,7 +306,9 @@ def _refuse(gap, r):
 
 
 def _zhang_resolvent(eps: float, r: np.ndarray) -> np.ndarray:
-    return np.where(r <= 0, r, np.where(r <= eps, 0.0, (r - eps) / (1.0 + eps)))
+    # max(r, eps) - eps is r - eps above eps and zero up to it, and cannot
+    # overflow where r <= 0 is kept.
+    return np.where(r <= 0, r, (np.maximum(r, eps) - eps) / (1.0 + eps))
 
 
 class ResolventError(RuntimeError):
@@ -334,43 +343,38 @@ class MoreauYosida:
             raise ValueError("smoothing parameter must be positive and "
                              f"finite, got {self.eps}")
 
-    @property
-    def iterative(self) -> bool:
-        """Whether ``resolvent`` solves by Newton and so can start from
-        ``previous``: the power kinds with an exponent other than 1/2
-        and 2."""
-        pot = self.potential
-        return (pot.kind in ("fast_diffusion", "porous_medium")
-                and pot.exponent not in (0.5, 2.0))
-
     def resolvent(self, r, previous=None):
         """Unique solution s of 0 in s - r + eps * subdiff(s).
 
         Equals the minimizer of ``|r - s|^2 / (2 eps) + value(s)``.
         ``previous`` is an optional ``(r0, s0, d0)`` triple: an earlier
         argument of the shape of ``r``, its resolvent and its slope
-        derivative.  An ``iterative`` resolvent then starts from its tangent
-        at ``r0`` and agrees with the solve without it to the solver
-        tolerance, and an element whose argument equals ``r0`` bit for bit
-        keeps its value in ``s0`` bit for bit.  The other kinds ignore
-        ``previous``.
+        derivative.  A power kind solved by Newton (an exponent not in
+        ``_CLOSED_FORMS``) then starts from its tangent at ``r0`` and agrees
+        with the solve without it to the solver tolerance, and an element
+        whose argument equals ``r0`` bit for bit keeps its value in ``s0``
+        bit for bit.  The other kinds ignore ``previous``.
+
+        The power kinds refuse their own residual misses; the piecewise
+        formula, whose pieces are user data, is checked against the
+        subdifferential on every call; the zhang formula is returned as
+        computed.
         """
         r = np.asarray(r, dtype=float)
         pot, eps = self.potential, self.eps
-        if pot.kind in ("fast_diffusion", "porous_medium"):
-            if previous is None or not self.iterative:
-                return _power_resolvent(pot.exponent, eps, r)
-            r0, s0, d0 = previous
-            r0 = np.asarray(r0, dtype=float)
-            s = _power_resolvent(pot.exponent, eps, r,
-                                 self._tangent(r, r0, s0, d0))
-            return np.where(r.view(np.int64) == r0.view(np.int64), s0, s)
         if pot.kind == "zhang":
-            s = _zhang_resolvent(eps, r)
-        else:
+            return _zhang_resolvent(eps, r)
+        if pot.kind == "piecewise":
             s = self._piecewise_resolvent(r)
-        self._check_residual(r, s)
-        return s
+            self._check_residual(r, s)
+            return s
+        p = pot.exponent
+        if previous is None or p in _CLOSED_FORMS:
+            return _power_resolvent(p, eps, r)
+        r0, s0, d0 = previous
+        r0 = np.asarray(r0, dtype=float)
+        s = _power_resolvent(p, eps, r, self._tangent(r, r0, s0, d0))
+        return np.where(r.view(np.int64) == r0.view(np.int64), s0, s)
 
     def _tangent(self, r, r0, s0, d0):
         # Newton start at |r| on the tangent of the root at |r0|:
@@ -386,24 +390,27 @@ class MoreauYosida:
         return np.abs(s0) + (1.0 - eps * d0) * moved
 
     def _check_residual(self, r, s):
-        # Distance of r - s from eps * subdiff(s), one point for power kinds.
+        # Distance of r - s from eps * subdiff(s), for the zhang and
+        # piecewise kinds.
         pot, eps = self.potential, self.eps
-        if pot.kind in ("fast_diffusion", "porous_medium"):
-            return _refuse(_power_gap(pot.exponent, eps, np.abs(r),
-                                      np.abs(s)), r)
         with np.errstate(over="ignore"):
             lo, hi = pot.subdiff(s)
             gap = np.maximum(eps * lo - (r - s), (r - s) - eps * hi)
             over = gap == np.inf
             if over.any():
-                # Near the top of the float range a piecewise slope 2 a s + b
-                # can overflow where the gap does not: take four times the
-                # gap of a quarter of the potential there.
-                quarter = replace(pot, pieces=tuple(
-                    tuple(c / 4.0 for c in piece) for piece in pot.pieces))
-                lo, hi = (eps * b for b in quarter.subdiff(s))
+                # Near the top of the float range eps times the slope, and a
+                # piecewise slope 2 a s + b itself, can overflow where the
+                # gap does not: take four times the gap of a quarter of the
+                # potential there.
+                if pot.kind == "zhang":
+                    lo, hi = (b / 4.0 for b in pot.subdiff(s))
+                else:
+                    lo, hi = replace(pot, pieces=tuple(
+                        tuple(c / 4.0 for c in piece)
+                        for piece in pot.pieces)).subdiff(s)
                 d = (r - s) / 4.0
-                gap = np.where(over, 4.0 * np.maximum(lo - d, d - hi), gap)
+                gap = np.where(over, 4.0 * np.maximum(eps * lo - d,
+                                                      d - eps * hi), gap)
         _refuse(gap, r)
 
     @cached_property
@@ -448,11 +455,27 @@ class MoreauYosida:
         ``previous`` each equals the matching method bit for bit."""
         r = np.asarray(r, dtype=float)
         s = self.resolvent(r, previous)
+        pot, eps = self.potential, self.eps
+        # The slope derivative: power kinds differentiate through the
+        # resolvent point; the zhang and piecewise formulas read r alone.
+        if pot.kind in ("fast_diffusion", "porous_medium"):
+            p, a = pot.exponent, np.abs(s)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                t = p * np.where(a > 0, a ** (p - 1.0), np.inf)
+                derivative = np.where(np.isfinite(t), t / (1.0 + eps * t),
+                                      (1.0 / eps) if p < 1.0 else 0.0)
+        elif pot.kind == "zhang":
+            derivative = np.where(r <= 0, 0.0, np.where(
+                r <= eps, 1.0 / eps, 1.0 / (1.0 + eps)))
+        else:
+            idx = self._band_index(r)
+            t = 2.0 * np.asarray(pot.pieces)[idx // 2][..., 0]
+            derivative = np.where(idx % 2 == 1, 1.0 / eps, t / (1.0 + eps * t))
         return MoreauYosidaValues(
             resolvent=s,
-            slope=(r - s) / self.eps,
-            slope_derivative=self._slope_derivative(r, s),
-            envelope=(r - s) ** 2 / (2.0 * self.eps) + self.potential.value(s),
+            slope=(r - s) / eps,
+            slope_derivative=derivative,
+            envelope=(r - s) ** 2 / (2.0 * eps) + pot.value(s),
         )
 
     def yosida(self, r):
@@ -471,29 +494,9 @@ class MoreauYosida:
 
     def yosida_slope(self, r):
         """Almost-everywhere derivative of the Lipschitz slope, the Newton
-        Jacobian of the implicit time stepper; bounded by ``1/eps``."""
-        r = np.asarray(r, dtype=float)
-        power = self.potential.kind in ("fast_diffusion", "porous_medium")
-        return self._slope_derivative(r, self.resolvent(r) if power else None)
-
-    def _slope_derivative(self, r, s):
-        # Power kinds differentiate through the resolvent point ``s``; the
-        # zhang and piecewise formulas depend on ``r`` alone.
-        pot, eps = self.potential, self.eps
-        if pot.kind in ("fast_diffusion", "porous_medium"):
-            p = pot.exponent
-            s = np.abs(s)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                t = p * np.where(s > 0, s ** (p - 1.0), np.inf)
-                return np.where(np.isfinite(t), t / (1.0 + eps * t),
-                                (1.0 / eps) if p < 1.0 else 0.0)
-        if pot.kind == "zhang":
-            return np.where(r <= 0, 0.0,
-                            np.where(r <= eps, 1.0 / eps, 1.0 / (1.0 + eps)))
-        idx = self._band_index(r)
-        on_knot = idx % 2 == 1
-        t = 2.0 * np.asarray(pot.pieces)[idx // 2][..., 0]
-        return np.where(on_knot, 1.0 / eps, t / (1.0 + eps * t))
+        Jacobian of the implicit time stepper; bounded by ``1/eps``.  It is
+        ``evaluate``'s slope derivative."""
+        return self.evaluate(r).slope_derivative
 
 
 # -- paired-smoothing comparison -------------------------------------------

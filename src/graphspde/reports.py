@@ -109,6 +109,29 @@ class EstimateReport:
             (directory / f"{stem}.csv").write_text(self.to_csv())
 
 
+def _implied_constant_report(name: str, parts, total, denom: float,
+                             eps: float) -> EstimateReport:
+    """Report ``name``: the batch mean and CI of each ``(key, samples)`` of
+    ``parts`` and of the constant ``mean(total) / denom`` they imply, which
+    passes when it is finite."""
+    rows = [(key, *map(float, batch_mean_ci(samples)))
+            for key, samples in parts]
+    mean, ci = batch_mean_ci(total)
+    c_hat = float(mean / denom)
+    rows.append(("implied_constant", c_hat, float(ci / denom)))
+    constants = {"eps": eps}
+    for key, value, half_width in rows:
+        constants[key], constants[f"{key}_ci"] = value, half_width
+    return EstimateReport(
+        name=name,
+        passed=bool(np.isfinite(c_hat)),
+        worst_margin=c_hat,
+        constants=constants,
+        columns=("quantity", "value", "ci"),
+        series=tuple(rows),
+    )
+
+
 def bundle_report(name: str, checks: list[CheckResult]) -> EstimateReport:
     """Collapse named checks into one report with a margin table."""
     return EstimateReport(

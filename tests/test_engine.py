@@ -151,7 +151,7 @@ def test_step_single_node_against_double_bisection():
 
     # Smoothing 1 lies outside what SimulationConfig accepts, so the step
     # is solved directly.
-    system = _NewtonSystem(single_node_space(), 1.0)
+    system = _NewtonSystem(single_node_space(), 1.0, lu_rows=1)
     smoother = MoreauYosida(fast_diffusion(0.5), 1.0)
     got, *_ = _implicit_step_batch(system, smoother, np.array([[4.0]]))
     assert got[0, 0] == pytest.approx(outer(), abs=1e-9)
@@ -183,7 +183,6 @@ def test_step_evaluates_the_step_taken_after_exhausted_line_search():
     class RejectingSmoother:
         def __init__(self, inner):
             self.inner, self.eps, self.args = inner, inner.eps, []
-            self.iterative = inner.iterative
 
         def evaluate(self, r, previous=None):
             self.args.append(np.array(r))
@@ -199,7 +198,7 @@ def test_step_evaluates_the_step_taken_after_exhausted_line_search():
     space = path_space(4)
     rhs = np.zeros((1, 4))
     smoother = RejectingSmoother(inner)
-    system = _NewtonSystem(space, 0.05)
+    system = _NewtonSystem(space, 0.05, lu_rows=1)
     x, residual, *_ = _implicit_step_batch(system, smoother, rhs)
     delta = smoother.args[1]
     assert np.abs(delta).max() > 0
@@ -224,7 +223,7 @@ def test_newton_system_matches_dense_dual_metric_formulas(make_space,
     # and the dense products with MG and minus the generator.
     space = make_space()
     eps, dt, paths = 0.05, 0.02, 7
-    system = _NewtonSystem(space, dt)
+    system = _NewtonSystem(space, dt, lu_rows=paths)
     assert system.tridiagonal is tridiagonal
 
     rng = np.random.default_rng(11)
@@ -262,9 +261,10 @@ def test_uniform_slope_direction_matches_dense_solve(make_space,
     space = make_space()
     n, dt = space.node_count, 0.02
     K = -space.generator
-    system = _NewtonSystem(space, dt)
     rng = np.random.default_rng(5)
     c = np.ravel([[e, 1 / (1 + e) + e, 1 / e + e] for e in (0.05, 0.1)])
+    # One dense solve for every row of the mixed batch below.
+    system = _NewtonSystem(space, dt, lu_rows=2 * c.size)
     F = rng.standard_normal((c.size, n)) * np.logspace(-3, 3, c.size)[:, None]
     d = np.repeat(c[:, None], n, axis=1)
 
@@ -447,7 +447,7 @@ def test_step_starts_from_the_previous_drift_increment(space, potential):
     # right side).
     n, steps, tol = space.node_count, 64, _SOLVER_TOL
     dt = 1.0 / steps
-    system = _NewtonSystem(space, dt)
+    system = _NewtonSystem(space, dt, lu_rows=12)
     smoother = MoreauYosida(potential, 0.05)
     noise = diagonal_noise(n, 0.3)
     dW = brownian_increments(5, "warm", 12, steps, n, dt)
@@ -696,7 +696,7 @@ def test_lapack_failure_is_a_typed_error_naming_routine_and_info():
                             generator=np.eye(3))
     with pytest.raises(StepSolverError,
                        match=r"^LAPACK dpttrf failed with info = 1 "):
-        _NewtonSystem(space, 0.1)
+        _NewtonSystem(space, 0.1, lu_rows=1)
 
 
 def test_lapack_wrapper_loader_names_what_it_missed(monkeypatch, tmp_path):

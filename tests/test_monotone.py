@@ -82,6 +82,22 @@ def test_zhang_resolvent_branches_match_oracle():
     assert got[2] == pytest.approx((3.0 - 0.5) / 1.5)
 
 
+@pytest.mark.parametrize("eps", [1e-8, 0.05, 1.0, 1e20, 1e300])
+def test_zhang_closed_form_is_within_the_gap_tolerance(eps):
+    # The resolvent returns the closed form unchecked; the residual check
+    # is the oracle here, at the largest floats, signed zeros, the
+    # smallest subnormal and the branch point eps with its neighbours.
+    # At eps 1e20 and r the largest float, eps (s + 1) rounds above the
+    # largest float, so the check takes its overflow-safe form.
+    largest = np.finfo(float).max
+    r = np.array([largest, -largest, -0.0, 0.0, 5e-324, eps,
+                  np.nextafter(eps, np.inf), np.nextafter(eps, -np.inf)])
+    my = MoreauYosida(zhang(), eps)
+    s = my.resolvent(r)
+    my._check_residual(r, s)
+    assert np.array_equal(np.signbit(s[2:4]), [True, False])
+
+
 def test_fast_diffusion_resolvent_against_bisection():
     # theta = 1/2 at eps = 1: s + sqrt(s) = 2 has the root s = 1.
     my = MoreauYosida(fast_diffusion(0.5), 1.0)
@@ -480,6 +496,30 @@ def test_piecewise_validation():
                            rtol=1e-15, atol=0.0)
 
 
+INF = np.inf
+
+
+@pytest.mark.parametrize("knots, pieces, expected", [
+    ([-1.0, 1.0], [(1.0, 1.0, 0.0), (0.0, 0.0, 0.0), (2.0, -2.0, 0.0)],
+     [INF, INF]),
+    ([-0.5, 0.5], [(0.0, -1.0, -0.5), (0.0, 0.0, 0.0), (0.0, 1.0, -0.5)],
+     [INF, INF]),
+    ([], [(0.0, 0.0, 0.0)], [0.0, 0.0]),
+    ([], [(0.0, 0.0, 3.0)], [3.0, 3.0]),
+    ([], [(0.0, 2.0, 0.0)], [-INF, INF]),
+    ([], [(-1.0, 4.0, 0.0)], [-INF, -INF]),
+], ids=["opposite_b", "kinked", "flat", "constant", "linear", "concave"])
+def test_piecewise_value_at_infinity_is_the_outer_piece_limit(knots, pieces,
+                                                              expected):
+    # a inf^2 + b inf + c reads NaN where a = 0 (0 inf) and where b has
+    # the sign opposite to a (inf - inf); the value there is the limit of
+    # the outer piece.  A NaN argument stays NaN.
+    pot = piecewise_quadratic(knots, pieces)
+    got = pot.value(np.array([-INF, INF, np.nan]))
+    assert np.array_equal(got[:2], expected)
+    assert np.isnan(got[2])
+
+
 def test_exponent_validation():
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
         fast_diffusion(1.0)
@@ -612,11 +652,18 @@ def warm_arguments():
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.9, 1.5, 2.5, 5.0])
-def test_warm_resolvent_starts_above_the_root_and_matches_bisection(p):
+def test_warm_resolvent_starts_above_the_root_and_matches_bisection(
+        p, monkeypatch):
     pot = fast_diffusion(p) if p < 1.0 else porous_medium(p)
     my = MoreauYosida(pot, WARM_EPS)
-    assert my.iterative
     values0 = my.evaluate(WARM_R0)
+    starts = []
+
+    def newton(p, eps, a, start=None):
+        starts.append(start)
+        return _power_newton(p, eps, a, start)
+
+    monkeypatch.setattr(monotone, "_power_newton", newton)
     # The Newton variable: y = |s|^p for p < 1, |s| for p > 1.
     power = p if p < 1.0 else 1.0
     y0 = np.abs(values0.resolvent) ** power
@@ -632,10 +679,26 @@ def test_warm_resolvent_starts_above_the_root_and_matches_bisection(p):
                             values0.slope_derivative)
         above = start >= y - 4e-15 * (y + y0)
         assert np.all(above | (values0.resolvent == 0.0))
+        starts.clear()
         values = my.evaluate(r, (WARM_R0, values0.resolvent,
                                  values0.slope_derivative))
+        # The tangent start reaches the Newton solve.
+        assert len(starts) == 1 and np.array_equal(starts[0], start)
         assert np.all(np.abs(values.resolvent - np.sign(r) * root)
                       <= 2e-13 * (1.0 + np.abs(r)))
+
+
+@pytest.mark.parametrize("pot", [fast_diffusion(0.5), porous_medium(2.0)],
+                         ids=["fd0.5", "pm2"])
+def test_closed_form_resolvent_ignores_the_start(pot):
+    # A closed-form exponent takes no tangent start: with one the resolvent
+    # is the cold one bit for bit, also where an argument equals r0.
+    my = MoreauYosida(pot, WARM_EPS)
+    values0 = my.evaluate(WARM_R0)
+    previous = (WARM_R0, values0.resolvent, values0.slope_derivative)
+    for r in warm_arguments() + (WARM_R0.copy(),):
+        got, cold = my.resolvent(r, previous), my.resolvent(r)
+        assert np.array_equal(got.view(np.int64), cold.view(np.int64))
 
 
 # The envelope overflows where the potential's value does.

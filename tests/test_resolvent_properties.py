@@ -7,6 +7,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from graphspde import monotone  # noqa: E402
 from graphspde.monotone import (  # noqa: E402
     MoreauYosida,
     fast_diffusion,
@@ -57,10 +58,14 @@ def test_resolvent_properties_over_the_float_range(name, args, eps):
     r = np.array(args)
     values = my.evaluate(r)
     s = values.resolvent
-    my._check_residual(r, s)
     if pot.kind in ("fast_diffusion", "porous_medium"):
+        # The residual gap in the power kinds' own overflow-safe form.
+        monotone._refuse(monotone._power_gap(pot.exponent, eps, np.abs(r),
+                                             np.abs(s)), r)
         odd = my.resolvent(-r)
         assert np.array_equal(odd.view(np.int64), (-s).view(np.int64))
+    else:
+        my._check_residual(r, s)
     order = np.argsort(r, kind="stable")
     assert np.all(np.diff(s[order]) >= 0.0)
     separate = (my.resolvent(r), my.yosida(r), my.yosida_slope(r),
