@@ -555,15 +555,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
                 rep.write(out, f"report_{exp}_uniformity")
                 reports.append(rep)
         else:  # svi
-            n = base.space.node_count
+            # The levels share one increment array, so the test processes
+            # without the run's own drift are built once, from the first.
+            n, first = base.space.node_count, ensembles[0]
+            shared = {
+                "zero": build_test_process(first, np.zeros(n)),
+                "constant": build_test_process(
+                    first, np.zeros(n), drift=np.full(n, cfg.drift_const)),
+            }
             for eps, ens in zip(cfg.eps_values, ensembles):
-                procs = {
-                    "zero": build_test_process(ens, np.zeros(n)),
-                    "constant": build_test_process(
-                        ens, np.zeros(n), drift=np.full(n, cfg.drift_const)),
-                    "replayed": build_test_process(ens, base.initial,
-                                                   drift=ens),
-                }
+                procs = {**shared, "replayed": build_test_process(
+                    ens, base.initial, drift=ens)}
                 reps = check_svi(ens, procs.values())
                 for tag, rep in zip(procs, reps):
                     rep.write(out, f"report_svi_{tag}_eps{_eps_tag(eps)}")

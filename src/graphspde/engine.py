@@ -14,7 +14,9 @@ size.  With ``K`` minus the generator and ``d`` the slope derivative plus
 ``delta = z / d``; that system has the sparsity of the generator, so on
 path graphs it is tridiagonal.  On dense generators a path whose ``d`` is
 one number at every node is solved in the eigenbasis of the space, where
-the system is diagonal, in O(n^2); the other paths take a dense solve.
+the system is diagonal, in O(n^2); the other paths take Jacobi-preconditioned
+conjugate gradients, O(n^2) per iteration, whose iteration count does not
+grow with the spread of ``d``.
 Consecutive steps differ by one noise increment, so each step after the
 first starts Newton from its right side plus the previous step's drift
 increment, and a Newton-solved resolvent from the values it had at the
@@ -61,6 +63,9 @@ __all__ = [
 # the mu-norm, and fails after _MAX_NEWTON passes.
 _SOLVER_TOL = 1e-10
 _MAX_NEWTON = 100
+# A dense Newton row's conjugate gradients stop once the preconditioned
+# residual r.P^-1 r is at most _CG_TOL times b.P^-1 b, 1e-15 relative.
+_CG_TOL = 1e-30
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -188,12 +193,23 @@ class _NewtonSystem:
     dual metric as one vector-matrix product per row.  A row whose ``d`` is
     one number ``c`` at every node has the direction
     ``-Phi (Phi^T M F) / (1 + dt c lambda)`` in the mu-orthonormal
-    eigenbasis ``Phi`` of ``K``, two such products, O(n^2); only the other
-    rows go to a batched dense solve.  Which route a row takes depends on
-    its own ``d`` alone, so either way every path's arithmetic is
-    independent of the rest of the batch.  The dense solve takes at most
-    ``lu_rows`` rows at a time, so a coupled batch never holds more than
-    one run's worth of matrices.
+    eigenbasis ``Phi`` of ``K``, two such products, O(n^2).  The other
+    rows take conjugate gradients in the mu inner product, where ``K`` is
+    self-adjoint, preconditioned by the diagonal ``1/d + dt K_ii``.  In
+    the symmetric form ``M/d + dt E`` that is Jacobi scaling, and the
+    preconditioned matrix has a condition number of at most that of
+    ``J = diag(E)^-1/2 E diag(E)^-1/2``, whatever ``d`` and ``dt`` are
+    (van der Sluis 1969): a Rayleigh quotient of ``dt E`` against
+    ``dt diag(E)`` lies between the extreme eigenvalues of ``J``, which
+    bracket 1 as ``J`` has a unit diagonal, and ``M/d`` adds the same
+    term to both quadratic forms.  ``cond(J)`` is 2.2 on
+    ``path_n|power(0.5)``, 4.3 with power 0.9 and 2.0 on ``complete_n``,
+    so rows converge to 1e-15 in about 6 to 21 iterations.  A row still
+    unconverged after ``n`` iterations falls back to a batched dense LU
+    solve of at most ``lu_rows`` rows, so a coupled batch never holds more
+    than one run's worth of matrices.  Which route a row takes, and when
+    its iteration stops, depend on its own ``d`` and ``F`` alone, so every
+    path's arithmetic is independent of the rest of the batch.
     """
 
     def __init__(self, space: DirichletSpace, dt: float, lu_rows: int):
@@ -213,7 +229,11 @@ class _NewtonSystem:
             self._check("dpttrf", info)
             self._bands = self.dt * np.stack([self._lower, self._upper])
         else:
-            self._K = K
+            # K^T in row-major order: the vector-matrix products of
+            # apply_k then take BLAS's dot-product form of gemv, measured
+            # 1.1x faster than the other form at n = 64 and 1.6x at 128.
+            self._k_t = K.T.copy()
+            self._k_diag = np.diag(K).copy()
             self._dual = space.dual_metric
             self._lam = space.eigenvalues
             self._to_spectral = space.basis * mu[:, None]
@@ -229,7 +249,7 @@ class _NewtonSystem:
     def apply_k(self, y: np.ndarray) -> np.ndarray:
         """Minus the generator applied to each row of ``y``."""
         if not self.tridiagonal:
-            return (y[:, None, :] @ self._K.T)[:, 0]
+            return (y[:, None, :] @ self._k_t)[:, 0]
         out = self._diag * y
         out[:, :-1] += self._upper[:-1] * y[:, 1:]
         out[:, 1:] += self._lower[:-1] * y[:, :-1]
@@ -264,20 +284,78 @@ class _NewtonSystem:
         # Rows with one slope derivative at every node: the eigenbasis.
         uniform = (d == d[:, :1]).all(axis=1)
         if uniform.any():
-            coef = (F[uniform][:, None, :] @ self._to_spectral)[:, 0]
-            coef /= 1.0 + self.dt * d[uniform, :1] * self._lam
-            delta[uniform] = -(coef[:, None, :] @ self._from_spectral)[:, 0]
+            delta[uniform] = self._eigenbasis(F[uniform], d[uniform, :1])
         rest = np.flatnonzero(~uniform)
-        idx = np.arange(n)
-        for start in range(0, rest.size, self.lu_rows):
-            rows = rest[start:start + self.lu_rows]
-            inv_d = 1.0 / d[rows]
-            A = np.repeat(self.dt * self._K[None], rows.size, axis=0)
-            A[:, idx, idx] += inv_d
-            z = np.linalg.solve(A, -F[rows][..., None])[..., 0]
-            del A
-            delta[rows] = z * inv_d
+        if rest.size:
+            inv_d = 1.0 / d[rest]
+            z, unsolved = self._cg(-F[rest], inv_d)
+            for start in range(0, unsolved.size, self.lu_rows):
+                rows = unsolved[start:start + self.lu_rows]
+                z[rows] = self._lu(-F[rest[rows]], inv_d[rows])
+            delta[rest] = z * inv_d
         return delta
+
+    def _eigenbasis(self, F: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # delta = -Phi (Phi^T M F) / (1 + dt c lambda), c a (rows, 1) column.
+        coef = (F[:, None, :] @ self._to_spectral)[:, 0]
+        coef /= 1.0 + self.dt * c * self._lam
+        return -(coef[:, None, :] @ self._from_spectral)[:, 0]
+
+    def _cg(self, b: np.ndarray, inv_d: np.ndarray):
+        # Jacobi-preconditioned conjugate gradients for (1/d + dt K) z = b,
+        # row by row in the mu inner product, where the matrix is
+        # self-adjoint, on the system divided by dt, (c + K) z = b / dt
+        # with c = 1 / (d dt); the preconditioner is its diagonal
+        # c + K_ii.  Each row is first scaled by a power of two near its
+        # largest entry, so that no inner product overflows.  A row leaves
+        # the working arrays once r.P^-1 r is at most _CG_TOL b.P^-1 b; a
+        # NaN row never does.  Returns z and the rows still unconverged
+        # after n iterations, CG's bound in exact arithmetic.
+        mu, n, dt = self.mu, b.shape[1], self.dt
+        exponent = np.frexp(np.abs(b).max(axis=1))[1][:, None]
+        b = np.ldexp(b, -exponent) / dt
+        c = inv_d / dt
+        precond = c + self._k_diag
+
+        def dot(u, v):
+            # One BLAS dot per row: each row's sum is its own.
+            return np.vecdot(u * mu, v)
+
+        def apply(v):
+            q = self.apply_k(v)
+            q += c * v
+            return q
+
+        out = z = b / precond
+        goal = _CG_TOL * dot(b, z)
+        r = b - apply(z)
+        y = r / precond
+        rho, p, live = dot(r, y), y, np.arange(len(b))
+        for it in range(n + 1):
+            keep = ~(rho <= goal)
+            if not keep.all():
+                # out holds the final z of every row that has left.
+                out[live[~keep]] = z[~keep]
+                live, z, r, p, rho, goal, c, precond = (
+                    v[keep] for v in (live, z, r, p, rho, goal, c, precond))
+            if not live.size or it == n:
+                break
+            q = apply(p)
+            alpha = (rho / dot(p, q))[:, None]
+            z = z + alpha * p
+            r -= alpha * q
+            y = r / precond
+            rho, previous = dot(r, y), rho
+            p *= (rho / previous)[:, None]
+            p += y
+        return np.ldexp(out, exponent), live
+
+    def _lu(self, b: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
+        # Batched dense solve of (1/d + dt K) z = b.
+        idx = np.arange(b.shape[1])
+        A = np.repeat(self.dt * self._k_t.T[None], len(b), axis=0)
+        A[:, idx, idx] += inv_d
+        return np.linalg.solve(A, b[..., None])[..., 0]
 
 
 class _StepStart(NamedTuple):

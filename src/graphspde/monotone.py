@@ -451,46 +451,57 @@ class MoreauYosida:
 
     def evaluate(self, r, previous=None) -> MoreauYosidaValues:
         """Resolvent, slope, slope derivative and envelope from one
-        resolvent solve, with ``previous`` as in ``resolvent``.  Without
-        ``previous`` each equals the matching method bit for bit."""
+        resolvent solve, with ``previous`` as in ``resolvent``.  The other
+        methods return its fields."""
         r = np.asarray(r, dtype=float)
         s = self.resolvent(r, previous)
         pot, eps = self.potential, self.eps
         # The slope derivative: power kinds differentiate through the
         # resolvent point; the zhang and piecewise formulas read r alone.
         if pot.kind in ("fast_diffusion", "porous_medium"):
+            # The slope |s|^p, which the root satisfies, in place of
+            # (r - s) / eps, which loses its digits where eps |s|^p is
+            # below the roundoff of r; one power gives the slope, the
+            # potential's second derivative p |s|^(p - 1) and its value.
             p, a = pot.exponent, np.abs(s)
+            y = a**p
+            slope, value = np.sign(s) * y, a * y / (p + 1.0)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                t = p * np.where(a > 0, a ** (p - 1.0), np.inf)
-                derivative = np.where(np.isfinite(t), t / (1.0 + eps * t),
-                                      (1.0 / eps) if p < 1.0 else 0.0)
-        elif pot.kind == "zhang":
-            derivative = np.where(r <= 0, 0.0, np.where(
-                r <= eps, 1.0 / eps, 1.0 / (1.0 + eps)))
+                t = p * np.where(a > 0, y / a, np.inf)
+                # Beyond the float range t / (1 + eps t) is 1 / eps; at
+                # s = 0, 1 / eps for p < 1 and 0 for p > 1.
+                derivative = np.where(
+                    np.isfinite(t), t / (1.0 + eps * t),
+                    np.where((a > 0) | (p < 1.0), 1.0 / eps, 0.0))
         else:
-            idx = self._band_index(r)
-            t = 2.0 * np.asarray(pot.pieces)[idx // 2][..., 0]
-            derivative = np.where(idx % 2 == 1, 1.0 / eps, t / (1.0 + eps * t))
+            slope, value = (r - s) / eps, pot.value(s)
+            if pot.kind == "zhang":
+                derivative = np.where(r <= 0, 0.0, np.where(
+                    r <= eps, 1.0 / eps, 1.0 / (1.0 + eps)))
+            else:
+                idx = self._band_index(r)
+                t = 2.0 * np.asarray(pot.pieces)[idx // 2][..., 0]
+                derivative = np.where(idx % 2 == 1, 1.0 / eps,
+                                      t / (1.0 + eps * t))
         return MoreauYosidaValues(
             resolvent=s,
-            slope=(r - s) / eps,
+            slope=slope,
             slope_derivative=derivative,
-            envelope=(r - s) ** 2 / (2.0 * eps) + pot.value(s),
+            envelope=(r - s) ** 2 / (2.0 * eps) + value,
         )
 
     def yosida(self, r):
-        """Single-valued Lipschitz slope ``(r - resolvent(r)) / eps``; its
-        value lies in the subdifferential at the resolvent point."""
-        r = np.asarray(r, dtype=float)
-        return (r - self.resolvent(r)) / self.eps
+        """Single-valued Lipschitz slope, ``(r - resolvent(r)) / eps`` in
+        exact arithmetic; its value lies in the subdifferential at the
+        resolvent point.  It is ``evaluate``'s slope."""
+        return self.evaluate(r).slope
 
     def envelope(self, r):
         """Smoothed potential: quadratic transport cost to the resolvent
         point plus the potential there.  Bounded between the potential at
-        the resolvent point and the potential itself."""
-        r = np.asarray(r, dtype=float)
-        s = self.resolvent(r)
-        return (r - s) ** 2 / (2.0 * self.eps) + self.potential.value(s)
+        the resolvent point and the potential itself.  ``evaluate``'s
+        envelope."""
+        return self.evaluate(r).envelope
 
     def yosida_slope(self, r):
         """Almost-everywhere derivative of the Lipschitz slope, the Newton

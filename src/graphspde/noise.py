@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,13 @@ class NoiseModel:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        # The additive columns as one read-only (n, m) array, built once.
+        columns = np.asarray(self.columns, dtype=float)
+        columns.setflags(write=False)
+        return columns
+
     def _diagonal(self, u: np.ndarray) -> np.ndarray:
         # Diagonal of a diagonal_multiplicative operator at ``u``.
         return self.sigma * np.clip(u, -self.clip_at, self.clip_at)
@@ -70,7 +78,7 @@ class NoiseModel:
         """Dense operator at ``u``; shape (..., n, m)."""
         u = np.asarray(u, dtype=float)
         if self.kind == "additive":
-            base = np.asarray(self.columns)
+            base = self._columns
             return np.broadcast_to(base, u.shape[:-1] + base.shape).copy()
         out = np.zeros(u.shape + (u.shape[-1],))
         idx = np.arange(u.shape[-1])
@@ -85,7 +93,7 @@ class NoiseModel:
             return self._diagonal(u) * dw
         # One vector-matrix product per row keeps each row's roundoff
         # independent of how many rows are batched.
-        return (dw[..., None, :] @ np.asarray(self.columns).T)[..., 0, :]
+        return (dw[..., None, :] @ self._columns.T)[..., 0, :]
 
 
 def additive_noise(columns) -> NoiseModel:

@@ -80,6 +80,34 @@ def spy_solve_rows(monkeypatch):
     return rows
 
 
+def spy_dense_routes(monkeypatch):
+    """Record the rows of every call of the three dense direction routes:
+    the eigenbasis, conjugate gradients and the LU fallback.  The fallback
+    also takes each row whose right side starts with a positive entry, a
+    property of the row alone, so all three routes share Newton passes."""
+    routes = {"eigenbasis": [], "cg": [], "lu": []}
+    eigenbasis, cg, lu = (_NewtonSystem._eigenbasis, _NewtonSystem._cg,
+                          _NewtonSystem._lu)
+
+    def spy_eigenbasis(self, F, c):
+        routes["eigenbasis"].append(len(F))
+        return eigenbasis(self, F, c)
+
+    def spy_cg(self, b, inv_d):
+        routes["cg"].append(len(b))
+        z, unsolved = cg(self, b, inv_d)
+        return z, np.union1d(unsolved, np.flatnonzero(b[:, 0] > 0))
+
+    def spy_lu(self, b, inv_d):
+        routes["lu"].append(len(b))
+        return lu(self, b, inv_d)
+
+    monkeypatch.setattr(_NewtonSystem, "_eigenbasis", spy_eigenbasis)
+    monkeypatch.setattr(_NewtonSystem, "_cg", spy_cg)
+    monkeypatch.setattr(_NewtonSystem, "_lu", spy_lu)
+    return routes
+
+
 # -- increments ---------------------------------------------------------------
 
 
@@ -263,7 +291,6 @@ def test_uniform_slope_direction_matches_dense_solve(make_space,
     K = -space.generator
     rng = np.random.default_rng(5)
     c = np.ravel([[e, 1 / (1 + e) + e, 1 / e + e] for e in (0.05, 0.1)])
-    # One dense solve for every row of the mixed batch below.
     system = _NewtonSystem(space, dt, lu_rows=2 * c.size)
     F = rng.standard_normal((c.size, n)) * np.logspace(-3, 3, c.size)[:, None]
     d = np.repeat(c[:, None], n, axis=1)
@@ -283,6 +310,73 @@ def test_uniform_slope_direction_matches_dense_solve(make_space,
     for p in range(len(mixed_F)):
         alone = system.direction(mixed_F[p:p + 1], mixed_d[p:p + 1])
         assert np.array_equal(batch[p], alone[0])
+
+
+@pytest.mark.parametrize("make_space, most_iterations", [
+    pytest.param(lambda: subordinate(path_space(64),
+                                     BernsteinFunction.power(0.5)),
+                 21, id="path_64|power(0.5)"),
+    pytest.param(lambda: complete_space(64), 6, id="complete_64"),
+])
+def test_conjugate_gradient_direction_matches_dense_solve(
+        make_space, most_iterations, monkeypatch):
+    # Oracle: (I + dt K diag(d)) delta = -F solved densely from the
+    # generator.  With E = M K and J = diag(E)^-1/2 E diag(E)^-1/2, the
+    # Jacobi-preconditioned system has a condition number of at most
+    # cond(J), 2.2 and 2.0 here, whatever d and dt are: rows whose d
+    # spreads over up to twelve decades converge in a few iterations, with
+    # no LU solve.  The iteration bounds are the largest measured.
+    space = make_space()
+    n, K = space.node_count, -space.generator
+    rng = np.random.default_rng(3)
+    rows = 24
+    spread = np.log(np.logspace(0, 12, rows))[:, None]
+    d = 0.05 * np.exp(spread * rng.uniform(0.0, 1.0, (rows, n)))
+    F = rng.standard_normal((rows, n)) * np.logspace(-3, 3, rows)[:, None]
+    solved = spy_solve_rows(monkeypatch)
+    matvecs = []
+    apply_k = _NewtonSystem.apply_k
+
+    def spy_apply_k(self, y):
+        matvecs.append(len(y))
+        return apply_k(self, y)
+
+    monkeypatch.setattr(_NewtonSystem, "apply_k", spy_apply_k)
+    for dt in (0.02, 1.0):
+        system = _NewtonSystem(space, dt, lu_rows=rows)
+        expected = np.stack([
+            np.linalg.solve(np.eye(n) + dt * K * d[p], -F[p])
+            for p in range(rows)])
+        del solved[:]
+        batch = system.direction(F, d)
+        assert solved == []
+        err = (np.abs(batch - expected).max(axis=1)
+               / (1 + np.abs(F).max(axis=1)))
+        assert err.max() <= 1e-13
+        for p in range(rows):
+            # One product for the start's residual, one per iteration.
+            del matvecs[:]
+            alone = system.direction(F[p:p + 1], d[p:p + 1])
+            assert len(matvecs) - 1 <= most_iterations
+            assert np.array_equal(batch[p], alone[0])
+
+
+def test_unconverged_conjugate_gradient_rows_fall_back_to_lu(monkeypatch):
+    # With a tolerance of zero no row of this batch converges in n
+    # iterations, so every row takes the LU fallback, at most lu_rows at a
+    # time, and gets the dense solve's direction.
+    space = subordinate(path_space(64), BernsteinFunction.power(0.5))
+    n, dt, K = space.node_count, 1.0, -space.generator
+    rng = np.random.default_rng(4)
+    d = 0.05 * np.exp(rng.uniform(0.0, np.log(1e6), (5, n)))
+    F = rng.standard_normal((5, n))
+    monkeypatch.setattr(engine, "_CG_TOL", 0.0)
+    solved = spy_solve_rows(monkeypatch)
+    got = _NewtonSystem(space, dt, lu_rows=2).direction(F, d)
+    assert solved == [2, 2, 1]
+    expected = np.stack([np.linalg.solve(np.eye(n) + dt * K * d[p], -F[p])
+                         for p in range(5)])
+    assert np.abs(got - expected).max() <= 1e-13 * (1 + np.abs(F).max())
 
 
 # -- simulation --------------------------------------------------------------
@@ -310,8 +404,10 @@ def test_path_results_independent_of_batch_composition(monkeypatch):
     # additive noise, against a 40-path reference run.  On the dense
     # generators, zhang from the constant 0.5 is the svi regime: rows with
     # one slope derivative at every node (eigenbasis route) and rows with
-    # several (LU solve) share a Newton step.
+    # several (conjugate gradients, and the LU fallback) share a Newton
+    # step.
     solved = spy_solve_rows(monkeypatch)
+    routes = spy_dense_routes(monkeypatch)
     directions = []
     direction = _NewtonSystem.direction
 
@@ -339,11 +435,15 @@ def test_path_results_independent_of_batch_composition(monkeypatch):
                 cfg = base_config(space=space, potential=potential,
                                   noise=noise, initial=initial,
                                   path_count=40)
-                del solved[:], directions[:]
+                del directions[:]
+                for rows in routes.values():
+                    del rows[:]
                 reference = simulate(cfg).states
                 if name == "zhang@0.5":
-                    assert 0 < sum(solved) < sum(directions), (
-                        f"{label}, {noise_name}: both direction routes run")
+                    assert all(map(sum, routes.values())), (
+                        f"{label}, {noise_name}: all dense routes run")
+                    assert sum(routes["eigenbasis"]) + sum(routes["cg"]) \
+                        == sum(directions)
                 for count in (1, 3, 17):
                     part = simulate(replace(cfg, path_count=count))
                     if not np.array_equal(part.states, reference[:count]):
@@ -352,9 +452,10 @@ def test_path_results_independent_of_batch_composition(monkeypatch):
                        f"(space, noise, potential, paths) {leaks}")
 
     # Coupled runs stepped as one batch, an eps ladder and a pair of initial
-    # states: each ensemble equals its run simulated alone, on all three
-    # Newton routes.  Only rows still iterating get a direction, and the
-    # dense solve never takes more than one run's rows at once.
+    # states: each ensemble equals its run simulated alone, on the
+    # tridiagonal route and all three dense ones.  Only rows still
+    # iterating get a direction, and the LU fallback never takes more than
+    # one run's rows at once.
     piecewise = piecewise_quadratic(
         [-0.5, 0.5], [[1.0, 0.0, -0.125], [0.5, 0.0, 0.0], [1.5, -0.5, 0.0]])
     mismatches = []
@@ -486,23 +587,43 @@ def test_simulate_residuals_and_iterations_bounded():
 
 # At these states the envelope and the line search's objective changes
 # overflow; the sandpile's Newton step is exact, so the full step is taken.
-@pytest.mark.filterwarnings("ignore:overflow encountered",
-                            "ignore:invalid value encountered")
-def test_large_states_step_like_small_ones():
+def assert_large_states_step_like_small_ones(space, profile):
     # The step's mu-norms square the state; from about 1.3e154 the squares
     # overflow, and the tolerance with them.  The sandpile step with
     # multiplicative noise is homogeneous in the state up to its unit
     # offset, which is below the roundoff of these states.
-    def ratios(x0):
-        cfg = base_config(eps=0.05, horizon=1.0, step_count=4, path_count=2,
-                          initial=np.full(4, x0))
+    def run(x0):
+        cfg = base_config(space=space, noise=diagonal_noise(len(profile), 0.2),
+                          eps=0.05, horizon=1.0, step_count=4, path_count=2,
+                          initial=profile * x0)
         ens = simulate(cfg)
         assert np.all(ens.newton_iterations >= 1)
-        return ens.states / x0
+        return ens.states / x0, ens.newton_iterations
 
-    small = ratios(1e100)
+    small, iterations = run(1e100)
     for x0 in (1e200, 1e300):
-        assert np.all(np.abs(ratios(x0) - small) <= 1e-12 * np.abs(small))
+        ratios, its = run(x0)
+        assert np.all(np.abs(ratios - small) <= 1e-12 * np.abs(small))
+        assert np.array_equal(its, iterations)
+
+
+# At these states the envelope and the line search's objective changes
+# overflow; the sandpile's Newton step is exact, so the full step is taken.
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_large_states_step_like_small_ones():
+    assert_large_states_step_like_small_ones(path_space(4), np.ones(4))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_large_states_on_the_conjugate_gradient_route():
+    # States on both sides of the sandpile's kink give rows with several
+    # slope derivatives, whose conjugate gradients square the right side
+    # in their inner products.
+    assert_large_states_step_like_small_ones(
+        subordinate(path_space(16), BernsteinFunction.power(0.5)),
+        np.linspace(1.0, -0.5, 16))
 
 
 def test_zero_noise_sandpile_flat_region_is_linear_flow():
@@ -795,6 +916,21 @@ def test_certify_additive_noise_has_zero_lipschitz_constant():
     assert cert.lipschitz == pytest.approx(0.0, abs=1e-14)
     assert cert.dual_growth > 0
     assert cert.sample_count >= 100
+
+
+def test_additive_noise_builds_its_column_array_once():
+    # apply and matrix read one cached, read-only array of the columns;
+    # each equals the product with the array rebuilt from the tuple, bit
+    # for bit.
+    model = eigenmode_noise(path_space(8), 3, amplitude=0.5)
+    assert model._columns is model._columns
+    assert not model._columns.flags.writeable
+    B = np.asarray(model.columns)
+    dw = np.random.default_rng(2).standard_normal((5, 7, 3))
+    u = np.zeros((5, 7, 8))
+    assert np.array_equal(model.apply(u, dw),
+                          (dw[..., None, :] @ B.T)[..., 0, :])
+    assert np.array_equal(model.matrix(u[0]), np.broadcast_to(B, (7, 8, 3)))
 
 
 def test_certify_silent_noise_is_all_zero():

@@ -320,6 +320,20 @@ def test_yosida_membership_random():
         assert np.all(y <= hi + tol)
 
 
+def test_power_slope_keeps_its_digits_where_eps_slope_is_below_roundoff():
+    # At eps 1e-8, eps |s|^0.3 is below the roundoff of r = 2.5e7 and
+    # 1e20, where (r - s) / eps read 0 and -4.9e12.  The slope is
+    # sign(s) |s|^p, which the root satisfies, and s is r to 1e-13 there.
+    pot = fast_diffusion(0.3)
+    my = MoreauYosida(pot, 1e-8)
+    r = np.array([2.5e7, 1e20, -1e20])
+    values = my.evaluate(r)
+    want = np.sign(r) * np.abs(r) ** 0.3
+    assert np.abs(values.slope / want - 1).max() <= 1e-12
+    assert np.array_equal(values.slope, pot.subdiff(values.resolvent)[0])
+    assert np.array_equal(my.yosida(r), values.slope)
+
+
 def test_yosida_lipschitz_and_monotone():
     rng = np.random.default_rng(41)
     for pot in builtin_potentials():
