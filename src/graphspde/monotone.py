@@ -451,57 +451,71 @@ class MoreauYosida:
 
     def evaluate(self, r, previous=None) -> MoreauYosidaValues:
         """Resolvent, slope, slope derivative and envelope from one
-        resolvent solve, with ``previous`` as in ``resolvent``.  The other
-        methods return its fields."""
+        resolvent solve, with ``previous`` as in ``resolvent``.  Without
+        ``previous`` each equals the matching method bit for bit."""
         r = np.asarray(r, dtype=float)
         s = self.resolvent(r, previous)
+        slope = self._slope(r, s)
         pot, eps = self.potential, self.eps
         # The slope derivative: power kinds differentiate through the
         # resolvent point; the zhang and piecewise formulas read r alone.
         if pot.kind in ("fast_diffusion", "porous_medium"):
-            # The slope |s|^p, which the root satisfies, in place of
-            # (r - s) / eps, which loses its digits where eps |s|^p is
-            # below the roundoff of r; one power gives the slope, the
-            # potential's second derivative p |s|^(p - 1) and its value.
+            # p |s|^(p - 1) from the slope's |s|^p, with no second power.
             p, a = pot.exponent, np.abs(s)
-            y = a**p
-            slope, value = np.sign(s) * y, a * y / (p + 1.0)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                t = p * np.where(a > 0, y / a, np.inf)
+                t = p * np.where(a > 0, np.abs(slope) / a, np.inf)
                 # Beyond the float range t / (1 + eps t) is 1 / eps; at
                 # s = 0, 1 / eps for p < 1 and 0 for p > 1.
                 derivative = np.where(
                     np.isfinite(t), t / (1.0 + eps * t),
                     np.where((a > 0) | (p < 1.0), 1.0 / eps, 0.0))
+        elif pot.kind == "zhang":
+            derivative = np.where(r <= 0, 0.0, np.where(
+                r <= eps, 1.0 / eps, 1.0 / (1.0 + eps)))
         else:
-            slope, value = (r - s) / eps, pot.value(s)
-            if pot.kind == "zhang":
-                derivative = np.where(r <= 0, 0.0, np.where(
-                    r <= eps, 1.0 / eps, 1.0 / (1.0 + eps)))
-            else:
-                idx = self._band_index(r)
-                t = 2.0 * np.asarray(pot.pieces)[idx // 2][..., 0]
-                derivative = np.where(idx % 2 == 1, 1.0 / eps,
-                                      t / (1.0 + eps * t))
+            idx = self._band_index(r)
+            t = 2.0 * np.asarray(pot.pieces)[idx // 2][..., 0]
+            derivative = np.where(idx % 2 == 1, 1.0 / eps, t / (1.0 + eps * t))
         return MoreauYosidaValues(
             resolvent=s,
             slope=slope,
             slope_derivative=derivative,
-            envelope=(r - s) ** 2 / (2.0 * eps) + value,
+            envelope=self._envelope(r, s, slope),
         )
+
+    def _slope(self, r, s):
+        # A power kind's slope is sign(s) |s|^p, which the root satisfies;
+        # (r - s) / eps loses its digits where eps |s|^p is below the
+        # roundoff of r.
+        if self.potential.kind in ("fast_diffusion", "porous_medium"):
+            return np.sign(s) * np.abs(s) ** self.potential.exponent
+        return (r - s) / self.eps
+
+    def _envelope(self, r, s, slope=None):
+        # Transport cost plus the potential at s; a power kind's value
+        # |s|^(p + 1) / (p + 1) is taken as |s| |slope| / (p + 1).
+        pot = self.potential
+        if pot.kind in ("fast_diffusion", "porous_medium"):
+            if slope is None:
+                slope = self._slope(r, s)
+            value = np.abs(s) * np.abs(slope) / (pot.exponent + 1.0)
+        else:
+            value = pot.value(s)
+        return (r - s) ** 2 / (2.0 * self.eps) + value
 
     def yosida(self, r):
         """Single-valued Lipschitz slope, ``(r - resolvent(r)) / eps`` in
         exact arithmetic; its value lies in the subdifferential at the
-        resolvent point.  It is ``evaluate``'s slope."""
-        return self.evaluate(r).slope
+        resolvent point."""
+        r = np.asarray(r, dtype=float)
+        return self._slope(r, self.resolvent(r))
 
     def envelope(self, r):
         """Smoothed potential: quadratic transport cost to the resolvent
         point plus the potential there.  Bounded between the potential at
-        the resolvent point and the potential itself.  ``evaluate``'s
-        envelope."""
-        return self.evaluate(r).envelope
+        the resolvent point and the potential itself."""
+        r = np.asarray(r, dtype=float)
+        return self._envelope(r, self.resolvent(r))
 
     def yosida_slope(self, r):
         """Almost-everywhere derivative of the Lipschitz slope, the Newton
