@@ -12,11 +12,12 @@ objective and a damped semismooth Newton iteration converges for any step
 size.  With ``K`` minus the generator and ``d`` the slope derivative plus
 ``eps``, each Newton direction solves ``(1/d + dt K) z = -F`` and takes
 ``delta = z / d``; that system has the sparsity of the generator, so on
-path graphs it is tridiagonal.  On dense generators a path whose ``d`` is
-one number at every node is solved in the eigenbasis of the space, where
-the system is diagonal, in O(n^2); the other paths take Jacobi-preconditioned
-conjugate gradients, O(n^2) per iteration, whose iteration count does not
-grow with the spread of ``d``.
+path graphs it is tridiagonal.  On dense generators every product with an
+n x n matrix is one matrix-matrix product over all paths.  A path whose
+``d`` is one number at every node is solved in the eigenbasis of the space,
+where the system is diagonal, in O(n^2); the other paths take
+Jacobi-preconditioned conjugate gradients, O(n^2) per iteration, whose
+iteration count does not grow with the spread of ``d``.
 Consecutive steps differ by one noise increment, so each step after the
 first starts Newton from its right side plus the previous step's drift
 increment, and a Newton-solved resolvent from the values it had at the
@@ -44,7 +45,7 @@ import scipy
 
 from .dirichlet import DirichletSpace
 from .monotone import ConvexPotential, MoreauYosida
-from .noise import NoiseModel, brownian_increments
+from .noise import NoiseModel, _row_products, brownian_increments
 from .reports import EstimateReport, _implied_constant_report, format_value
 
 __all__ = [
@@ -190,7 +191,8 @@ class _NewtonSystem:
     blocks, solved by one ``gtsv`` call, and the dual metric
     ``M K^-1 = M E^-1 M`` is applied through an LDL^T factorization of the
     tridiagonal ``E = M K``.  Other generators apply ``K`` and the dense
-    dual metric as one vector-matrix product per row.  A row whose ``d`` is
+    dual metric to all rows as one matrix-matrix product (gemm), which
+    keeps the n x n operand in cache for every row.  A row whose ``d`` is
     one number ``c`` at every node has the direction
     ``-Phi (Phi^T M F) / (1 + dt c lambda)`` in the mu-orthonormal
     eigenbasis ``Phi`` of ``K``, two such products, O(n^2).  The other
@@ -208,8 +210,14 @@ class _NewtonSystem:
     unconverged after ``n`` iterations falls back to a batched dense LU
     solve of at most ``lu_rows`` rows, so a coupled batch never holds more
     than one run's worth of matrices.  Which route a row takes, and when
-    its iteration stops, depend on its own ``d`` and ``F`` alone, so every
-    path's arithmetic is independent of the rest of the batch.
+    its iteration stops, depend on its own ``d`` and ``F`` alone.  The
+    products keep that independence: with at least two rows, each output
+    row of OpenBLAS's dgemm is its input row's own dot products, summed in
+    a fixed order whatever the other rows are (checked bit for bit for
+    subsets of 1 to 599 rows at n = 16 to 256, with one and two BLAS
+    threads), while a lone row goes to gemv, which sums in another order,
+    so ``_row_products`` doubles it.  So every path's arithmetic is
+    independent of the rest of the batch.
     """
 
     def __init__(self, space: DirichletSpace, dt: float, lu_rows: int):
@@ -229,9 +237,8 @@ class _NewtonSystem:
             self._check("dpttrf", info)
             self._bands = self.dt * np.stack([self._lower, self._upper])
         else:
-            # K^T in row-major order: the vector-matrix products of
-            # apply_k then take BLAS's dot-product form of gemv, measured
-            # 1.1x faster than the other form at n = 64 and 1.6x at 128.
+            # K^T in row-major order, the right operand of apply_k's
+            # product; the LU fallback builds its matrices from it.
             self._k_t = K.T.copy()
             self._k_diag = np.diag(K).copy()
             self._dual = space.dual_metric
@@ -249,7 +256,7 @@ class _NewtonSystem:
     def apply_k(self, y: np.ndarray) -> np.ndarray:
         """Minus the generator applied to each row of ``y``."""
         if not self.tridiagonal:
-            return (y[:, None, :] @ self._k_t)[:, 0]
+            return _row_products(y, self._k_t)
         out = self._diag * y
         out[:, :-1] += self._upper[:-1] * y[:, 1:]
         out[:, 1:] += self._lower[:-1] * y[:, :-1]
@@ -258,7 +265,7 @@ class _NewtonSystem:
     def dual(self, a: np.ndarray) -> np.ndarray:
         """Rows of ``a`` times the dual metric ``M K^-1``."""
         if not self.tridiagonal:
-            return (a[:, None, :] @ self._dual)[:, 0]
+            return _row_products(a, self._dual)
         w, info = lapack.dpttrs(self._ldl_d, self._ldl_e, (a * self.mu).T,
                                 overwrite_b=True)
         self._check("dpttrs", info)
@@ -297,9 +304,9 @@ class _NewtonSystem:
 
     def _eigenbasis(self, F: np.ndarray, c: np.ndarray) -> np.ndarray:
         # delta = -Phi (Phi^T M F) / (1 + dt c lambda), c a (rows, 1) column.
-        coef = (F[:, None, :] @ self._to_spectral)[:, 0]
+        coef = _row_products(F, self._to_spectral)
         coef /= 1.0 + self.dt * c * self._lam
-        return -(coef[:, None, :] @ self._from_spectral)[:, 0]
+        return -_row_products(coef, self._from_spectral)
 
     def _cg(self, b: np.ndarray, inv_d: np.ndarray):
         # Jacobi-preconditioned conjugate gradients for (1/d + dt K) z = b,

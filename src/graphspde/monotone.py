@@ -245,19 +245,21 @@ def _power_newton(p: float, eps, a: np.ndarray, start=None) -> np.ndarray:
         for _ in range(80):
             if p < 1.0:
                 g = xs**q + ev * xs - av
-                step = g / (q * xs ** (q - 1.0) + ev)
             else:
                 g = xs + ev * xs**p - av
-                step = g / (1.0 + ev * p * xs ** (p - 1.0))
             keep = np.abs(g) > tol
             if not keep.all():
                 # x holds the final value of every element that has left.
                 x[live[~keep]] = xs[~keep]
                 if not keep.any():
                     break
-                live, av, ev, tol, xs, step = (
-                    v[keep] for v in (live, av, ev, tol, xs, step))
-            xs = xs - step
+                live, av, ev, tol, xs, g = (
+                    v[keep] for v in (live, av, ev, tol, xs, g))
+            # The step only for the elements still iterating.
+            if p < 1.0:
+                xs = xs - g / (q * xs ** (q - 1.0) + ev)
+            else:
+                xs = xs - g / (1.0 + ev * p * xs ** (p - 1.0))
         else:
             x[live] = xs
         if p < 1.0:

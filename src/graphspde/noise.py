@@ -91,9 +91,10 @@ class NoiseModel:
         dw = np.asarray(dw, dtype=float)
         if self.kind == "diagonal_multiplicative":
             return self._diagonal(u) * dw
-        # One vector-matrix product per row keeps each row's roundoff
-        # independent of how many rows are batched.
-        return (dw[..., None, :] @ self._columns.T)[..., 0, :]
+        # One product over all rows, flattened; _row_products keeps each
+        # row's roundoff independent of how many rows are batched.
+        rows = _row_products(dw.reshape(-1, dw.shape[-1]), self._columns.T)
+        return rows.reshape(dw.shape[:-1] + rows.shape[-1:])
 
 
 def additive_noise(columns) -> NoiseModel:
@@ -120,6 +121,16 @@ def eigenmode_noise(space: DirichletSpace, modes: int,
         raise ValueError("need at least one mode")
     modes = min(modes, space.node_count)
     return additive_noise(amplitude * space.basis[:, :modes])
+
+
+def _row_products(y: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``y @ matrix`` for a (rows, k) array ``y``, as one gemm.  With at
+    least two rows each output row of the gemm depends on its own input
+    row only, summed in a fixed order; numpy sends one row to gemv, which
+    sums in another order, so a lone row is doubled."""
+    if len(y) == 1:
+        return (np.concatenate([y, y]) @ matrix)[:1]
+    return y @ matrix
 
 
 # -- certification -----------------------------------------------------------

@@ -1,8 +1,11 @@
 """Tests for the semi-implicit stepper, path simulation, noise
 certification, the reproducible increment source and trajectory artifacts."""
 
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -501,6 +504,72 @@ def test_path_results_independent_of_batch_composition(monkeypatch):
     assert rest.states.tobytes() == simulate(cfg).states.tobytes()
 
 
+@pytest.mark.parametrize("make_space", [
+    lambda: complete_space(8),
+    lambda: subordinate(path_space(64), BernsteinFunction.power(0.5)),
+    lambda: subordinate(path_space(128), BernsteinFunction.power(0.5)),
+], ids=["complete_8", "path_64|power(0.5)", "path_128|power(0.5)"])
+def test_dense_products_independent_of_batch_composition(make_space,
+                                                         monkeypatch):
+    # Each dense product is one gemm over all rows, a lone row doubled:
+    # every row of apply_k, dual and direction is bit for bit the same in
+    # a 40-row batch as in subsets of 1, 2, 3 and 17 of its rows.  Every
+    # other row of d is uniform (the eigenbasis route), the rest vary
+    # across nodes (conjugate gradients and the LU fallback).
+    space = make_space()
+    n, rows = space.node_count, 40
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((rows, n)) * np.logspace(-2, 2, rows)[:, None]
+    d = 0.05 * np.exp(rng.uniform(0.0, 3.0, (rows, n)))
+    d[::2] = d[::2, :1]
+    routes = spy_dense_routes(monkeypatch)
+    system = _NewtonSystem(space, 0.02, lu_rows=rows)
+
+    def products(subset):
+        return {"apply_k": system.apply_k(y[subset]),
+                "dual": system.dual(y[subset]),
+                "direction": system.direction(y[subset], d[subset])}
+
+    full = products(slice(None))
+    assert all(map(sum, routes.values()))
+    for count in (1, 2, 3, 17):
+        subset = np.sort(rng.choice(rows, count, replace=False))
+        for name, part in products(subset).items():
+            assert np.array_equal(part, full[name][subset]), (name, count)
+
+
+# A dense run whose products are large enough for OpenBLAS to split them
+# over threads; it defines ``states``.
+_THREADED_RUN = """
+import numpy as np
+from graphspde.dirichlet import BernsteinFunction, path_space, subordinate
+from graphspde.engine import SimulationConfig, simulate
+from graphspde.monotone import zhang
+from graphspde.noise import diagonal_noise
+
+space = subordinate(path_space(128), BernsteinFunction.power(0.5))
+states = simulate(SimulationConfig(
+    space=space, potential=zhang(), noise=diagonal_noise(128, 0.2),
+    eps=0.05, horizon=0.5, step_count=6, path_count=40,
+    initial=np.full(128, 0.5), seed=9, coupling_tag="threads")).states
+"""
+
+
+def test_dense_run_independent_of_blas_threads(tmp_path):
+    # The bench runs with one BLAS thread, the tests with the default
+    # count: the states of a dense run are the same bit for bit.
+    out = tmp_path / "states.npy"
+    src = Path(engine.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    subprocess.run(
+        [sys.executable, "-c",
+         _THREADED_RUN + f"np.save({str(out)!r}, states)\n"],
+        env=env, timeout=120, check=True)
+    namespace = {}
+    exec(_THREADED_RUN, namespace)
+    assert np.array_equal(np.load(out), namespace["states"])
+
+
 @pytest.mark.parametrize("space", [
     path_space(16),
     subordinate(path_space(16), BernsteinFunction.power(0.5)),
@@ -921,7 +990,7 @@ def test_certify_additive_noise_has_zero_lipschitz_constant():
 def test_additive_noise_builds_its_column_array_once():
     # apply and matrix read one cached, read-only array of the columns;
     # each equals the product with the array rebuilt from the tuple, bit
-    # for bit.
+    # for bit: apply is one product over the flattened rows.
     model = eigenmode_noise(path_space(8), 3, amplitude=0.5)
     assert model._columns is model._columns
     assert not model._columns.flags.writeable
@@ -929,7 +998,7 @@ def test_additive_noise_builds_its_column_array_once():
     dw = np.random.default_rng(2).standard_normal((5, 7, 3))
     u = np.zeros((5, 7, 8))
     assert np.array_equal(model.apply(u, dw),
-                          (dw[..., None, :] @ B.T)[..., 0, :])
+                          (dw.reshape(-1, 3) @ B.T).reshape(5, 7, 8))
     assert np.array_equal(model.matrix(u[0]), np.broadcast_to(B, (7, 8, 3)))
 
 
