@@ -17,7 +17,8 @@ n x n matrix is one matrix-matrix product over all paths.  A path whose
 ``d`` is one number at every node is solved in the eigenbasis of the space,
 where the system is diagonal, in O(n^2); the other paths take
 Jacobi-preconditioned conjugate gradients, O(n^2) per iteration, whose
-iteration count does not grow with the spread of ``d``.
+iteration count does not grow with the spread of ``d``; the Newton
+equation also gives the line search its gradient, with no dual solve.
 Consecutive steps differ by one noise increment, so each step after the
 first starts Newton from its right side plus the previous step's drift
 increment, and a Newton-solved resolvent from the values it had at the
@@ -26,7 +27,7 @@ Coupled runs (a smoothing ladder, a pair of initial states) share their
 increments, so ``simulate_coupled`` steps all their paths as one batch
 too, with one smoothing parameter per row.
 
-The tridiagonal routines come from scipy's compiled LAPACK wrapper,
+The tridiagonal solver comes from scipy's compiled LAPACK wrapper,
 ``scipy.linalg._flapack``, loaded without the ``scipy.linalg`` package,
 whose import costs more than a small run.
 """
@@ -188,23 +189,21 @@ class _NewtonSystem:
     ``delta = z / d``.  For a sub-Markovian generator that matrix is
     strictly row diagonally dominant.  For tridiagonal generators all paths
     form one block-diagonal tridiagonal system with zero couplings between
-    blocks, solved by one ``gtsv`` call, and the dual metric
-    ``M K^-1 = M E^-1 M`` is applied through an LDL^T factorization of the
-    tridiagonal ``E = M K``.  Other generators apply ``K`` and the dense
-    dual metric to all rows as one matrix-matrix product (gemm), which
-    keeps the n x n operand in cache for every row.  A row whose ``d`` is
-    one number ``c`` at every node has the direction
+    blocks, solved by one ``gtsv`` call.  Other generators apply ``K`` to
+    all rows as one matrix-matrix product (gemm), which keeps the n x n
+    operand in cache for every row.  A row whose ``d`` is one number ``c``
+    at every node has the direction
     ``-Phi (Phi^T M F) / (1 + dt c lambda)`` in the mu-orthonormal
     eigenbasis ``Phi`` of ``K``, two such products, O(n^2).  The other
     rows take conjugate gradients in the mu inner product, where ``K`` is
     self-adjoint, preconditioned by the diagonal ``1/d + dt K_ii``.  In
-    the symmetric form ``M/d + dt E`` that is Jacobi scaling, and the
-    preconditioned matrix has a condition number of at most that of
-    ``J = diag(E)^-1/2 E diag(E)^-1/2``, whatever ``d`` and ``dt`` are
-    (van der Sluis 1969): a Rayleigh quotient of ``dt E`` against
-    ``dt diag(E)`` lies between the extreme eigenvalues of ``J``, which
-    bracket 1 as ``J`` has a unit diagonal, and ``M/d`` adds the same
-    term to both quadratic forms.  ``cond(J)`` is 2.2 on
+    the symmetric form ``M/d + dt E``, ``E = M K``, that is Jacobi
+    scaling, and the preconditioned matrix has a condition number of at
+    most that of ``J = diag(E)^-1/2 E diag(E)^-1/2``, whatever ``d`` and
+    ``dt`` are (van der Sluis 1969): a Rayleigh quotient of ``dt E``
+    against ``dt diag(E)`` lies between the extreme eigenvalues of ``J``,
+    which bracket 1 as ``J`` has a unit diagonal, and ``M/d`` adds the
+    same term to both quadratic forms.  ``cond(J)`` is 2.2 on
     ``path_n|power(0.5)``, 4.3 with power 0.9 and 2.0 on ``complete_n``,
     so rows converge to 1e-15 in about 6 to 21 iterations.  A row still
     unconverged after ``n`` iterations falls back to a batched dense LU
@@ -232,26 +231,15 @@ class _NewtonSystem:
             self._diag = np.diag(K).copy()
             self._upper = np.append(np.diag(K, 1), 0.0)
             self._lower = np.append(np.diag(K, -1), 0.0)
-            self._ldl_d, self._ldl_e, info = lapack.dpttrf(
-                mu * self._diag, _off_diagonal(mu * self._upper))
-            self._check("dpttrf", info)
             self._bands = self.dt * np.stack([self._lower, self._upper])
         else:
             # K^T in row-major order, the right operand of apply_k's
             # product; the LU fallback builds its matrices from it.
             self._k_t = K.T.copy()
             self._k_diag = np.diag(K).copy()
-            self._dual = space.dual_metric
             self._lam = space.eigenvalues
             self._to_spectral = space.basis * mu[:, None]
             self._from_spectral = space.basis.T.copy()
-
-    @staticmethod
-    def _check(routine: str, info: int) -> None:
-        if info != 0:
-            raise StepSolverError(
-                f"LAPACK {routine} failed with info = {info} in the Newton "
-                "linear algebra")
 
     def apply_k(self, y: np.ndarray) -> np.ndarray:
         """Minus the generator applied to each row of ``y``."""
@@ -261,15 +249,6 @@ class _NewtonSystem:
         out[:, :-1] += self._upper[:-1] * y[:, 1:]
         out[:, 1:] += self._lower[:-1] * y[:, :-1]
         return out
-
-    def dual(self, a: np.ndarray) -> np.ndarray:
-        """Rows of ``a`` times the dual metric ``M K^-1``."""
-        if not self.tridiagonal:
-            return _row_products(a, self._dual)
-        w, info = lapack.dpttrs(self._ldl_d, self._ldl_e, (a * self.mu).T,
-                                overwrite_b=True)
-        self._check("dpttrs", info)
-        return w.T * self.mu
 
     def direction(self, F: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Newton direction ``delta`` with ``(I + dt K diag(d)) delta = -F``
@@ -285,7 +264,9 @@ class _NewtonSystem:
             *_, z, info = lapack.dgtsv(
                 lower, diag, upper, -F.reshape(-1, 1), overwrite_d=True,
                 overwrite_b=True)
-            self._check("dgtsv", info)
+            if info != 0:
+                raise StepSolverError(f"LAPACK dgtsv failed with info = {info} "
+                                      "in the Newton linear algebra")
             return z.reshape(paths, n) * inv_d
         delta = np.empty_like(F)
         # Rows with one slope derivative at every node: the eigenbasis.
@@ -383,17 +364,19 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
     objective is globally convergent from any start; for piecewise-linear
     slopes the iteration is finite.  Each direction solves
     ``(1/d + dt K) z = -F`` and takes ``delta = z / d`` (see
-    ``_NewtonSystem``, which also fixes ``dt``).  The objective
-    ``x.(dual(x)/2 - dual(rhs))`` plus ``dt`` times a local sum is never
-    evaluated, only its changes, free of cancellation: a step ``t``
-    changes it by ``t delta.g + t^2/2 delta.dual(delta)`` plus the local
-    change, with ``g = dual(x - rhs)``.  So each pass makes one dual-metric
-    solve and each trial one Moreau-Yosida solve, whose values the accepted
-    trial hands to the next pass; each trial's resolvent starts from the
-    values at the current iterate.  Converged rows get no direction and
-    keep their state and values bit for bit while other rows iterate, so
-    every row is independent of the batch; a row that does not converge is
-    named by ``row_name(row)``.
+    ``_NewtonSystem``, which also fixes ``dt``).  With ``dual`` the dual
+    metric ``M K^-1``, the objective ``x.(dual(x)/2 - dual(rhs))`` plus
+    ``dt`` times a local sum is never evaluated, only its changes, free of
+    cancellation: a step ``t`` changes it by ``t delta.g + t^2/2
+    delta.dual(delta)`` plus the local change, with ``g = dual(x - rhs)``.
+    As ``delta + dt K z = -F`` with ``z = d delta`` and ``F = x - rhs +
+    dt K drift``, ``dual(delta) = -(g + dt M (z + drift))``.  So a pass
+    makes no dual-metric solve and each trial one Moreau-Yosida solve,
+    whose values the accepted trial hands to the next pass; each trial's
+    resolvent starts from the values at the current iterate.  Converged
+    rows get no direction and keep their state and values bit for bit
+    while other rows iterate, so every row is independent of the batch; a
+    row that does not converge is named by ``row_name(row)``.
 
     The iteration starts at ``rhs + shift`` with the ``g`` of the
     ``_StepStart`` of the step before: consecutive steps differ by one
@@ -444,27 +427,35 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
                 f"residual {residual[worst]:.3e} after {it} iterations")
         iterations[active] += 1
 
-        # Minus zero leaves a converged row exactly as it is, zero signs
-        # included.
-        delta = np.full_like(F, -0.0)
-        delta[active] = system.direction(F[active], slope[active])
-        dual_delta = system.dual(delta)
-        curvature, linear = (delta * dual_delta).sum(-1), (delta * g).sum(-1)
+        all_active = active.all()
+        if all_active:
+            delta = system.direction(F, slope)
+        else:
+            # Minus zero leaves a converged row exactly as it is, zero signs
+            # included.
+            delta = np.full_like(F, -0.0)
+            delta[active] = system.direction(F[active], slope[active])
+        # M K^-1 delta = -(g + dt M (slope delta + drift)); minus zero on
+        # converged rows, whose g keeps its bits.
+        dual_delta = -(g + dt * mu * (slope * delta + drift))
+        if not all_active:
+            dual_delta[~active] = -0.0
+        curvature, linear = np.vecdot(delta, dual_delta), np.vecdot(delta, g)
         # Gradient of the objective is M K^-1 F; along the Newton direction
         # its slope is minus the quadratic form of the Newton matrix.
-        slope_dir = -(curvature + dt * ((slope * delta**2) * mu).sum(-1))
+        slope_dir = -(curvature + dt * np.vecdot(slope * delta**2, mu))
         # Near the solution the predicted decrease sits below the roundoff
         # of the change, and the slack keeps full Newton steps acceptable
         # there so the final quadratic phase is never rejected.  The
         # quadratic terms of the change are O(|delta|); only the local
         # change carries roundoff of the objective's size.
-        slack = 1e-14 * (1.0 + dt * (np.abs(local) * mu).sum(-1))
+        slack = 1e-14 * (1.0 + dt * np.vecdot(np.abs(local), mu))
         step = np.ones(paths)
         for halvings in range(41):
             trial = x + step[:, None] * delta
             t_point, t_drift, t_slope, t_local = newton_terms(trial, point)
             change = (step * linear + 0.5 * step**2 * curvature
-                      + dt * ((t_local - local) * mu).sum(-1))
+                      + dt * np.vecdot(t_local - local, mu))
             bad = active & (change > 1e-4 * step * slope_dir + slack)
             # Out of halvings, the last halved step is taken as it is.
             if halvings == 40 or not bad.any():

@@ -253,6 +253,7 @@ def _power_newton(p: float, eps, a: np.ndarray, start=None) -> np.ndarray:
                 x[live[~keep]] = xs[~keep]
                 if not keep.any():
                     break
+                keep = np.flatnonzero(keep)
                 live, av, ev, tol, xs, g = (
                     v[keep] for v in (live, av, ev, tol, xs, g))
             # The step only for the elements still iterating.
@@ -457,50 +458,57 @@ class MoreauYosida:
         ``previous`` each equals the matching method bit for bit."""
         r = np.asarray(r, dtype=float)
         s = self.resolvent(r, previous)
-        slope = self._slope(r, s)
         pot, eps = self.potential, self.eps
         # The slope derivative: power kinds differentiate through the
         # resolvent point; the zhang and piecewise formulas read r alone.
         if pot.kind in ("fast_diffusion", "porous_medium"):
-            # p |s|^(p - 1) from the slope's |s|^p, with no second power.
+            # p |s|^(p - 1) from the slope's |s|^p, with |s| and |s|^p taken
+            # once for the slope, its derivative and the envelope.
             p, a = pot.exponent, np.abs(s)
+            power = a**p
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                t = p * np.where(a > 0, np.abs(slope) / a, np.inf)
-                # Beyond the float range t / (1 + eps t) is 1 / eps; at
-                # s = 0, 1 / eps for p < 1 and 0 for p > 1.
-                derivative = np.where(
-                    np.isfinite(t), t / (1.0 + eps * t),
-                    np.where((a > 0) | (p < 1.0), 1.0 / eps, 0.0))
-        elif pot.kind == "zhang":
-            derivative = np.where(r <= 0, 0.0, np.where(
-                r <= eps, 1.0 / eps, 1.0 / (1.0 + eps)))
+                t = p * (power / a)
+                derivative = t / (1.0 + eps * t)
+                finite = np.isfinite(t)
+                if not finite.all():
+                    # Beyond the float range t / (1 + eps t) is 1 / eps; at
+                    # s = 0, 1 / eps for p < 1 and 0 for p > 1.
+                    derivative = np.where(finite, derivative, np.where(
+                        (a > 0) | (p < 1.0), 1.0 / eps, 0.0))
+            slope, product = self._slope(r, s, power), a * power
+            # No part outlives its use into the envelope's temporaries.
+            del a, power, t, finite
         else:
-            idx = self._band_index(r)
-            t = 2.0 * np.asarray(pot.pieces)[idx // 2][..., 0]
-            derivative = np.where(idx % 2 == 1, 1.0 / eps, t / (1.0 + eps * t))
-        return MoreauYosidaValues(
-            resolvent=s,
-            slope=slope,
-            slope_derivative=derivative,
-            envelope=self._envelope(r, s, slope),
-        )
+            slope, product = self._slope(r, s), None
+            if pot.kind == "zhang":
+                derivative = np.where(r <= 0, 0.0, np.where(
+                    r <= eps, 1.0 / eps, 1.0 / (1.0 + eps)))
+            else:
+                idx = self._band_index(r)
+                t = 2.0 * np.asarray(pot.pieces)[idx // 2][..., 0]
+                derivative = np.where(idx % 2 == 1, 1.0 / eps,
+                                      t / (1.0 + eps * t))
+        return MoreauYosidaValues(s, slope, derivative,
+                                  self._envelope(r, s, product))
 
-    def _slope(self, r, s):
+    def _slope(self, r, s, power=None):
         # A power kind's slope is sign(s) |s|^p, which the root satisfies;
         # (r - s) / eps loses its digits where eps |s|^p is below the
-        # roundoff of r.
+        # roundoff of r.  ``power`` is |s|^p where the caller has it.
+        p = self.potential.exponent
         if self.potential.kind in ("fast_diffusion", "porous_medium"):
-            return np.sign(s) * np.abs(s) ** self.potential.exponent
+            return np.sign(s) * (np.abs(s) ** p if power is None else power)
         return (r - s) / self.eps
 
-    def _envelope(self, r, s, slope=None):
+    def _envelope(self, r, s, product=None):
         # Transport cost plus the potential at s; a power kind's value
-        # |s|^(p + 1) / (p + 1) is taken as |s| |slope| / (p + 1).
+        # |s|^(p + 1) / (p + 1) is taken as |s| |s|^p / (p + 1), with
+        # ``product`` = |s| |s|^p where the caller has it.
         pot = self.potential
         if pot.kind in ("fast_diffusion", "porous_medium"):
-            if slope is None:
-                slope = self._slope(r, s)
-            value = np.abs(s) * np.abs(slope) / (pot.exponent + 1.0)
+            if product is None:
+                product = np.abs(s) * np.abs(s) ** pot.exponent
+            value = product / (pot.exponent + 1.0)
         else:
             value = pot.value(s)
         return (r - s) ** 2 / (2.0 * self.eps) + value

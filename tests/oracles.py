@@ -94,6 +94,31 @@ def power_root_bisection(p: float, eps: float, a: np.ndarray) -> np.ndarray:
     return lo.view(np.float64)
 
 
+def power_values(smoother, r, previous=None):
+    """``(slope, slope_derivative, envelope)`` of a power kind at ``r``
+    from its resolvent, by the formulas ``MoreauYosida.evaluate`` used
+    before it took ``|s|`` and ``|s|^p`` once: three absolute values, a
+    masked quotient and a masked derivative on every element."""
+    r = np.asarray(r, dtype=float)
+    p, eps = smoother.potential.exponent, smoother.eps
+    s = smoother.resolvent(r, previous)
+    slope = np.sign(s) * np.abs(s) ** p
+    a = np.abs(s)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = p * np.where(a > 0, np.abs(slope) / a, np.inf)
+        derivative = np.where(
+            np.isfinite(t), t / (1.0 + eps * t),
+            np.where((a > 0) | (p < 1.0), 1.0 / eps, 0.0))
+    envelope = ((r - s) ** 2 / (2.0 * eps)
+                + np.abs(s) * np.abs(slope) / (p + 1.0))
+    return slope, derivative, envelope
+
+
+def dual_rows(space, a):
+    """Rows of ``a`` times the dense dual metric ``M K^-1``."""
+    return a @ space.dual_metric
+
+
 def replayed_test_process(ensemble):
     """``build_test_process(ensemble, ensemble.config.initial,
     drift=ensemble)`` with the replayed drift from whole (paths, steps,

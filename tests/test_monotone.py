@@ -3,7 +3,7 @@ envelopes, including the full smoothing-inequality suite."""
 
 import numpy as np
 import pytest
-from oracles import breakpoints, power_root_bisection
+from oracles import breakpoints, power_root_bisection, power_values
 
 from graphspde import monotone
 from graphspde.monotone import (
@@ -284,6 +284,52 @@ def test_evaluate_matches_separate_methods_bitwise(pot, eps):
         assert np.array_equal(got, want)
     scalar = my.evaluate(0.25)
     assert np.array_equal(scalar.envelope, my.envelope(0.25))
+
+
+def same_bits(got, want):
+    # Equal values, NaN where NaN, and equal zero signs.
+    got, want = np.broadcast_arrays(got, want)
+    signs = np.signbit(got) == np.signbit(want)
+    return (np.array_equal(got, want, equal_nan=True)
+            and bool(signs[~np.isnan(want)].all()))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 2.0, 2.5])
+@pytest.mark.parametrize("eps", [0.05, np.array([[1e-3], [0.05], [0.7]])],
+                         ids=["scalar", "column"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "previous"])
+def test_power_evaluate_keeps_the_reference_formulas_bitwise(p, eps, warm):
+    # Oracle: the slope, slope derivative and envelope of a power kind by
+    # the formulas that took |s| three times and masked every element, on
+    # the resolvent of the same call.  The lean evaluate takes |s| and
+    # |s|^p once and masks only when some |s| is 0 or some quotient is not
+    # finite.  Signed zeros, the smallest subnormal, subnormals, 1e-300 up
+    # to the largest float, infinities and NaN.
+    pot = fast_diffusion(p) if p < 1.0 else porous_medium(p)
+    my = MoreauYosida(pot, eps)
+    edges = [0.0, -0.0, 5e-324, 1e-320, 2.2e-308, 1e-310, np.inf, np.nan,
+             1.7976931348623157e308]
+    ladder = np.logspace(-300, 308, 120)
+    r = np.concatenate([edges, ladder, np.linspace(0.0, 3.0, 31)])
+    r = np.tile(np.concatenate([r, -r]), (3, 1))
+    previous = None
+    with np.errstate(all="ignore"):
+        if warm:
+            # An earlier point that moved every other element; the rest
+            # keep their argument bit for bit.
+            r0 = r * (1.0 + 1e-3)
+            r0[:, ::2] = r[:, ::2]
+            v0 = my.evaluate(r0)
+            previous = (r0, v0.resolvent, v0.slope_derivative)
+        values = my.evaluate(r, previous)
+        expected = power_values(my, r, previous)
+        assert same_bits(values.resolvent, my.resolvent(r, previous))
+        for got, want in zip(values[1:], expected):
+            assert same_bits(got, want)
+        if not warm:
+            methods = (my.yosida(r), my.yosida_slope(r), my.envelope(r))
+            for got, want in zip(methods, expected):
+                assert same_bits(got, want)
 
 
 # -- Yosida slope -------------------------------------------------------------
