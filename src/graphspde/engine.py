@@ -206,22 +206,20 @@ class _NewtonSystem:
     same term to both quadratic forms.  ``cond(J)`` is 2.2 on
     ``path_n|power(0.5)``, 4.3 with power 0.9 and 2.0 on ``complete_n``,
     so rows converge to 1e-15 in about 6 to 21 iterations.  A row still
-    unconverged after ``n`` iterations falls back to a batched dense LU
-    solve of at most ``lu_rows`` rows, so a coupled batch never holds more
-    than one run's worth of matrices.  Which route a row takes, and when
-    its iteration stops, depend on its own ``d`` and ``F`` alone.  The
-    products keep that independence: with at least two rows, each output
-    row of OpenBLAS's dgemm is its input row's own dot products, summed in
-    a fixed order whatever the other rows are (checked bit for bit for
-    subsets of 1 to 599 rows at n = 16 to 256, with one and two BLAS
-    threads), while a lone row goes to gemv, which sums in another order,
-    so ``_row_products`` doubles it.  So every path's arithmetic is
-    independent of the rest of the batch.
+    unconverged after ``n`` iterations falls back to a dense LU solve of
+    its own, so the fallback holds one n x n matrix at a time.  Which route
+    a row takes, and when its iteration stops, depend on its own ``d`` and
+    ``F`` alone.  The products keep that independence: with at least two
+    rows, each output row of OpenBLAS's dgemm is its input row's own dot
+    products, summed in a fixed order whatever the other rows are (checked
+    bit for bit for subsets of 1 to 599 rows at n = 16 to 256, with one
+    and two BLAS threads), while a lone row goes to gemv, which sums in
+    another order, so ``_row_products`` doubles it.  So every path's
+    arithmetic is independent of the rest of the batch.
     """
 
-    def __init__(self, space: DirichletSpace, dt: float, lu_rows: int):
+    def __init__(self, space: DirichletSpace, dt: float):
         self.dt = dt
-        self.lu_rows = lu_rows
         self.tridiagonal = space.is_tridiagonal
         self.mu = mu = space.measure
         K = -space.generator
@@ -277,9 +275,8 @@ class _NewtonSystem:
         if rest.size:
             inv_d = 1.0 / d[rest]
             z, unsolved = self._cg(-F[rest], inv_d)
-            for start in range(0, unsolved.size, self.lu_rows):
-                rows = unsolved[start:start + self.lu_rows]
-                z[rows] = self._lu(-F[rest[rows]], inv_d[rows])
+            for row in unsolved:
+                z[row] = self._lu(-F[rest[row]], inv_d[row])
             delta[rest] = z * inv_d
         return delta
 
@@ -339,11 +336,10 @@ class _NewtonSystem:
         return np.ldexp(out, exponent), live
 
     def _lu(self, b: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
-        # Batched dense solve of (1/d + dt K) z = b.
-        idx = np.arange(b.shape[1])
-        A = np.repeat(self.dt * self._k_t.T[None], len(b), axis=0)
-        A[:, idx, idx] += inv_d
-        return np.linalg.solve(A, b[..., None])[..., 0]
+        # Dense solve of (1/d + dt K) z = b for one row.
+        A = self.dt * self._k_t.T
+        A[np.diag_indices_from(A)] += inv_d
+        return np.linalg.solve(A, b)
 
 
 class _StepStart(NamedTuple):
@@ -497,7 +493,7 @@ def simulate_coupled(configs) -> list[TrajectoryEnsemble]:
     R, P, N, n = len(configs), first.path_count, first.step_count, space.node_count
     eps = np.repeat([config.eps for config in configs], P)[:, None]
     smoother = MoreauYosida(first.potential, eps)
-    system = _NewtonSystem(space, dt, lu_rows=P)
+    system = _NewtonSystem(space, dt)
 
     def row_name(row):
         run, path = divmod(row, P)

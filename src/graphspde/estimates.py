@@ -10,8 +10,9 @@ themselves.  Every Monte Carlo verdict uses path-batch confidence
 intervals; supremum-in-time quantities are taken over the simulation grid,
 a lower bound for the continuum supremum.  The variational-inequality
 check and the replayed drift of a test process work over blocks of
-consecutive time steps, so their (paths, steps, nodes) temporaries hold
-one block at a time, never a whole run.
+consecutive paths, each over its whole time axis, so their (paths, steps,
+nodes) temporaries hold one block at a time, never a whole run, and their
+results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -100,27 +101,18 @@ def mollify_sequence(functional: EnergyFunctional, v,
 
 # -- test processes ------------------------------------------------------------
 
-# Float64 values of a (paths, block, nodes) temporary of the svi estimators
-# (256 KiB): they work over blocks of time steps, not over whole runs.
+# Float64 values of a (block, steps, nodes) temporary of the svi estimators
+# (256 KiB), or of one path when that holds more: they work over blocks of
+# paths, not over whole runs.
 _BLOCK_VALUES = 2**15
 
 
-def _block_rows(paths: int, nodes: int) -> int:
-    # Grid rows or steps of a block: about _BLOCK_VALUES values, rounded
-    # down to a multiple of four rows and at least four.  OpenBLAS's
-    # matrix-vector kernels take rows in groups of four, so aligned blocks
-    # round every row as one whole-run product does.
-    return max(4, _BLOCK_VALUES // (paths * nodes) // 4 * 4)
-
-
-def _row_blocks(rows: int, paths: int, nodes: int):
-    # Consecutive (start, stop) ranges covering range(rows).  Only a lone
-    # block has fewer than three rows: numpy hands a one-row product to
-    # another BLAS routine, and the last block of steps in _svi_report is
-    # one row shorter than its block of grid rows, so a last block of one
-    # or two rows joins the one before.
-    starts = range(0, max(rows - 2, 1), _block_rows(paths, nodes))
-    return zip(starts, [*starts[1:], rows])
+def _path_blocks(paths: int, rows: int, nodes: int):
+    # Consecutive (start, stop) path ranges of about _BLOCK_VALUES values
+    # of (rows, nodes) per path, at least one path per block.  Paths are
+    # independent, so a block is every path's own whole-run arithmetic.
+    size = max(1, _BLOCK_VALUES // (rows * nodes))
+    return ((a, min(a + size, paths)) for a in range(0, paths, size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,11 +157,12 @@ def build_test_process(ensemble: TrajectoryEnsemble, initial,
             raise ValueError("drift ensemble is not coupled to the reference")
         smoother = MoreauYosida(other.potential, other.eps)
         generator_t = other.space.generator.T
-        post = drift.states[:, 1:]    # drift is implicit in the next state
         G = np.empty((P, N, space.node_count))
-        for a, b in _row_blocks(N, P, space.node_count):
-            w = smoother.yosida(post[:, a:b]) + other.eps * post[:, a:b]
-            G[:, a:b] = w @ generator_t
+        for a, b in _path_blocks(P, N, space.node_count):
+            post = drift.states[a:b, 1:]  # drift is implicit in the next state
+            w = smoother.yosida(post)
+            w += other.eps * post
+            np.matmul(w, generator_t, out=G[a:b])
         mode = "from_regularized"
     else:
         g = np.array(drift, dtype=float)
@@ -234,8 +227,8 @@ def _value_integral(functional, states, dt):
     # Cumulative time integral of the functional along each path.
     P, rows, n = states.shape
     values = np.empty((P, rows))
-    for a, b in _row_blocks(rows, P, n):
-        values[:, a:b] = functional.value(states[:, a:b])
+    for a, b in _path_blocks(P, rows, n):
+        values[a:b] = functional.value(states[a:b])
     return _cum_trapz(values, dt)
 
 
@@ -247,15 +240,12 @@ def _svi_report(ensemble, test, functional, int_phi_x):
     P, rows, n = X.shape
     dsq = np.empty((P, rows))
     pair = None if test.drift is None else np.empty((P, rows - 1))
-    for a, b in _row_blocks(rows, P, n):
-        # The grid row after the block closes the midpoint of its last step.
-        end = min(b + 1, rows)
-        diff = X[:, a:end] - Z[:, a:end]
-        dsq[:, a:b] = space.dual_norm(diff[:, :b - a]) ** 2
+    for a, b in _path_blocks(P, rows, n):
+        diff = X[a:b] - Z[a:b]
+        dsq[a:b] = space.dual_norm(diff) ** 2
         if pair is not None:
             mid = 0.5 * (diff[:, :-1] + diff[:, 1:])
-            pair[:, a:end - 1] = space.dual_inner(test.drift[:, a:end - 1],
-                                                  mid)
+            pair[a:b] = space.dual_inner(test.drift[a:b], mid)
     int_phi_z = _value_integral(functional, Z, dt)
     int_dsq = _cum_trapz(dsq, dt)
 

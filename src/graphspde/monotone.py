@@ -51,22 +51,58 @@ class ConvexPotential:
     slope ``|r|**gamma`` (exponent above 1), ``zhang`` the sandpile
     potential whose slope jumps at the origin, and ``piecewise`` a
     continuous piecewise-quadratic function given by knots and per-piece
-    coefficients.
-
-    ``slope_bound`` certifies that the minimal subgradient magnitude is at
-    most ``slope_bound * (|r| + 1)``; it is ``None`` when no linear bound
-    exists, as for the porous-medium kind.
+    coefficients (see ``piecewise_quadratic``).  Each kind's rules are
+    checked here, so the factories below build nothing the constructor
+    would not.
     """
 
     kind: str
     exponent: float = 0.0
     knots: tuple = ()
     pieces: tuple = ()
-    slope_bound: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        p = self.exponent
+        if self.kind == "fast_diffusion" and not 0.0 < p < 1.0:
+            raise ValueError(f"exponent must lie in (0, 1), got {p}")
+        if self.kind == "porous_medium" and p <= 1.0:
+            raise ValueError(f"exponent must exceed 1, got {p}")
+        if self.kind == "piecewise":
+            knots = np.asarray(self.knots, dtype=float)
+            pieces = np.asarray(self.pieces, dtype=float)
+            if not (np.isfinite(knots).all() and np.isfinite(pieces).all()):
+                # A NaN continuity gap would pass the tolerance test below.
+                raise ValueError("knots and pieces must be finite")
+            if knots.ndim != 1 or np.any(np.diff(knots) <= 0):
+                raise ValueError("knots must be strictly ascending")
+            if pieces.shape != (knots.size + 1, 3):
+                raise ValueError("need one (a, b, c) row per interval")
+            left = pieces[:-1]
+            right = pieces[1:]
+            gap = np.abs((left[:, 0] - right[:, 0]) * knots**2
+                         + (left[:, 1] - right[:, 1]) * knots
+                         + (left[:, 2] - right[:, 2]))
+            scale = max(float(np.abs(pieces).max()), 1.0)
+            if gap.max(initial=0.0) > 1e-9 * scale:
+                raise ValueError("pieces must agree at the knots")
+            object.__setattr__(self, "knots", tuple(knots.tolist()))
+            object.__setattr__(self, "pieces",
+                               tuple(map(tuple, pieces.tolist())))
+
+    @cached_property
+    def slope_bound(self) -> float | None:
+        """Constant ``C`` with minimal subgradient magnitude at most
+        ``C (|r| + 1)``; ``None`` when no linear bound exists, as for the
+        porous-medium kind."""
+        if self.kind == "porous_medium":
+            return None
+        if self.kind == "piecewise":
+            pieces = np.asarray(self.pieces)
+            return float((2.0 * np.abs(pieces[:, 0])
+                          + np.abs(pieces[:, 1])).max())
+        return 1.0
 
     # -- evaluation -------------------------------------------------------
 
@@ -132,9 +168,7 @@ class ConvexPotential:
 
 def fast_diffusion(theta: float) -> ConvexPotential:
     """Potential with slope ``|r|**theta`` for an exponent in (0, 1)."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"exponent must lie in (0, 1), got {theta}")
-    return ConvexPotential("fast_diffusion", exponent=theta, slope_bound=1.0)
+    return ConvexPotential("fast_diffusion", exponent=theta)
 
 
 def porous_medium(gamma: float) -> ConvexPotential:
@@ -143,15 +177,13 @@ def porous_medium(gamma: float) -> ConvexPotential:
     The slope grows faster than linearly, so no linear minimal-section
     bound exists; estimate experiments that need one refuse this kind.
     """
-    if gamma <= 1.0:
-        raise ValueError(f"exponent must exceed 1, got {gamma}")
-    return ConvexPotential("porous_medium", exponent=gamma, slope_bound=None)
+    return ConvexPotential("porous_medium", exponent=gamma)
 
 
 def zhang() -> ConvexPotential:
     """Sandpile potential: quadratic with unit offset on the right half
     line, flat on the left, multi-valued slope [0, 1] at the origin."""
-    return ConvexPotential("zhang", slope_bound=1.0)
+    return ConvexPotential("zhang")
 
 
 def piecewise_quadratic(knots, pieces) -> ConvexPotential:
@@ -162,30 +194,7 @@ def piecewise_quadratic(knots, pieces) -> ConvexPotential:
     ``a r^2 + b r + c``.  Continuity at the knots is required; convexity is
     not enforced so that assumption checking can report genuine failures.
     """
-    knots = np.asarray(knots, dtype=float)
-    pieces = np.asarray(pieces, dtype=float)
-    if not (np.isfinite(knots).all() and np.isfinite(pieces).all()):
-        # A NaN continuity gap would pass the tolerance test below.
-        raise ValueError("knots and pieces must be finite")
-    if knots.ndim != 1 or np.any(np.diff(knots) <= 0):
-        raise ValueError("knots must be strictly ascending")
-    if pieces.shape != (knots.size + 1, 3):
-        raise ValueError("need one (a, b, c) row per interval")
-    left = pieces[:-1]
-    right = pieces[1:]
-    gap = np.abs((left[:, 0] - right[:, 0]) * knots**2
-                 + (left[:, 1] - right[:, 1]) * knots
-                 + (left[:, 2] - right[:, 2]))
-    scale = max(float(np.abs(pieces).max()), 1.0)
-    if gap.max(initial=0.0) > 1e-9 * scale:
-        raise ValueError("pieces must agree at the knots")
-    bound = float((2.0 * np.abs(pieces[:, 0]) + np.abs(pieces[:, 1])).max())
-    return ConvexPotential(
-        "piecewise",
-        knots=tuple(knots.tolist()),
-        pieces=tuple(map(tuple, pieces.tolist())),
-        slope_bound=bound,
-    )
+    return ConvexPotential("piecewise", knots=knots, pieces=pieces)
 
 
 # -- resolvent machinery -------------------------------------------------

@@ -71,12 +71,13 @@ def base_config(**overrides):
 
 
 def spy_solve_rows(monkeypatch):
-    """Record the batch size of every ``np.linalg.solve`` call."""
+    """Record the batch size of every ``np.linalg.solve`` call: the
+    matrices of a stack, one for a lone matrix."""
     rows = []
     solve = np.linalg.solve
 
     def spy(A, b):
-        rows.append(len(A))
+        rows.append(int(np.prod(A.shape[:-2])))
         return solve(A, b)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
@@ -102,7 +103,7 @@ def spy_dense_routes(monkeypatch):
         return z, np.union1d(unsolved, np.flatnonzero(b[:, 0] > 0))
 
     def spy_lu(self, b, inv_d):
-        routes["lu"].append(len(b))
+        routes["lu"].append(1)    # one row per call
         return lu(self, b, inv_d)
 
     monkeypatch.setattr(_NewtonSystem, "_eigenbasis", spy_eigenbasis)
@@ -182,7 +183,7 @@ def test_step_single_node_against_double_bisection():
 
     # Smoothing 1 lies outside what SimulationConfig accepts, so the step
     # is solved directly.
-    system = _NewtonSystem(single_node_space(), 1.0, lu_rows=1)
+    system = _NewtonSystem(single_node_space(), 1.0)
     smoother = MoreauYosida(fast_diffusion(0.5), 1.0)
     got, *_ = _implicit_step_batch(system, smoother, np.array([[4.0]]))
     assert got[0, 0] == pytest.approx(outer(), abs=1e-9)
@@ -229,7 +230,7 @@ def test_step_evaluates_the_step_taken_after_exhausted_line_search():
     space = path_space(4)
     rhs = np.zeros((1, 4))
     smoother = RejectingSmoother(inner)
-    system = _NewtonSystem(space, 0.05, lu_rows=1)
+    system = _NewtonSystem(space, 0.05)
     x, residual, *_ = _implicit_step_batch(system, smoother, rhs)
     delta = smoother.args[1]
     assert np.abs(delta).max() > 0
@@ -254,7 +255,7 @@ def test_newton_system_matches_dense_dual_metric_formulas(make_space,
     # and the dense products with MG and minus the generator.
     space = make_space()
     eps, dt, paths = 0.05, 0.02, 7
-    system = _NewtonSystem(space, dt, lu_rows=paths)
+    system = _NewtonSystem(space, dt)
     assert system.tridiagonal is tridiagonal
 
     rng = np.random.default_rng(11)
@@ -293,7 +294,7 @@ def test_uniform_slope_direction_matches_dense_solve(make_space,
     K = -space.generator
     rng = np.random.default_rng(5)
     c = np.ravel([[e, 1 / (1 + e) + e, 1 / e + e] for e in (0.05, 0.1)])
-    system = _NewtonSystem(space, dt, lu_rows=2 * c.size)
+    system = _NewtonSystem(space, dt)
     F = rng.standard_normal((c.size, n)) * np.logspace(-3, 3, c.size)[:, None]
     d = np.repeat(c[:, None], n, axis=1)
 
@@ -345,7 +346,7 @@ def test_conjugate_gradient_direction_matches_dense_solve(
 
     monkeypatch.setattr(_NewtonSystem, "apply_k", spy_apply_k)
     for dt in (0.02, 1.0):
-        system = _NewtonSystem(space, dt, lu_rows=rows)
+        system = _NewtonSystem(space, dt)
         expected = np.stack([
             np.linalg.solve(np.eye(n) + dt * K * d[p], -F[p])
             for p in range(rows)])
@@ -365,8 +366,8 @@ def test_conjugate_gradient_direction_matches_dense_solve(
 
 def test_unconverged_conjugate_gradient_rows_fall_back_to_lu(monkeypatch):
     # With a tolerance of zero no row of this batch converges in n
-    # iterations, so every row takes the LU fallback, at most lu_rows at a
-    # time, and gets the dense solve's direction.
+    # iterations, so every row takes the LU fallback, one row per solve,
+    # and gets the dense solve's direction.
     space = subordinate(path_space(64), BernsteinFunction.power(0.5))
     n, dt, K = space.node_count, 1.0, -space.generator
     rng = np.random.default_rng(4)
@@ -374,8 +375,8 @@ def test_unconverged_conjugate_gradient_rows_fall_back_to_lu(monkeypatch):
     F = rng.standard_normal((5, n))
     monkeypatch.setattr(engine, "_CG_TOL", 0.0)
     solved = spy_solve_rows(monkeypatch)
-    got = _NewtonSystem(space, dt, lu_rows=2).direction(F, d)
-    assert solved == [2, 2, 1]
+    got = _NewtonSystem(space, dt).direction(F, d)
+    assert solved == [1] * 5
     expected = np.stack([np.linalg.solve(np.eye(n) + dt * K * d[p], -F[p])
                          for p in range(5)])
     assert np.abs(got - expected).max() <= 1e-13 * (1 + np.abs(F).max())
@@ -456,8 +457,8 @@ def test_path_results_independent_of_batch_composition(monkeypatch):
     # Coupled runs stepped as one batch, an eps ladder and a pair of initial
     # states: each ensemble equals its run simulated alone, on the
     # tridiagonal route and all three dense ones.  Only rows still
-    # iterating get a direction, and the LU fallback never takes more than
-    # one run's rows at once.
+    # iterating get a direction, and the LU fallback solves one row at a
+    # time.
     piecewise = piecewise_quadratic(
         [-0.5, 0.5], [[1.0, 0.0, -0.125], [0.5, 0.0, 0.0], [1.5, -0.5, 0.0]])
     mismatches = []
@@ -480,7 +481,7 @@ def test_path_results_independent_of_batch_composition(monkeypatch):
                 for runs in (ladder, pair):
                     del solved[:], directions[:]
                     batch = simulate_coupled(runs)
-                    assert max(solved, default=0) <= cfg.path_count
+                    assert max(solved, default=0) <= 1
                     assert sum(directions) == sum(
                         e.newton_iterations.sum() for e in batch)
                     for run, ens in zip(runs, batch):
@@ -522,7 +523,7 @@ def test_dense_products_independent_of_batch_composition(make_space,
     d = 0.05 * np.exp(rng.uniform(0.0, 3.0, (rows, n)))
     d[::2] = d[::2, :1]
     routes = spy_dense_routes(monkeypatch)
-    system = _NewtonSystem(space, 0.02, lu_rows=rows)
+    system = _NewtonSystem(space, 0.02)
 
     def products(subset):
         return {"apply_k": system.apply_k(y[subset]),
@@ -611,7 +612,7 @@ def test_step_starts_from_the_previous_drift_increment(space, potential):
     # right side).
     n, steps, tol = space.node_count, 64, _SOLVER_TOL
     dt = 1.0 / steps
-    system = _NewtonSystem(space, dt, lu_rows=12)
+    system = _NewtonSystem(space, dt)
     smoother = MoreauYosida(potential, 0.05)
     noise = diagonal_noise(n, 0.3)
     dW = brownian_increments(5, "warm", 12, steps, n, dt)
@@ -665,7 +666,7 @@ def test_tracked_gradient_is_the_dual_metric_through_halvings(
     monkeypatch.setattr(_NewtonSystem, "direction", spy_direction)
     n, steps, paths = space.node_count, 16, 12
     dt = 0.5 / steps
-    system = _NewtonSystem(space, dt, lu_rows=paths)
+    system = _NewtonSystem(space, dt)
     smoother = MoreauYosida(potential, eps)
     noise = diagonal_noise(n, 0.5)
     dW = brownian_increments(42, "halving", paths, steps, n, dt)
@@ -929,7 +930,7 @@ def test_lapack_failure_is_a_typed_error_naming_routine_and_info():
     # pivot of 1/d + dt K exactly zero, where gtsv stops.
     space = SimpleNamespace(is_tridiagonal=True, measure=np.ones(3),
                             generator=10.0 * np.eye(3))
-    system = _NewtonSystem(space, 0.1, lu_rows=1)
+    system = _NewtonSystem(space, 0.1)
     with pytest.raises(StepSolverError,
                        match=r"^LAPACK dgtsv failed with info = 1 "):
         system.direction(np.ones((1, 3)), np.ones((1, 3)))

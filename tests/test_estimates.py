@@ -20,6 +20,7 @@ from graphspde.dirichlet import (
     single_node_space,
     subordinate,
 )
+from graphspde import estimates
 from graphspde.engine import (
     SimulationConfig,
     energy_budget,
@@ -28,7 +29,6 @@ from graphspde.engine import (
 )
 from graphspde.estimates import (
     EnergyFunctional,
-    _block_rows,
     _cum_trapz,
     build_test_process,
     check_svi,
@@ -332,7 +332,7 @@ def test_svi_decoupled_rejected():
         check_svi(ens, [proc])
 
 
-# -- blocks of time steps ----------------------------------------------------------
+# -- blocks of paths --------------------------------------------------------------
 
 
 def _bits(report):
@@ -341,40 +341,36 @@ def _bits(report):
 
 @pytest.mark.parametrize("bernstein", [None, BernsteinFunction.power(0.5)],
                          ids=["tridiagonal", "subordinated"])
-def test_svi_blocks_match_the_whole_run_oracle(bernstein):
-    paths, n = 64, 32
+def test_svi_blocks_match_the_whole_run_oracle(bernstein, monkeypatch):
+    # Every report and the replayed drift and states equal the whole-run
+    # oracles bit for bit, whatever the block size: one path per block,
+    # the default, and the whole run in one block.
+    n, steps = 32, 63
     space = path_space(n)
     if bernstein is not None:
         space = subordinate(space, bernstein)
-    block = _block_rows(paths, n)
-    assert 3 * block + 4 < 64     # several blocks in a short run
-    # Grid rows are steps + 1: one step, one block, a last block of one,
-    # two and three rows, and three blocks plus a remainder.
-    for steps in (1, block - 1, block, block + 1, block + 2, 3 * block + 4):
+    # Paths per block at the default size, over grid rows and over steps.
+    block = 16
+    assert estimates._BLOCK_VALUES // ((steps + 1) * n) == block
+    assert estimates._BLOCK_VALUES // (steps * n) == block
+    for paths in (1, block - 1, block, block + 1, 3 * block + 2):
         cfg = make_config(space, zhang(), paths=paths, steps=steps, eps=0.05,
                           seed=17)
         ens = simulate(cfg)
-        procs = [build_test_process(ens, np.zeros(n)),
-                 build_test_process(ens, np.zeros(n), drift=np.full(n, 0.3)),
-                 build_test_process(ens, cfg.initial, drift=ens)]
-        reports = check_svi(ens, procs)
-        for proc, report in zip(procs[:2], reports):
-            got, want = _bits(report), _bits(svi_report(ens, proc))
-            assert np.array_equal(got[0], want[0]), (steps, proc.mode)
-            assert got[1] == want[1], (steps, proc.mode)
-
         oracle = replayed_test_process(ens)
-        scale = np.abs(oracle.drift).max()
-        assert np.abs(procs[2].drift - oracle.drift).max() <= 1e-12 * scale
-        want = svi_report(ens, oracle)
-        got, ref = np.array(reports[2].series), np.array(want.series)
-        np.testing.assert_allclose(got[:, :3], ref[:, :3], rtol=1e-12, atol=0)
-        sides = np.abs(ref[:, 1:3]).max()
-        np.testing.assert_allclose(got[:, 3:], ref[:, 3:], rtol=0,
-                                   atol=1e-12 * sides)
-        assert reports[2].passed == want.passed
-        assert reports[2].constants["fitted_constant"] == pytest.approx(
-            want.constants["fitted_constant"], rel=1e-12, abs=1e-12)
+        for values in (1, 2**15, 2**40):
+            monkeypatch.setattr(estimates, "_BLOCK_VALUES", values)
+            procs = [build_test_process(ens, np.zeros(n)),
+                     build_test_process(ens, np.zeros(n),
+                                        drift=np.full(n, 0.3)),
+                     build_test_process(ens, cfg.initial, drift=ens)]
+            where = (paths, values)
+            assert np.array_equal(procs[2].drift, oracle.drift), where
+            assert np.array_equal(procs[2].states, oracle.states), where
+            for proc, report in zip(procs, check_svi(ens, procs)):
+                got, want = _bits(report), _bits(svi_report(ens, proc))
+                assert np.array_equal(got[0], want[0]), (where, proc.mode)
+                assert got[1] == want[1], (where, proc.mode)
 
 
 def test_svi_estimators_hold_no_whole_run_temporary():

@@ -7,6 +7,7 @@ from oracles import breakpoints, power_root_bisection, power_values
 
 from graphspde import monotone
 from graphspde.monotone import (
+    ConvexPotential,
     MoreauYosida,
     ResolventError,
     _power_newton,
@@ -528,6 +529,41 @@ def test_check_assumptions_concave_counterexample():
     assert not by_name["convexity"].passed
     assert not report.passed
     assert "FAIL" in report.to_text()
+
+
+def test_constructor_holds_each_kinds_rules_and_slope_bound():
+    # The factories add nothing to the constructor: a potential built
+    # directly is refused where its factory refuses, and equals the
+    # factory's potential, slope bound included.
+    pieces = [(1.0, 1.0, 0.0), (0.0, 0.0, 0.0), (2.0, -2.0, 0.0)]
+    for direct, built, bound in (
+            (ConvexPotential("zhang"), zhang(), 1.0),
+            (ConvexPotential("fast_diffusion", exponent=0.3),
+             fast_diffusion(0.3), 1.0),
+            (ConvexPotential("porous_medium", exponent=2.5),
+             porous_medium(2.5), None),
+            (ConvexPotential("piecewise", knots=[-1.0, 1.0], pieces=pieces),
+             piecewise_quadratic([-1.0, 1.0], pieces), 6.0)):
+        assert direct == built
+        assert hash(direct) == hash(built)
+        assert direct.slope_bound == built.slope_bound == bound
+    for fields, message in (
+            ({"kind": "fast_diffusion", "exponent": 2.0},
+             r"exponent must lie in \(0, 1\), got 2.0"),
+            ({"kind": "fast_diffusion"}, r"must lie in \(0, 1\), got 0.0"),
+            ({"kind": "porous_medium", "exponent": 0.5},
+             "exponent must exceed 1, got 0.5"),
+            ({"kind": "piecewise", "knots": (1.0, 0.0), "pieces": pieces},
+             "strictly ascending"),
+            ({"kind": "piecewise"}, "row per interval"),
+            ({"kind": "piecewise", "knots": (0.0,),
+              "pieces": ((0.0, 0.0, 0.0), (0.0, 0.0, 5.0))},
+             "agree at the knots"),
+            ({"kind": "piecewise", "knots": (np.inf,),
+              "pieces": ((1.0, 0.0, 0.0), (1.0, 0.0, 3.0))},
+             "must be finite")):
+        with pytest.raises(ValueError, match=message):
+            ConvexPotential(**fields)
 
 
 def test_piecewise_validation():
