@@ -166,13 +166,6 @@ class DirichletSpace:
         return (self.basis * values) @ (self.basis.T * self.measure)
 
     @cached_property
-    def dual_metric(self) -> np.ndarray:
-        """Symmetric positive matrix representing the dual inner product:
-        the measure times the inverse of minus the generator."""
-        return self.measure[:, None] * self._spectral_matrix(
-            1.0 / self.eigenvalues)
-
-    @cached_property
     def is_tridiagonal(self) -> bool:
         """Whether the generator couples only consecutive node indices, as
         on path graphs; the time stepper then solves banded systems."""

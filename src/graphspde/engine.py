@@ -11,14 +11,17 @@ strongly monotone), so the step is the gradient of a strongly convex
 objective and a damped semismooth Newton iteration converges for any step
 size.  With ``K`` minus the generator and ``d`` the slope derivative plus
 ``eps``, each Newton direction solves ``(1/d + dt K) z = -F`` and takes
-``delta = z / d``; that system has the sparsity of the generator, so on
-path graphs it is tridiagonal.  On dense generators every product with an
-n x n matrix is one matrix-matrix product over all paths.  A path whose
-``d`` is one number at every node is solved in the eigenbasis of the space,
-where the system is diagonal, in O(n^2); the other paths take
-Jacobi-preconditioned conjugate gradients, O(n^2) per iteration, whose
-iteration count does not grow with the spread of ``d``; the Newton
-equation also gives the line search its gradient, with no dual solve.
+``delta = z / d``.  Weighted by ``M = diag(mu)`` that system is
+``(M/d + dt E) z = -M F`` with ``E = M K``, symmetric positive definite
+with the sparsity of the generator; on path graphs it is tridiagonal and
+solved by an LDL^T factorization with no pivoting (``dptsv``).  On dense
+generators every product with an n x n matrix is one matrix-matrix
+product over all paths.  A path whose ``d`` is one number at every node
+is solved in the eigenbasis of the space, where the system is diagonal,
+in O(n^2); the other paths take Jacobi-preconditioned conjugate
+gradients, O(n^2) per iteration, whose iteration count does not grow with
+the spread of ``d``; the Newton equation also gives the line search its
+gradient, with no dual solve.
 Consecutive steps differ by one noise increment, so each step after the
 first starts Newton from its right side plus the previous step's drift
 increment, and a Newton-solved resolvent from the values it had at the
@@ -27,7 +30,7 @@ Coupled runs (a smoothing ladder, a pair of initial states) share their
 increments, so ``simulate_coupled`` steps all their paths as one batch
 too, with one smoothing parameter per row.
 
-The tridiagonal solver comes from scipy's compiled LAPACK wrapper,
+The tridiagonal ``dptsv`` comes from scipy's compiled LAPACK wrapper,
 ``scipy.linalg._flapack``, loaded without the ``scipy.linalg`` package,
 whose import costs more than a small run.
 """
@@ -167,12 +170,6 @@ class TrajectoryEnsemble:
             getattr(self, name).setflags(write=False)
 
 
-def _off_diagonal(band: np.ndarray) -> np.ndarray:
-    # An order-m tridiagonal system has m - 1 off-diagonal entries, but the
-    # LAPACK wrappers take max(m - 1, 1) of them.
-    return band[:max(band.size - 1, 1)]
-
-
 def _coupled(a: SimulationConfig, b: SimulationConfig) -> bool:
     # Runs that consume the same Brownian increments on the same grid.
     return (a.coupling_tag, a.seed, a.step_count, a.path_count,
@@ -186,13 +183,17 @@ class _NewtonSystem:
     The Newton equation ``(I + dt K D) delta = -F``, with ``K`` minus the
     generator and ``D = diag(d)``, ``d`` the slope derivative plus ``eps``
     (so ``d >= eps > 0``), is solved as ``(1/d + dt K) z = -F``,
-    ``delta = z / d``.  For a sub-Markovian generator that matrix is
-    strictly row diagonally dominant.  For tridiagonal generators all paths
-    form one block-diagonal tridiagonal system with zero couplings between
-    blocks, solved by one ``gtsv`` call.  Other generators apply ``K`` to
-    all rows as one matrix-matrix product (gemm), which keeps the n x n
-    operand in cache for every row.  A row whose ``d`` is one number ``c``
-    at every node has the direction
+    ``delta = z / d``.  Multiplied by ``M = diag(mu)`` it is
+    ``(M/d + dt E) z = -M F`` with ``E = M K``, symmetric because ``K`` is
+    mu-self-adjoint, and strictly diagonally dominant with a positive
+    diagonal for a sub-Markovian generator, so positive definite.  For
+    tridiagonal generators all paths form one block-diagonal system of
+    that form with zero couplings between blocks, solved by one ``dptsv``
+    call, an LDL^T factorization that needs no pivoting; each block's
+    recurrence is its own.  Other generators apply ``K`` to all rows as
+    one matrix-matrix product (gemm), which keeps the n x n operand in
+    cache for every row.  A row whose ``d`` is one number ``c`` at every
+    node has the direction
     ``-Phi (Phi^T M F) / (1 + dt c lambda)`` in the mu-orthonormal
     eigenbasis ``Phi`` of ``K``, two such products, O(n^2).  The other
     rows take conjugate gradients in the mu inner product, where ``K`` is
@@ -229,7 +230,12 @@ class _NewtonSystem:
             self._diag = np.diag(K).copy()
             self._upper = np.append(np.diag(K, 1), 0.0)
             self._lower = np.append(np.diag(K, -1), 0.0)
-            self._bands = self.dt * np.stack([self._lower, self._upper])
+            # The symmetric form M/d + dt E, E = M K: its diagonal less
+            # M/d, its off-diagonal band and minus the measure, which
+            # weights the right side.
+            self._spd_diag = dt * mu * self._diag
+            self._spd_band = dt * mu * self._upper
+            self._minus_mu = -mu
         else:
             # K^T in row-major order, the right operand of apply_k's
             # product; the LU fallback builds its matrices from it.
@@ -253,17 +259,23 @@ class _NewtonSystem:
         for each row of ``F`` and ``d``."""
         paths, n = F.shape
         if self.tridiagonal:
-            if self._bands.shape[1] < paths * n:
-                # dt times the bands, tiled for the most rows seen so far.
-                self._bands = np.tile(self._bands[:, :n], paths)
-            lower, upper = map(_off_diagonal, self._bands[:, :paths * n])
+            if F.size == 1:
+                # LAPACK solves a 1 x 1 system as b * (1/d) and larger ones
+                # by division, so a lone equation is doubled.
+                return self.direction(np.concatenate([F, F]),
+                                      np.concatenate([d, d]))[:1]
+            if self._spd_band.size < paths * n:
+                # The band, tiled for the most rows seen so far.
+                self._spd_band = np.tile(self._spd_band[:n], paths)
             inv_d = 1.0 / d
-            diag = (inv_d + self.dt * self._diag).ravel()
-            *_, z, info = lapack.dgtsv(
-                lower, diag, upper, -F.reshape(-1, 1), overwrite_d=True,
+            diag = self.mu * inv_d
+            diag += self._spd_diag
+            _, _, z, info = lapack.dptsv(
+                diag.ravel(), self._spd_band[:paths * n - 1],
+                (F * self._minus_mu).reshape(-1, 1), overwrite_d=True,
                 overwrite_b=True)
             if info != 0:
-                raise StepSolverError(f"LAPACK dgtsv failed with info = {info} "
+                raise StepSolverError(f"LAPACK dptsv failed with info = {info} "
                                       "in the Newton linear algebra")
             return z.reshape(paths, n) * inv_d
         delta = np.empty_like(F)

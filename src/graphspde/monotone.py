@@ -69,6 +69,15 @@ class ConvexPotential:
             raise ValueError(f"exponent must lie in (0, 1), got {p}")
         if self.kind == "porous_medium" and p <= 1.0:
             raise ValueError(f"exponent must exceed 1, got {p}")
+        # A field the kind does not read keeps its default, so a potential
+        # equals the one its factory builds.
+        if self.kind in ("zhang", "piecewise") and p != 0.0:
+            raise ValueError(f"{self.kind} reads no exponent, got {p}")
+        if self.kind != "piecewise":
+            for name in ("knots", "pieces"):
+                if len(getattr(self, name)):
+                    raise ValueError(f"{self.kind} reads no {name}")
+                object.__setattr__(self, name, ())
         if self.kind == "piecewise":
             knots = np.asarray(self.knots, dtype=float)
             pieces = np.asarray(self.pieces, dtype=float)

@@ -114,9 +114,17 @@ def power_values(smoother, r, previous=None):
     return slope, derivative, envelope
 
 
+def dual_metric(space):
+    """The dense dual metric ``M K^-1``, from the mu-orthonormal
+    eigenbasis ``Phi`` of ``K``: ``M Phi Lambda^-1 Phi^T M``."""
+    mu, basis = space.measure, space.basis
+    return mu[:, None] * ((basis * (1.0 / space.eigenvalues))
+                          @ (basis.T * mu))
+
+
 def dual_rows(space, a):
     """Rows of ``a`` times the dense dual metric ``M K^-1``."""
-    return a @ space.dual_metric
+    return a @ dual_metric(space)
 
 
 def replayed_test_process(ensemble):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import certify_noise_dense, dual_rows
+from oracles import certify_noise_dense, dual_metric, dual_rows
 
 from graphspde.dirichlet import (
     BernsteinFunction,
@@ -262,7 +262,7 @@ def test_newton_system_matches_dense_dual_metric_formulas(make_space,
     n = space.node_count
     F = rng.standard_normal((paths, n))
     d = np.exp(rng.uniform(np.log(eps), -np.log(eps), size=(paths, n)))
-    MG, mu = space.dual_metric, space.measure
+    MG, mu = dual_metric(space), space.measure
     expected = np.stack([
         np.linalg.solve(MG + dt * np.diag(mu * d[p]), -MG @ F[p])
         for p in range(paths)])
@@ -272,6 +272,35 @@ def test_newton_system_matches_dense_dual_metric_formulas(make_space,
 
     assert rel_err(system.direction(F, d), expected) <= 1e-12
     assert rel_err(system.apply_k(F), F @ (-space.generator).T) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_tridiagonal_direction_weights_by_a_non_uniform_measure(n):
+    # The path presets have unit measure, where the weighting M of the
+    # symmetric system (M/d + dt E) z = -M F multiplies by exactly 1.
+    # Oracle: (I + dt K diag(d)) delta = -F solved densely, on path graphs
+    # with a random measure, conductances and killing (positive at node 0,
+    # so the form is transient).  Each row of a batch is bitwise the row
+    # solved alone.
+    rng = np.random.default_rng(n)
+    W = np.diag(rng.uniform(0.2, 5.0, n - 1), 1)
+    killing = rng.uniform(0.0, 2.0, n)
+    killing[0] += 0.5
+    space = build_graph_space(W + W.T, killing, rng.uniform(0.1, 10.0, n))
+    assert space.is_tridiagonal
+    eps, dt = 1e-3, 0.05
+    K = -space.generator
+    system = _NewtonSystem(space, dt)
+    for rows in (1, 9):
+        F = rng.standard_normal((rows, n))
+        d = np.exp(rng.uniform(np.log(eps), -np.log(eps), size=(rows, n)))
+        got = system.direction(F, d)
+        want = np.stack([np.linalg.solve(np.eye(n) + dt * K * d[r], -F[r])
+                         for r in range(rows)])
+        assert (np.abs(got - want).max(axis=1)
+                <= 1e-13 * np.abs(want).max(axis=1)).all()
+        alone = [system.direction(F[r:r + 1], d[r:r + 1]) for r in range(rows)]
+        assert np.array_equal(np.concatenate(alone), got)
 
 
 @pytest.mark.parametrize("make_space", [
@@ -927,13 +956,24 @@ def test_newton_limit_is_exact_at_the_most_iterations_taken(monkeypatch,
 
 def test_lapack_failure_is_a_typed_error_naming_routine_and_info():
     # A generator with diagonal 10 at dt 0.1 and d = 1 makes the first
-    # pivot of 1/d + dt K exactly zero, where gtsv stops.
+    # pivot of 1/d + dt K exactly zero, where dptsv stops.
     space = SimpleNamespace(is_tridiagonal=True, measure=np.ones(3),
                             generator=10.0 * np.eye(3))
     system = _NewtonSystem(space, 0.1)
     with pytest.raises(StepSolverError,
-                       match=r"^LAPACK dgtsv failed with info = 1 "):
+                       match=r"^LAPACK dptsv failed with info = 1 "):
         system.direction(np.ones((1, 3)), np.ones((1, 3)))
+    # At dt 1/2 and d = 1 the diagonal 1, 3/4, 1/2, 1 and the couplings
+    # -1/2 give the pivots 1, 3/4 - 1/4 and 1/2 - 1/4 / (1/2), exactly 0:
+    # the first pivot that is not positive is the third.
+    generator = np.diag([0.0, 0.5, 1.0, 0.0])
+    generator[[0, 1], [1, 2]] = generator[[1, 2], [0, 1]] = 1.0
+    space = SimpleNamespace(is_tridiagonal=True, measure=np.ones(4),
+                            generator=generator)
+    system = _NewtonSystem(space, 0.5)
+    with pytest.raises(StepSolverError,
+                       match=r"^LAPACK dptsv failed with info = 3 "):
+        system.direction(np.ones((1, 4)), np.ones((1, 4)))
 
 
 def test_lapack_wrapper_loader_names_what_it_missed(monkeypatch, tmp_path):

@@ -566,6 +566,27 @@ def test_constructor_holds_each_kinds_rules_and_slope_bound():
             ConvexPotential(**fields)
 
 
+def test_constructor_refuses_fields_its_kind_does_not_read():
+    # Such a field would be kept unread, and the potential would differ
+    # from the one its factory builds.
+    pieces = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    for fields, message in (
+            ({"kind": "zhang", "exponent": 2.0}, "zhang reads no exponent"),
+            ({"kind": "zhang", "exponent": 2.0, "knots": (1.0,)},
+             "zhang reads no exponent"),
+            ({"kind": "zhang", "knots": (1.0,)}, "zhang reads no knots"),
+            ({"kind": "zhang", "pieces": pieces}, "zhang reads no pieces"),
+            ({"kind": "fast_diffusion", "exponent": 0.5, "knots": (0.0,)},
+             "fast_diffusion reads no knots"),
+            ({"kind": "porous_medium", "exponent": 2.0, "pieces": pieces},
+             "porous_medium reads no pieces"),
+            ({"kind": "piecewise", "exponent": 0.5, "knots": (0.0,),
+              "pieces": pieces}, "piecewise reads no exponent")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ConvexPotential(**fields)
+    assert ConvexPotential("zhang", exponent=0.0, knots=[]) == zhang()
+
+
 def test_piecewise_validation():
     with pytest.raises(ValueError, match="ascending"):
         piecewise_quadratic([1.0, 0.0], np.zeros((3, 3)))

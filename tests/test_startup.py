@@ -78,6 +78,6 @@ def test_one_lapack_wrapper_in_either_import_order():
                           ("scipy.linalg", "graphspde")):
         out = python(f"import {first}\nimport {second}\n"
                      "import scipy.linalg.lapack, graphspde.engine\n"
-                     "print(scipy.linalg.lapack.dgtsv"
-                     " is graphspde.engine.lapack.dgtsv)\n")
+                     "print(scipy.linalg.lapack.dptsv"
+                     " is graphspde.engine.lapack.dptsv)\n")
         assert out.split() == ["True"], (first, second)
