@@ -22,10 +22,14 @@ in O(n^2); the other paths take Jacobi-preconditioned conjugate
 gradients, O(n^2) per iteration, whose iteration count does not grow with
 the spread of ``d``; the Newton equation also gives the line search its
 gradient, with no dual solve.
-Consecutive steps differ by one noise increment, so each step after the
-first starts Newton from its right side plus the previous step's drift
-increment, and a Newton-solved resolvent from the values it had at the
-previous point.  Paths evolve independently and are solved as one batch.
+Consecutive steps differ by one noise increment.  Where the Yosida slope
+is piecewise linear (zhang and piecewise potentials), each step after the
+first starts with one Newton step from the previous solution, taken with
+that solution's own linearization, which is the next solution unless a
+node crosses a knot; it counts as a Newton iteration.  The power kinds
+start from the right side plus the previous step's drift increment, and a
+Newton-solved resolvent from the values it had at the previous point.
+Paths evolve independently and are solved as one batch.
 Coupled runs (a smoothing ladder, a pair of initial states) share their
 increments, so ``simulate_coupled`` steps all their paths as one batch
 too, with one smoothing parameter per row.
@@ -355,11 +359,16 @@ class _NewtonSystem:
 
 
 class _StepStart(NamedTuple):
-    """What one implicit step hands the next as its starting point."""
+    """The end of one implicit step, from which the next one starts."""
 
-    shift: np.ndarray       # x - rhs, minus dt K drift(x) up to the residual
-    gradient: np.ndarray    # dual(shift), as the Newton loop tracked it
-    previous: tuple | None  # (x, resolvent, slope derivative at x) or None
+    x: np.ndarray           # the solution
+    rhs: np.ndarray         # its right side
+    F: np.ndarray           # its residual x + dt K drift - rhs
+    drift: np.ndarray       # slope plus eps x, at x
+    d: np.ndarray           # slope derivative plus eps, at x
+    g: np.ndarray           # dual(x - rhs), as the Newton loop tracked it
+    previous: tuple         # (x, resolvent, slope derivative at x), which
+                            # the power kinds' next resolvent starts from
 
 
 def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
@@ -386,11 +395,19 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
     while other rows iterate, so every row is independent of the batch; a
     row that does not converge is named by ``row_name(row)``.
 
-    The iteration starts at ``rhs + shift`` with the ``g`` of the
-    ``_StepStart`` of the step before: consecutive steps differ by one
-    noise increment, so the last drift increment predicts the next.
-    Without a start, the shift and ``g`` are zero.  Returns the solution,
-    residuals, iteration counts and the ``_StepStart`` for the next step.
+    Without a ``start`` the iteration starts at ``rhs`` with ``g`` zero.
+    With the ``_StepStart`` of the step before, it starts where that step
+    predicts.  Where the Yosida slope is piecewise linear (zhang and
+    piecewise), the start is one Newton step from the previous solution
+    ``x_k`` with its own linearization: ``x_k + delta`` with
+    ``(I + dt K D_k) delta = -(F_k - (rhs - rhs_k))``, which lands on the
+    solution unless a node crosses a knot.  The Newton equation gives its
+    ``g = -dt M (drift_k + d_k delta)`` exactly, and the step counts as the
+    first Newton iteration, in the counts and toward ``_MAX_NEWTON``.  The
+    power kinds start at ``rhs + (x_k - rhs_k)`` with the previous ``g``:
+    consecutive steps differ by one noise increment, so the last drift
+    increment predicts the next.  Returns the solution, residuals,
+    iteration counts and the ``_StepStart`` for the next step.
     """
     mu, dt, eps = system.mu, system.dt, smoother.eps
     paths = rhs.shape[0]
@@ -413,15 +430,21 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
         return ((x, my.resolvent, my.slope_derivative), my.slope + eps * x,
                 my.slope_derivative + eps, my.envelope + 0.5 * eps * x**2)
 
+    predicted, previous = 0, None
     if start is None:
-        # Adding minus zero leaves rhs bit for bit, zero signs included.
-        start = _StepStart(np.full_like(rhs, -0.0), np.zeros_like(rhs), None)
-    x, g = rhs + start.shift, start.gradient.copy()
-    point, drift, slope, local = newton_terms(x, start.previous)
+        x, g = rhs, np.zeros_like(rhs)
+    elif smoother.potential.kind in ("zhang", "piecewise"):
+        delta = system.direction(start.F - (rhs - start.rhs), start.d)
+        x, predicted = start.x + delta, 1
+        g = -dt * mu * (start.drift + start.d * delta)
+    else:
+        x, g = rhs + (start.x - start.rhs), start.g.copy()
+        previous = start.previous
+    point, drift, slope, local = newton_terms(x, previous)
     tol_vec = _SOLVER_TOL * (1.0 + mu_norm(rhs))
-    iterations = np.zeros(paths, dtype=int)
+    iterations = np.full(paths, predicted)
 
-    for it in range(_MAX_NEWTON + 1):
+    for it in range(predicted, _MAX_NEWTON + 1):
         F = x + dt * system.apply_k(drift) - rhs
         residual = mu_norm(F)
         # A NaN residual never counts as converged.
@@ -473,7 +496,8 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
                                          t_local)
         g += step[:, None] * dual_delta
 
-    return x, residual, iterations, _StepStart(x - rhs, g, point)
+    return x, residual, iterations, _StepStart(x, rhs, F, drift, slope, g,
+                                               point)
 
 
 def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
