@@ -57,9 +57,12 @@ print("slope-based lower bound:", d.slope_bound, "slack:", d.slack_slope)
 print("growth-based lower bound:", d.growth_bound, "slack:", d.slack_growth)
 
 banner("assumption reports")
-grid = np.linspace(-10, 10, 2001)
 for p in (fast_diffusion(0.5), zhang(), porous_medium(2.0)):
-    print(check_assumptions(p, grid).to_text())
+    print(f"potential kind = {p.kind}")
+    for c in check_assumptions(p):
+        status = "pass" if c.passed else "FAIL"
+        print(f"  [{status}] {c.name}: margin = {c.margin:.6g}"
+              + (f" ({c.detail})" if c.detail else ""))
 print("note: the superlinear-slope kind fails the linear minimal-section "
       "bound by design;\nestimate experiments that rely on that bound "
       "refuse it.")

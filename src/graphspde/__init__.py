@@ -47,7 +47,6 @@ from .estimates import (
     regularity_uniformity,
 )
 from .monotone import (
-    AssumptionReport,
     ConvexPotential,
     CrossMonotonicityDefect,
     MoreauYosida,

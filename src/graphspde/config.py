@@ -48,8 +48,6 @@ from .estimates import (
     regularity_uniformity,
 )
 from .monotone import (
-    MoreauYosida,
-    ResolventError,
     check_assumptions,
     fast_diffusion,
     piecewise_quadratic,
@@ -339,13 +337,12 @@ def _build(entries: dict, provided: frozenset,
     ``problems`` plus every violation, each as ``<field>: <reason>``.
 
     The space, potential and noise blocks are valid exactly when their
-    builders succeed, so their rules live there; the noise block is built
-    only when the space builds.  A simulation experiment also needs the
-    potential's Moreau-Yosida resolvent at every smoothing level, which is
-    where the convexity rule lives.  Kept here are the rules no builder
-    owns: the experiment kind, the run block, the noise block that ``svi``
-    and ``contraction`` require and the linear minimal-section bound of the
-    potential that ``eps_convergence`` requires.
+    builders succeed, so their rules live there, the potential's convexity
+    among them; the noise block is built only when the space builds.  Kept
+    here are the rules no builder owns: the experiment kind, the run block,
+    the noise block that ``svi`` and ``contraction`` require and the linear
+    minimal-section bound of the potential that ``eps_convergence``
+    requires.
     """
 
     def attempt(section: str, build, *args):
@@ -354,7 +351,7 @@ def _build(entries: dict, provided: frozenset,
             return build(*args)
         except ConfigError as err:
             problems.extend(err.problems)
-        except (ValueError, ResolventError) as err:
+        except ValueError as err:
             problems.append(f"{section}: {err}")
         return None
 
@@ -405,10 +402,6 @@ def _build(entries: dict, provided: frozenset,
         problems.append("potential: eps_convergence needs a linear "
                         f"minimal-section bound, which {potential.kind} "
                         "does not have")
-    if potential is not None and exp in _SIM_EXPERIMENTS and eps_values:
-        attempt("potential", lambda: [
-            MoreauYosida(potential, eps).resolvent(0.0)
-            for eps in eps_values if 0.0 < eps < 1.0])
     space = attempt("space", _build_space, entries)
     noise = x0 = y0 = None
     if space is not None:
@@ -504,19 +497,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads: int = 1) -> int:
     exp, base = cfg.experiment, cfg.run
     reports: list[EstimateReport] = []
 
-    if exp == "assumptions":
-        grid = np.linspace(-10.0, 10.0, 2001)
-        rep = check_assumptions(base.potential, grid)
-        reports.append(EstimateReport(
-            name="assumptions", passed=rep.passed,
-            worst_margin=min(e.margin for e in rep.entries),
-            columns=("check", "passed", "margin"),
-            series=tuple((e.name, e.passed, e.margin) for e in rep.entries)))
-        reports[-1].write(out, "report_assumptions_summary")
-        (out / "report_assumptions.txt").write_text(rep.to_text())
-    elif exp == "norms":
-        rep = bundle_report("norms", _norms_checks(base.space, base.seed))
-        rep.write(out, "report_norms")
+    if exp in ("assumptions", "norms"):
+        rep = bundle_report(exp, check_assumptions(base.potential)
+                            if exp == "assumptions"
+                            else _norms_checks(base.space, base.seed))
+        rep.write(out, f"report_{exp}")
         reports.append(rep)
     else:
         decay_rate = cfg.decay_rate

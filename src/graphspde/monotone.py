@@ -28,7 +28,6 @@ __all__ = [
     "MoreauYosida",
     "MoreauYosidaValues",
     "CrossMonotonicityDefect",
-    "AssumptionReport",
     "fast_diffusion",
     "porous_medium",
     "zhang",
@@ -50,10 +49,10 @@ class ConvexPotential:
     ``|r|**theta`` (exponent in (0, 1)), ``porous_medium`` the superlinear
     slope ``|r|**gamma`` (exponent above 1), ``zhang`` the sandpile
     potential whose slope jumps at the origin, and ``piecewise`` a
-    continuous piecewise-quadratic function given by knots and per-piece
-    coefficients (see ``piecewise_quadratic``).  Each kind's rules are
-    checked here, so the factories below build nothing the constructor
-    would not.
+    continuous convex piecewise-quadratic function given by knots and
+    per-piece coefficients (see ``piecewise_quadratic``).  Each kind's rules
+    are checked here, so the factories below build nothing the constructor
+    would not, and every potential built is convex.
     """
 
     kind: str
@@ -96,9 +95,19 @@ class ConvexPotential:
             scale = max(float(np.abs(pieces).max()), 1.0)
             if gap.max(initial=0.0) > 1e-9 * scale:
                 raise ValueError("pieces must agree at the knots")
+            # For a continuous piecewise quadratic these two rules are
+            # exactly convexity.  They hold with no tolerance, so the
+            # resolvent's band edges ascend in floating point too.
+            if pieces[:, 0].min() < 0:
+                raise ValueError("pieces must be convex: a quadratic "
+                                 "coefficient is negative")
             object.__setattr__(self, "knots", tuple(knots.tolist()))
             object.__setattr__(self, "pieces",
                                tuple(map(tuple, pieces.tolist())))
+            _, below, above = self._knot_slopes
+            if np.any(above < below):
+                raise ValueError("pieces must be convex: the slope drops at "
+                                 "a knot")
 
     @cached_property
     def slope_bound(self) -> float | None:
@@ -133,10 +142,10 @@ class ConvexPotential:
             # Near the top of the float range a r^2 and b r can overflow
             # with opposite signs, inf - inf; the nested form cannot read
             # NaN there.  At r = +-inf, where 0 inf reads NaN too, the
-            # value is the limit of the outer piece.
+            # value is the limit of the outer piece, whose a is not negative.
             nan = np.isnan(v) & ~np.isnan(r)
             if nan.any():
-                limit = np.where(a != 0, np.sign(a) * np.inf,
+                limit = np.where(a != 0, np.inf,
                                  np.where(b != 0, np.sign(b * r) * np.inf, c))
                 v = np.where(nan, np.where(np.isfinite(r), (a * r + b) * r + c,
                                            limit), v)
@@ -200,8 +209,9 @@ def piecewise_quadratic(knots, pieces) -> ConvexPotential:
 
     ``knots`` are the ascending junction points; ``pieces`` has one
     ``(a, b, c)`` row per interval (one more row than knots) with value
-    ``a r^2 + b r + c``.  Continuity at the knots is required; convexity is
-    not enforced so that assumption checking can report genuine failures.
+    ``a r^2 + b r + c``.  Continuity at the knots is required to within
+    roundoff, and convexity exactly: no ``a`` may be negative and the slope
+    ``2 a r + b`` may not drop at a knot, with no tolerance.
     """
     return ConvexPotential("piecewise", knots=knots, pieces=pieces)
 
@@ -436,20 +446,15 @@ class MoreauYosida:
 
     @cached_property
     def _piecewise_bands(self):
-        # Ascending band edges on the trailing axis, one row per eps.
-        pot = self.potential
-        if np.asarray(pot.pieces)[:, 0].min() < 0:
-            raise ResolventError(
-                "resolvent needs a convex potential: concave piece present")
-        knots, left, right = pot._knot_slopes
+        # Band edges on the trailing axis, one row per eps.  They ascend:
+        # the constructor gives left <= right at each knot, a >= 0 gives
+        # right <= the next knot's left (the same piece's 2 a k + b at a
+        # larger k), and rounding keeps every such order.
+        knots, left, right = self.potential._knot_slopes
         lows = knots + np.multiply.outer(self.eps, left)
         highs = knots + np.multiply.outer(self.eps, right)
-        interleaved = np.stack([lows, highs], axis=-1).reshape(
+        return np.stack([lows, highs], axis=-1).reshape(
             lows.shape[:-1] + (-1,))
-        if np.any(np.diff(interleaved) < 0):
-            raise ResolventError(
-                "resolvent needs a convex potential: the knot map is not monotone")
-        return interleaved
 
     def _band_index(self, r: np.ndarray) -> np.ndarray:
         # Number of band edges at or below r, searchsorted(side="right")
@@ -605,54 +610,46 @@ def cross_monotonicity_defect(potential: ConvexPotential,
 # -- assumption checking ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    potential_kind: str
-    entries: tuple
+def check_assumptions(potential: ConvexPotential) -> list[CheckResult]:
+    """Check the structural requirements of a potential from its parameters.
 
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def to_text(self) -> str:
-        lines = [f"assumption report for potential kind = {self.potential_kind}"]
-        for e in self.entries:
-            status = "pass" if e.passed else "FAIL"
-            lines.append(f"  [{status}] {e.name}: worst margin = {e.margin:.6g}"
-                         + (f" ({e.detail})" if e.detail else ""))
-        return "\n".join(lines) + "\n"
-
-
-def check_assumptions(potential: ConvexPotential, grid) -> AssumptionReport:
-    """Report the structural requirements of a potential on a sample grid.
-
-    Checks nonnegativity with value zero at the origin, midpoint convexity,
-    monotone growth of ``value(r)/|r|`` on a coarse geometric ladder, the
-    linear minimal-section bound, and monotonicity of the subdifferential
-    graph.  Margins are worst cases; nothing is raised, failures are
-    reported.
+    Checks nonnegativity with value zero at the origin, convexity, monotone
+    growth of ``value(r)/|r|`` on a coarse geometric ladder, the linear
+    minimal-section bound, and monotonicity of the subdifferential graph.
+    Every margin but the ladder's is exact: the least of its quantity over
+    the points where that quantity can be least.  Nothing is raised;
+    failures are reported.
     """
-    grid = np.sort(np.asarray(grid, dtype=float))
-    vals = potential.value(grid)
-    entries = []
+    kind, convexity = potential.kind, 0.0
+    points = knots = np.array([0.0] if kind == "zhang" else [])
+    if kind == "piecewise":
+        # The value is least, and so is 2 a r + b in magnitude, at a piece's
+        # vertex, clipped to the piece, or at its ends; a linear piece's
+        # stand-in vertex 0 is clipped to its end nearest 0.
+        knots = np.asarray(potential.knots)
+        a, b, _ = np.asarray(potential.pieces).T
+        ends = np.concatenate([[-np.inf], knots, [np.inf]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = np.where(a > 0, -b / (2.0 * a), 0.0)
+        points = np.clip(vertex, ends[:-1], ends[1:])
+        convexity = float(a.min())
+    elif kind == "fast_diffusion":
+        # 1 + |r| - |r|^p is least where p |r|^(p - 1) = 1.
+        p = potential.exponent
+        points = np.array([p ** (1.0 / (1.0 - p))])
 
-    zero_val = float(potential.value(0.0))
-    entries.append(CheckResult(
-        "nonnegative_with_zero_at_origin",
-        vals.min() >= -1e-12 and abs(zero_val) <= 1e-12,
-        float(min(vals.min(), -abs(zero_val))),
-    ))
-
-    rng = np.random.default_rng(0xA55)
-    x = rng.choice(grid, size=400)
-    y = rng.choice(grid, size=400)
-    lam = rng.uniform(0.0, 1.0, size=400)
-    mix = lam * potential.value(x) + (1 - lam) * potential.value(y)
-    mid = potential.value(lam * x + (1 - lam) * y)
-    scale = 1.0 + np.abs(mix)
-    convex_margin = float(((mix - mid) / scale).min())
-    entries.append(CheckResult(
-        "convexity", convex_margin >= -1e-12, convex_margin))
+    # zhang's 0.5 r^2 + r reads inf - inf at -inf, a branch value(-inf)
+    # does not take.
+    with np.errstate(invalid="ignore"):
+        least = float(potential.value(np.concatenate(
+            [[-np.inf, 0.0, np.inf], knots, points])).min())
+    zero = float(potential.value(0.0))
+    checks = [
+        CheckResult("nonnegative_with_zero_at_origin",
+                    least >= -1e-12 and abs(zero) <= 1e-12,
+                    min(least, -abs(zero))),
+        CheckResult("convexity", convexity >= -1e-12, convexity),
+    ]
 
     # Growth of value(r)/|r| on a geometric ladder.  The ratios must never
     # decrease and must grow on at least one side (one-sided potentials are
@@ -663,32 +660,36 @@ def check_assumptions(potential: ConvexPotential, grid) -> AssumptionReport:
     monotone = float(min(np.diff(ratios_pos).min(), np.diff(ratios_neg).min()))
     grows = max(ratios_pos[-1] - ratios_pos[0], ratios_neg[-1] - ratios_neg[0])
     ok = monotone >= -1e-12 and grows > 0
-    entries.append(CheckResult(
+    checks.append(CheckResult(
         "superlinear_growth_on_ladder", ok,
         monotone if monotone < 0 else float(grows),
-        detail="declared property, grid evidence only",
+        detail="ladder evidence of a declared property",
     ))
 
-    ms = potential.minimal_section(grid)
-    if potential.slope_bound is None:
-        worst = float((ms / (np.abs(grid) + 1.0)).max())
-        entries.append(CheckResult(
-            "linear_minimal_section_bound", False, -worst,
+    lo, hi = potential.subdiff(knots)
+    c = potential.slope_bound
+    if c is None:
+        checks.append(CheckResult(
+            "linear_minimal_section_bound", False, -np.inf,
             detail="no linear bound exists for this kind",
         ))
     else:
-        slack = potential.slope_bound * (np.abs(grid) + 1.0) - ms
-        entries.append(CheckResult(
-            "linear_minimal_section_bound",
-            bool(slack.min() >= -1e-12),
-            float(slack.min()),
-            detail=f"certified constant {potential.slope_bound:g}",
+        # Within a piece C (|r| + 1) - |2 a r + b| is linear but at 0 and
+        # the vertex, and does not fall towards +-inf; next to a knot it
+        # reaches down to C (|k| + 1) less the larger one-sided slope,
+        # which is no more than its value at the knot.
+        at = np.concatenate([[0.0], points])
+        slack = min(
+            float((c * (np.abs(at) + 1.0) - potential.minimal_section(at))
+                  .min()),
+            float((c * (np.abs(knots) + 1.0)
+                   - np.maximum(np.abs(lo), np.abs(hi))).min(initial=np.inf)))
+        checks.append(CheckResult(
+            "linear_minimal_section_bound", slack >= -1e-12, slack,
+            detail=f"certified constant {c:g}",
         ))
 
-    lo, hi = potential.subdiff(grid)
-    step = hi[:-1] - lo[1:]  # upper value must not exceed next lower value
-    mono_margin = float((-step).min(initial=0.0))
-    entries.append(CheckResult(
-        "monotone_subdifferential", mono_margin >= -1e-12, mono_margin))
-
-    return AssumptionReport(potential.kind, tuple(entries))
+    # Within a piece the slope 2 a r + b does not drop; at a knot it jumps.
+    jump = float((hi - lo).min()) if knots.size else 0.0
+    checks.append(CheckResult("monotone_subdifferential", jump >= -1e-12, jump))
+    return checks

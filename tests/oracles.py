@@ -11,6 +11,37 @@ def breakpoints(potential) -> np.ndarray:
     return np.array([0.0])
 
 
+def sampled_convexity_margins(knots, pieces, grid) -> tuple[float, float]:
+    """The sampled convexity and monotone-subdifferential margins of the
+    piecewise quadratic with ``knots`` and ``(a, b, c)`` rows ``pieces``,
+    evaluated here so that a potential the constructor refuses can be
+    checked too.  Convexity is read from 400 random convex combinations of
+    grid points, ``(mix - value(mid)) / (1 + |mix|)``; monotonicity from the
+    subdifferential intervals at neighbouring grid points.  A margin below
+    about -1e-12 shows non-convexity; a nonnegative one proves nothing."""
+    knots = np.asarray(knots, dtype=float)
+    pieces = np.asarray(pieces, dtype=float)
+    grid = np.sort(np.asarray(grid, dtype=float))
+
+    def value(r):
+        a, b, c = pieces[np.searchsorted(knots, r, side="right")].T
+        return a * r**2 + b * r + c
+
+    def slope(r, side):
+        a, b, _ = pieces[np.searchsorted(knots, r, side=side)].T
+        return 2.0 * a * r + b
+
+    rng = np.random.default_rng(0xA55)
+    x = rng.choice(grid, size=400)
+    y = rng.choice(grid, size=400)
+    lam = rng.uniform(0.0, 1.0, size=400)
+    mix = lam * value(x) + (1 - lam) * value(y)
+    mid = value(lam * x + (1 - lam) * y)
+    convexity = float(((mix - mid) / (1.0 + np.abs(mix))).min())
+    step = slope(grid[:-1], "right") - slope(grid[1:], "left")
+    return convexity, float((-step).min(initial=0.0))
+
+
 def gap_bound_pointwise(functional, eps: float, v) -> np.ndarray:
     """Integrated bound ``eps * minimal_section**2`` for the smoothing gap
     of an ``EnergyFunctional``."""

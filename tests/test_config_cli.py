@@ -238,8 +238,9 @@ def test_run_assumptions_experiment(tmp_path):
                        "potential.theta = 0.5\n")
     status = run_experiment(cfg, tmp_path)
     assert status == 0
-    assert (tmp_path / "report_assumptions.txt").exists()
-    assert (tmp_path / "manifest.txt").exists()
+    # One bundle report, as for norms, and the manifest.
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest.txt", "report_assumptions.csv", "report_assumptions.txt"]
 
 
 def test_run_assumptions_flags_superlinear_slope_kind(tmp_path):
@@ -249,8 +250,9 @@ def test_run_assumptions_flags_superlinear_slope_kind(tmp_path):
                        "potential.gamma = 2\n")
     status = run_experiment(cfg, tmp_path)
     assert status == 1  # the linear minimal-section bound genuinely fails
-    text = (tmp_path / "report_assumptions.txt").read_text()
-    assert "FAIL" in text
+    assert "passed = false" in (tmp_path / "report_assumptions.txt").read_text()
+    assert ("linear_minimal_section_bound,false,-inf,"
+            in (tmp_path / "report_assumptions.csv").read_text())
 
 
 def test_run_norms_experiment(tmp_path):
@@ -507,14 +509,18 @@ CONCAVE = ("space.preset = path_4\n"
      "run.seed: seed must be nonnegative"),
     ("experiment.kind = norms\nspace.preset = path_4\nrun.seed = -1\n", None,
      "run.seed: seed must be nonnegative"),
-    ("experiment.kind = energy\n" + CONCAVE, None,
-     "potential: resolvent needs a convex potential: concave piece present"),
+    *((f"experiment.kind = {kind}\n" + CONCAVE, None,
+       "potential: pieces must be convex: a quadratic coefficient is negative")
+      for kind in ("energy", "assumptions", "norms")),
 ], ids=["paths_override_0", "seed_override_-1", "norms_seed_-1",
-        "energy_concave_potential"])
+        "energy_concave_potential", "assumptions_concave_potential",
+        "norms_concave_potential"])
 def test_run_refuses_what_validate_refuses(tmp_path, capsys, text, override,
                                            message):
     # Overrides are config lines, and validation builds what the run uses,
-    # so no config passes validation only to crash in the run.
+    # so no config passes validation only to crash in the run.  A concave
+    # potential is refused by every experiment, those without a resolvent
+    # too.
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(text + ("run.{} = {}\n".format(*override)
                                 if override else ""))
@@ -526,17 +532,6 @@ def test_run_refuses_what_validate_refuses(tmp_path, capsys, text, override,
     assert main(["run", str(cfg_file), "--out-dir", str(out)] + args) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_assumptions_report_a_concave_potential(tmp_path, capsys):
-    # Only the simulation experiments need a resolvent; the assumption
-    # checks report the concave piece as a failure.
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("experiment.kind = assumptions\n" + CONCAVE)
-    assert main(["validate", str(cfg_file)]) == 0
-    out = tmp_path / "out"
-    assert main(["run", str(cfg_file), "--out-dir", str(out)]) == 1
-    assert "FAIL" in (out / "report_assumptions.txt").read_text()
 
 
 def test_cli_run_crash_leaves_no_out_dir(tmp_path, monkeypatch, capsys):

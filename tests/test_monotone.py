@@ -3,7 +3,12 @@ envelopes, including the full smoothing-inequality suite."""
 
 import numpy as np
 import pytest
-from oracles import breakpoints, power_root_bisection, power_values
+from oracles import (
+    breakpoints,
+    power_root_bisection,
+    power_values,
+    sampled_convexity_margins,
+)
 
 from graphspde import monotone
 from graphspde.monotone import (
@@ -208,9 +213,12 @@ def test_sublinear_resolvent_extreme_magnitudes():
 
 
 def test_resolvent_requires_convexity():
-    concave = piecewise_quadratic([0.0], [(-1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)])
-    with pytest.raises(ResolventError, match="convex"):
-        MoreauYosida(concave, 0.5).resolvent(1.0)
+    # The constructor refuses a concave piece, so no resolvent meets one:
+    # concave on both sides of a knot, or alone and unbounded below.
+    for knots, pieces in (([0.0], [(-1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]),
+                          ([], [(-1.0, 4.0, 0.0)])):
+        with pytest.raises(ValueError, match="convex"):
+            piecewise_quadratic(knots, pieces)
 
 
 def test_resolvent_refuses_a_log_solve_that_misses(monkeypatch):
@@ -502,33 +510,91 @@ def test_cross_monotonicity_porous_has_no_growth_bound():
 
 
 def test_check_assumptions_fast_diffusion():
-    report = check_assumptions(fast_diffusion(0.5), np.linspace(-10, 10, 2001))
-    assert report.passed
-    by_name = {e.name: e for e in report.entries}
+    checks = check_assumptions(fast_diffusion(0.5))
+    assert all(c.passed for c in checks)
+    by_name = {c.name: c for c in checks}
     assert "certified constant 1" in by_name["linear_minimal_section_bound"].detail
 
 
 def test_check_assumptions_zhang():
-    report = check_assumptions(zhang(), np.linspace(-10, 10, 2001))
-    assert report.passed
+    assert all(c.passed for c in check_assumptions(zhang()))
     assert zhang().minimal_section(0.0) == pytest.approx(0.0)
 
 
 def test_check_assumptions_porous_medium_flagged():
-    report = check_assumptions(porous_medium(2.0), np.linspace(-10, 10, 2001))
-    assert not report.passed
-    by_name = {e.name: e for e in report.entries}
+    checks = check_assumptions(porous_medium(2.0))
+    assert not all(c.passed for c in checks)
+    by_name = {c.name: c for c in checks}
     assert not by_name["linear_minimal_section_bound"].passed
     assert by_name["convexity"].passed
 
 
 def test_check_assumptions_concave_counterexample():
-    concave = piecewise_quadratic([0.0], [(-1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)])
-    report = check_assumptions(concave, np.linspace(-5, 5, 501))
-    by_name = {e.name: e for e in report.entries}
-    assert not by_name["convexity"].passed
-    assert not report.passed
-    assert "FAIL" in report.to_text()
+    # What the sampled checks find non-convex, a concave piece and a
+    # concave kink, is refused before any check sees it, and so is a slope
+    # that drops by one ulp: the rule has no tolerance.
+    grid = np.linspace(-5.0, 5.0, 501)
+    for pieces, why in (([(-1.0, 0.0, 0.0)] * 2, "coefficient is negative"),
+                        ([(0.0, 1.0, 0.0), (0.0, -1.0, 0.0)], "slope drops")):
+        assert min(sampled_convexity_margins([0.0], pieces, grid)) < -1e-12
+        with pytest.raises(ValueError, match="pieces must be convex: .*" + why):
+            piecewise_quadratic([0.0], pieces)
+    with pytest.raises(ValueError, match="slope drops"):
+        piecewise_quadratic([0.0], [(0.0, 1.0, 0.0),
+                                    (0.0, np.nextafter(1.0, 0.0), 0.0)])
+    piecewise_quadratic([0.0], [(0.0, 1.0, 0.0), (0.0, 1.0, 0.0)])
+
+
+KINKED = piecewise_quadratic(
+    [-0.5, 0.5], [(0.0, -1.0, -0.5), (0.0, 0.0, 0.0), (0.0, 1.0, -0.5)])
+FD_LEAST = {p: 1.0 + r - r**p for p in (0.3, 0.5)
+            for r in [p ** (1.0 / (1.0 - p))]}
+
+
+@pytest.mark.parametrize("pot, pinned", [
+    (KINKED, {"convexity": 0.0, "linear_minimal_section_bound": 0.5,
+              "monotone_subdifferential": 1.0,
+              "nonnegative_with_zero_at_origin": 0.0}),
+    (piecewise_quadratic([0.0], [(0.0, -1.0, 0.0), (0.0, 1.0, 0.0)]),
+     {"linear_minimal_section_bound": 0.0, "monotone_subdifferential": 2.0}),
+    (piecewise_quadratic([], [(0.0, 2.0, 0.0)]),
+     {"nonnegative_with_zero_at_origin": -np.inf,
+      "monotone_subdifferential": 0.0}),
+    (piecewise_quadratic([], [(1.0, -3.0, 1.0)]),
+     {"nonnegative_with_zero_at_origin": -1.25, "convexity": 1.0}),
+    (sample_piecewise(), {"linear_minimal_section_bound": 6.0,
+                          "monotone_subdifferential": 1.0}),
+    (porous_medium(2.0), {"linear_minimal_section_bound": -np.inf,
+                          "convexity": 0.0, "monotone_subdifferential": 0.0}),
+    (porous_medium(2.5), {"linear_minimal_section_bound": -np.inf}),
+    (zhang(), {"convexity": 0.0, "linear_minimal_section_bound": 0.0,
+               "monotone_subdifferential": 1.0}),
+    (fast_diffusion(0.3), {"linear_minimal_section_bound": FD_LEAST[0.3],
+                           "monotone_subdifferential": 0.0}),
+    (fast_diffusion(0.5), {"linear_minimal_section_bound": FD_LEAST[0.5]}),
+], ids=["kinked", "sign", "linear", "1:-3:1", "sample", "pm2", "pm2.5",
+        "zhang", "fd0.3", "fd0.5"])
+def test_check_assumptions_margins_are_exact(pot, pinned):
+    # Each margin is computed from the kind's parameters, with no sampling:
+    # it equals its pinned value and is at most what a fine grid, which
+    # misses every knot, reads.  Grid slopes of a piece differ from its
+    # 2 a in roundoff only; a step across a knot reads at least the jump.
+    margins = {c.name: c.margin for c in check_assumptions(pot)}
+    for name, value in pinned.items():
+        assert margins[name] == value, name
+    grid = np.linspace(-10.0, 10.0, 200_000)
+    assert margins["nonnegative_with_zero_at_origin"] <= min(
+        pot.value(grid).min(), -abs(pot.value(0.0)))
+    lo, hi = pot.subdiff(grid)
+    quotient = (lo[1:] - hi[:-1]) / (2.0 * np.diff(grid))
+    assert margins["convexity"] <= quotient.min() + 1e-9
+    if pot.slope_bound is not None:
+        slack = pot.slope_bound * (np.abs(grid) + 1.0) - pot.minimal_section(
+            grid)
+        assert margins["linear_minimal_section_bound"] <= slack.min()
+    across = np.searchsorted(grid, breakpoints(pot))
+    assert margins["monotone_subdifferential"] <= (
+        lo[across] - hi[across - 1]).min(initial=np.inf)
 
 
 def test_constructor_holds_each_kinds_rules_and_slope_bound():
@@ -624,8 +690,7 @@ INF = np.inf
     ([], [(0.0, 0.0, 0.0)], [0.0, 0.0]),
     ([], [(0.0, 0.0, 3.0)], [3.0, 3.0]),
     ([], [(0.0, 2.0, 0.0)], [-INF, INF]),
-    ([], [(-1.0, 4.0, 0.0)], [-INF, -INF]),
-], ids=["opposite_b", "kinked", "flat", "constant", "linear", "concave"])
+], ids=["opposite_b", "kinked", "flat", "constant", "linear"])
 def test_piecewise_value_at_infinity_is_the_outer_piece_limit(knots, pieces,
                                                               expected):
     # a inf^2 + b inf + c reads NaN where a = 0 (0 inf) and where b has

@@ -7,6 +7,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from oracles import sampled_convexity_margins  # noqa: E402
+
 from graphspde import monotone  # noqa: E402
 from graphspde.monotone import (  # noqa: E402
     MoreauYosida,
@@ -103,3 +105,43 @@ def test_warm_resolvent_over_the_float_range(name, args, eps, factor):
     again = my.resolvent(r0.copy(), previous)
     assert np.array_equal(again.view(np.int64),
                           values0.resolvent.view(np.int64))
+
+
+@st.composite
+def piecewise_quadratics(draw):
+    # Up to three knots in [-3, 3]; each piece meets the one before at its
+    # knot, with its quadratic coefficient and the slope jump there drawn
+    # from [-1, 2], and often zero, where the convexity rules hold with
+    # equality.
+    knots = sorted(draw(st.lists(st.floats(-3.0, 3.0), max_size=3,
+                                 unique=True)))
+    coefficient = st.one_of(st.just(0.0), st.floats(-1.0, 2.0))
+    n = len(knots)
+    a = draw(st.lists(coefficient, min_size=n + 1, max_size=n + 1))
+    jumps = draw(st.lists(coefficient, min_size=n, max_size=n))
+    b, c = [draw(st.floats(-2.0, 2.0))], [draw(st.floats(-1.0, 1.0))]
+    for j, k in enumerate(knots):
+        b.append(2.0 * (a[j] - a[j + 1]) * k + b[j] + jumps[j])
+        c.append((a[j] - a[j + 1]) * k**2 + (b[j] - b[j + 1]) * k + c[j])
+    return knots, np.stack([a, b, c], axis=1)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=300)
+@hypothesis.given(piecewise_quadratics(), EPSILONS,
+                  st.lists(EPSILONS, min_size=1, max_size=3))
+def test_constructor_refuses_what_the_sampled_checks_find_non_convex(
+        drawn, eps, levels):
+    # Every potential the constructor accepts passes the sampled checks,
+    # so each one they find non-convex is refused; the band edges of an
+    # accepted one ascend at one level and at a column of levels alike.
+    knots, pieces = drawn
+    margins = sampled_convexity_margins(knots, pieces,
+                                        np.linspace(-10.0, 10.0, 2001))
+    try:
+        pot = piecewise_quadratic(knots, pieces)
+    except ValueError as err:
+        assert "pieces must be convex" in str(err)
+        return
+    assert min(margins) >= -1e-12
+    for level in (eps, np.array(levels)[:, None]):
+        assert np.all(np.diff(MoreauYosida(pot, level)._piecewise_bands) >= 0)
