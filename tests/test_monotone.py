@@ -213,12 +213,9 @@ def test_sublinear_resolvent_extreme_magnitudes():
 
 
 def test_resolvent_requires_convexity():
-    # The constructor refuses a concave piece, so no resolvent meets one:
-    # concave on both sides of a knot, or alone and unbounded below.
-    for knots, pieces in (([0.0], [(-1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)]),
-                          ([], [(-1.0, 4.0, 0.0)])):
-        with pytest.raises(ValueError, match="convex"):
-            piecewise_quadratic(knots, pieces)
+    # The constructor refuses a concave piece, so no resolvent meets one.
+    with pytest.raises(ValueError, match="convex"):
+        piecewise_quadratic([0.0], [(-1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)])
 
 
 def test_resolvent_refuses_a_log_solve_that_misses(monkeypatch):
@@ -690,12 +687,19 @@ INF = np.inf
     ([], [(0.0, 0.0, 0.0)], [0.0, 0.0]),
     ([], [(0.0, 0.0, 3.0)], [3.0, 3.0]),
     ([], [(0.0, 2.0, 0.0)], [-INF, INF]),
-], ids=["opposite_b", "kinked", "flat", "constant", "linear"])
+    ([], [(-1.0, 4.0, 0.0)], None),
+], ids=["opposite_b", "kinked", "flat", "constant", "linear", "concave"])
 def test_piecewise_value_at_infinity_is_the_outer_piece_limit(knots, pieces,
                                                               expected):
     # a inf^2 + b inf + c reads NaN where a = 0 (0 inf) and where b has
     # the sign opposite to a (inf - inf); the value there is the limit of
-    # the outer piece.  A NaN argument stays NaN.
+    # the outer piece.  A NaN argument stays NaN.  The limit takes a >= 0:
+    # a concave outer piece, whose limit would be -inf, is refused when
+    # built, so no value is ever read from one.
+    if expected is None:
+        with pytest.raises(ValueError, match="convex"):
+            piecewise_quadratic(knots, pieces)
+        return
     pot = piecewise_quadratic(knots, pieces)
     got = pot.value(np.array([-INF, INF, np.nan]))
     assert np.array_equal(got[:2], expected)
