@@ -1,8 +1,8 @@
 """Monte Carlo integration of the regularized nonlinear diffusion.
 
-Certifies a noise model, runs a coupled ensemble with the drift-implicit
-stepper, inspects solver diagnostics and the energy budget, and writes the
-trajectory artifacts.
+Certifies the noise model's Lipschitz constant, runs a coupled ensemble with
+the drift-implicit stepper, inspects solver diagnostics and the energy
+budget, and writes the trajectory artifacts.
 
 Run from the repository root:  python demos/03_simulate_diffusion.py
 """
@@ -33,11 +33,12 @@ space = path_space(16)
 noise = diagonal_noise(space.node_count, sigma=0.2)
 
 banner("noise certification")
-cert = certify_noise(noise, space)
-print("Lipschitz constant:", cert.lipschitz)
-print("dual growth constant:", cert.dual_growth)
-print("L2 growth constant:", cert.l2_growth)
-print("per-shift Lipschitz table:", [round(c, 4) for c in cert.lipschitz_by_shift])
+# The worst ratio over sampled state pairs and shifts: a lower bound of the
+# Lipschitz constant in the shifted dual norms, which sets the default decay
+# rate 2 L + 1 of the contraction and eps_convergence verdicts.
+lipschitz = certify_noise(noise, space)
+print("sampled Lipschitz constant:", lipschitz)
+print("default decay rate:", 2.0 * lipschitz + 1.0)
 
 banner("a coupled ensemble")
 config = SimulationConfig(

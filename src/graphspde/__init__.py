@@ -59,7 +59,6 @@ from .monotone import (
     zhang,
 )
 from .noise import (
-    NoiseCertificate,
     NoiseModel,
     additive_noise,
     brownian_increments,

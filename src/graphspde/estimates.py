@@ -186,7 +186,7 @@ def build_test_process(ensemble: TrajectoryEnsemble, initial,
 def default_decay_rate(config: SimulationConfig) -> float:
     """Exponential weight rate: twice the certified Lipschitz constant of
     the noise plus one, the rate that absorbs the noise difference term."""
-    return 2.0 * certify_noise(config.noise, config.space).lipschitz + 1.0
+    return 2.0 * certify_noise(config.noise, config.space) + 1.0
 
 
 def _cum_trapz(f: np.ndarray, dt: float) -> np.ndarray:

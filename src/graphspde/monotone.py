@@ -81,19 +81,22 @@ class ConvexPotential:
             knots = np.asarray(self.knots, dtype=float)
             pieces = np.asarray(self.pieces, dtype=float)
             if not (np.isfinite(knots).all() and np.isfinite(pieces).all()):
-                # A NaN continuity gap would pass the tolerance test below.
                 raise ValueError("knots and pieces must be finite")
             if knots.ndim != 1 or np.any(np.diff(knots) <= 0):
                 raise ValueError("knots must be strictly ascending")
             if pieces.shape != (knots.size + 1, 3):
                 raise ValueError("need one (a, b, c) row per interval")
-            left = pieces[:-1]
-            right = pieces[1:]
-            gap = np.abs((left[:, 0] - right[:, 0]) * knots**2
-                         + (left[:, 1] - right[:, 1]) * knots
-                         + (left[:, 2] - right[:, 2]))
-            scale = max(float(np.abs(pieces).max()), 1.0)
-            if gap.max(initial=0.0) > 1e-9 * scale:
+
+            def at(abc, k):  # each row's quadratic at its knot, nested
+                return (abc[:, 0] * k + abc[:, 1]) * k + abc[:, 2]
+
+            # The two pieces may differ at a knot by a few ulp of the size
+            # of the terms summed there, the roundoff of evaluating them;
+            # a larger gap, or one that overflows, is refused.
+            left, right = pieces[:-1], pieces[1:]
+            size = at(np.abs(left) + np.abs(right), np.abs(knots))
+            if not np.all(np.abs(at(left - right, knots))
+                          <= 4.0 * np.spacing(size)):
                 raise ValueError("pieces must agree at the knots")
             # For a continuous piecewise quadratic these two rules are
             # exactly convexity.  They hold with no tolerance, so the
@@ -134,7 +137,8 @@ class ConvexPotential:
             p = self.exponent
             return np.abs(r) ** (p + 1.0) / (p + 1.0)
         if self.kind == "zhang":
-            return np.where(r > 0, 0.5 * r**2 + r, 0.0)
+            p = np.fmax(r, 0.0)  # 0 at NaN, as at -inf
+            return 0.5 * p**2 + p
         coeff = np.asarray(self.pieces)[self._piece_index(r)]
         a, b, c = coeff[..., 0], coeff[..., 1], coeff[..., 2]
         with np.errstate(invalid="ignore"):
@@ -210,7 +214,8 @@ def piecewise_quadratic(knots, pieces) -> ConvexPotential:
     ``knots`` are the ascending junction points; ``pieces`` has one
     ``(a, b, c)`` row per interval (one more row than knots) with value
     ``a r^2 + b r + c``.  Continuity at the knots is required to within
-    roundoff, and convexity exactly: no ``a`` may be negative and the slope
+    roundoff, a few ulp of the size of the terms summed at each knot, and
+    convexity exactly: no ``a`` may be negative and the slope
     ``2 a r + b`` may not drop at a knot, with no tolerance.
     """
     return ConvexPotential("piecewise", knots=knots, pieces=pieces)
@@ -638,11 +643,8 @@ def check_assumptions(potential: ConvexPotential) -> list[CheckResult]:
         p = potential.exponent
         points = np.array([p ** (1.0 / (1.0 - p))])
 
-    # zhang's 0.5 r^2 + r reads inf - inf at -inf, a branch value(-inf)
-    # does not take.
-    with np.errstate(invalid="ignore"):
-        least = float(potential.value(np.concatenate(
-            [[-np.inf, 0.0, np.inf], knots, points])).min())
+    least = float(potential.value(np.concatenate(
+        [[-np.inf, 0.0, np.inf], knots, points])).min())
     zero = float(potential.value(0.0))
     checks = [
         CheckResult("nonnegative_with_zero_at_origin",

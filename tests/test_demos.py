@@ -17,7 +17,9 @@ def test_all_demos_are_collected():
 
 def run_demo(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    # RuntimeWarnings are errors, as in the tests themselves.
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                             str(demo)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return result.stdout

@@ -655,10 +655,19 @@ def test_piecewise_validation():
         piecewise_quadratic([1.0, 0.0], np.zeros((3, 3)))
     with pytest.raises(ValueError, match="row per interval"):
         piecewise_quadratic([0.0], np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="agree at the knots"):
-        piecewise_quadratic([0.0], [(0.0, 0.0, 0.0), (0.0, 0.0, 5.0)])
-    # A knot at inf makes the continuity gap NaN, which passes any
-    # tolerance test, so these pieces would count as continuous.
+    # A value drop at a knot is not convex, however small.  The pieces may
+    # differ there only by the roundoff of evaluating their terms, a few
+    # ulp of their size: here 8.9e-16, one ulp of 4.495.
+    for pieces in ([(0.0, 0.0, 0.0), (0.0, 0.0, 5.0)],
+                   [(0.0, 0.0, 1e-10), (0.0, 0.0, 0.0)],
+                   [(0.0, 0.0, 1e-300), (0.0, 0.0, 0.0)]):
+        with pytest.raises(ValueError, match="agree at the knots"):
+            piecewise_quadratic([0.0], pieces)
+    k = 2.9
+    piecewise_quadratic([k], [(0.5, 0.2, 0.0),
+                              (1.0, 0.3, (0.5 - 1.0) * k**2 + (0.2 - 0.3) * k)])
+    # A knot or piece that is not finite is refused before any gap at a
+    # knot is read.
     for knots, pieces in (([np.inf], [(1.0, 0.0, 0.0), (1.0, 0.0, 3.0)]),
                           ([-1.0, np.nan], [(1.0, 0.0, 0.0)] * 3),
                           ([0.0], [(0.0, 0.0, 0.0), (0.0, np.inf, 0.0)])):
@@ -718,6 +727,16 @@ def test_zhang_subdiff_table():
     lo, hi = pot.subdiff(np.array([-2.0, 0.0, 3.0]))
     assert np.allclose(lo, [0.0, 0.0, 4.0])
     assert np.allclose(hi, [0.0, 1.0, 4.0])
+
+
+def test_zhang_value_reads_no_invalid_operation():
+    # 0.5 r^2 + r at r = -inf is inf - inf; the value takes the positive
+    # part of r first, so no argument raises a RuntimeWarning (an error
+    # under the test settings), and NaN reads 0 as every r <= 0 does.
+    r = np.array([-np.inf, -1e308, -2.0, -0.0, 0.0, np.nan, 3.0, np.inf])
+    got = zhang().value(r)
+    assert np.array_equal(got, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.5, np.inf])
+    assert not np.signbit(got).any()
 
 
 WIDE_A = np.concatenate([[0.0, 1e-300], np.logspace(-300, 8, 2000)])
