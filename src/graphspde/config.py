@@ -362,10 +362,20 @@ def _build(entries: dict, provided: frozenset,
 
     eps_values = attempt("run", _epsilon_values, entries)
     if eps_values is not None:
+        # Each level's artifacts and eps_pair label carry its tag, so two
+        # levels with one tag would overwrite each other.
+        tagged = {}
         for eps in eps_values or [np.nan]:
             if not 0.0 < eps < 1.0:
                 problems.append("run.epsilon: epsilon must lie in (0,1), "
                                 f"got {eps:g}")
+            tag = _eps_tag(eps)
+            if tag in tagged:
+                problems.append(f"run.epsilon_list: levels {tagged[tag]!r} "
+                                f"and {eps!r} share the artifact tag "
+                                f"eps{tag}")
+            else:
+                tagged[tag] = eps
     horizon = attempt("run", _number, entries, "run.horizon")
     if horizon is not None and horizon <= 0:
         problems.append("run.horizon: horizon must be positive")

@@ -7,15 +7,17 @@ envelope are available in closed form for the built-in kinds and through a
 scalar Newton solve, started above the root, for the other power exponents.
 ``MoreauYosida.resolvent`` and ``evaluate`` can start that solve from the
 tangent of the resolvent at an earlier argument; without one ``evaluate``
-equals the separate methods bit for bit.  The power-law solves use plain
-arithmetic; each element whose residual misses the tolerance, as where that
-arithmetic overflows near the top of the float range, is solved again in
-logarithms, from a cold or a warm start alike.
+equals the separate methods bit for bit.  A result is checked only where
+an iteration can miss.  The power-law solves use plain arithmetic; each
+element whose residual misses the tolerance, as where that arithmetic
+overflows near the top of the float range, is solved again in logarithms,
+from a cold or a warm start alike, and a miss there is refused.  The zhang
+and piecewise formulas are returned as computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -348,7 +350,8 @@ def _zhang_resolvent(eps: float, r: np.ndarray) -> np.ndarray:
 
 
 class ResolventError(RuntimeError):
-    """Scalar monotone solve failed; carries the worst residual."""
+    """A power-law solve missed its tolerance in logarithms too; carries the
+    worst residual.  The closed forms of the other kinds raise none."""
 
 
 class MoreauYosidaValues(NamedTuple):
@@ -391,9 +394,8 @@ class MoreauYosida:
         whose argument equals ``r0`` bit for bit keeps its value in ``s0``
         bit for bit.  The other kinds ignore ``previous``.
 
-        The power kinds refuse their own residual misses; the piecewise
-        formula, whose pieces are user data, is checked against the
-        subdifferential on every call; the zhang formula is returned as
+        Only the power kinds, whose solves iterate, check their residual
+        and refuse a miss; the zhang and piecewise formulas are returned as
         computed.
         """
         r = np.asarray(r, dtype=float)
@@ -401,9 +403,7 @@ class MoreauYosida:
         if pot.kind == "zhang":
             return _zhang_resolvent(eps, r)
         if pot.kind == "piecewise":
-            s = self._piecewise_resolvent(r)
-            self._check_residual(r, s)
-            return s
+            return self._piecewise_resolvent(r)
         p = pot.exponent
         if previous is None or p in _CLOSED_FORMS:
             return _power_resolvent(p, eps, r)
@@ -424,30 +424,6 @@ class MoreauYosida:
         if p < 1.0:
             return np.abs(s0) ** p + d0 * moved
         return np.abs(s0) + (1.0 - eps * d0) * moved
-
-    def _check_residual(self, r, s):
-        # Distance of r - s from eps * subdiff(s), for the zhang and
-        # piecewise kinds.
-        pot, eps = self.potential, self.eps
-        with np.errstate(over="ignore"):
-            lo, hi = pot.subdiff(s)
-            gap = np.maximum(eps * lo - (r - s), (r - s) - eps * hi)
-            over = gap == np.inf
-            if over.any():
-                # Near the top of the float range eps times the slope, and a
-                # piecewise slope 2 a s + b itself, can overflow where the
-                # gap does not: take four times the gap of a quarter of the
-                # potential there.
-                if pot.kind == "zhang":
-                    lo, hi = (b / 4.0 for b in pot.subdiff(s))
-                else:
-                    lo, hi = replace(pot, pieces=tuple(
-                        tuple(c / 4.0 for c in piece)
-                        for piece in pot.pieces)).subdiff(s)
-                d = (r - s) / 4.0
-                gap = np.where(over, 4.0 * np.maximum(eps * lo - d,
-                                                      d - eps * hi), gap)
-        _refuse(gap, r)
 
     @cached_property
     def _piecewise_bands(self):

@@ -1,5 +1,8 @@
 """Reference formulas that only the tests use, kept apart from the package."""
 
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -88,6 +91,80 @@ def certify_noise_dense(model, space) -> float:
         good = du > 1e-14
         lip.append(float(np.max(dB[good] / du[good], initial=0.0)))
     return max(lip)
+
+
+def check_residual(smoother, r, s) -> None:
+    """Raise ``ResolventError`` where ``r - s`` lies farther than
+    ``1e-12 (1 + |r|)`` from ``eps * subdiff(s)`` at a finite ``r``, for a
+    zhang or piecewise ``MoreauYosida`` ``smoother``, whose resolvent
+    returns its closed form unchecked."""
+    from graphspde.monotone import _refuse
+
+    pot, eps = smoother.potential, smoother.eps
+    with np.errstate(over="ignore"):
+        lo, hi = pot.subdiff(s)
+        gap = np.maximum(eps * lo - (r - s), (r - s) - eps * hi)
+        over = gap == np.inf
+        if over.any():
+            # Near the top of the float range eps times the slope, and a
+            # piecewise slope 2 a s + b itself, can overflow where the gap
+            # does not: take four times the gap of a quarter of the
+            # potential there.
+            if pot.kind == "zhang":
+                lo, hi = (b / 4.0 for b in pot.subdiff(s))
+            else:
+                lo, hi = replace(pot, pieces=tuple(
+                    tuple(c / 4.0 for c in piece)
+                    for piece in pot.pieces)).subdiff(s)
+            d = (r - s) / 4.0
+            gap = np.where(over, 4.0 * np.maximum(eps * lo - d,
+                                                  d - eps * hi), gap)
+    _refuse(gap, r)
+
+
+def piecewise_resolvent_exact(potential, eps: float, r) -> np.ndarray:
+    """Resolvent of a piecewise potential at each finite float of ``r``, in
+    rational arithmetic on the float knots, coefficients and ``eps``,
+    rounded once to the nearest float: the knot ``k`` whose band
+    ``[k + eps left, k + eps right]`` of one-sided slopes holds ``r``, else
+    the root ``(r - eps b) / (1 + 2 eps a)`` of the piece whose interval
+    holds it.  Where the float coefficients are convex only to roundoff,
+    two candidates can hold ``r``, within roundoff of each other; the first
+    is taken."""
+    eps = Fraction(float(eps))
+    knots = [Fraction(k) for k in potential.knots]
+    pieces = [tuple(map(Fraction, piece)) for piece in potential.pieces]
+    ends = [None, *knots, None]
+
+    def solve(x):
+        for k, (a0, b0, _), (a1, b1, _) in zip(knots, pieces, pieces[1:]):
+            if k + eps * (2 * a0 * k + b0) <= x <= k + eps * (2 * a1 * k + b1):
+                return k
+        for (a, b, _), lo, hi in zip(pieces, ends, ends[1:]):
+            s = (x - eps * b) / (1 + 2 * eps * a)
+            if (lo is None or lo <= s) and (hi is None or s <= hi):
+                return s
+        raise AssertionError(f"no band or piece holds {float(x)!r}")
+
+    r = np.asarray(r, dtype=float)
+    return np.array([float(solve(Fraction(x))) for x in r.ravel()]
+                    ).reshape(r.shape)
+
+
+def piecewise_rounding_ulp(potential, eps: float, r, s) -> np.ndarray:
+    """One ulp of the size of the terms the piecewise resolvent formula
+    rounds at ``r``, with resolvent ``s``: the largest of ``|r|``, ``|s|``
+    and ``eps`` times either term ``|2 a s|``, ``|b|`` of the slope of each
+    piece that meets ``s``.  ``2 eps a`` is taken first, so the product
+    stays below ``|r|`` where the root does; the ulp is read from the
+    exponent, so the largest float has one too."""
+    pieces = np.asarray(potential.pieces)
+    scale = np.maximum(np.abs(r), np.abs(s))
+    for side in ("left", "right"):
+        a, b, _ = pieces[potential._piece_index(s, side=side)].T
+        scale = np.maximum.reduce([scale, (2.0 * eps * a) * np.abs(s),
+                                   eps * np.abs(b)])
+    return np.maximum(np.ldexp(1.0, np.frexp(scale)[1] - 53), 5e-324)
 
 
 def power_root_bisection(p: float, eps: float, a: np.ndarray) -> np.ndarray:

@@ -476,6 +476,27 @@ def test_cli_run_single_piece_potential(tmp_path, capsys):
     assert (tmp_path / "out" / "report_energy_uniformity.txt").exists()
 
 
+def test_cli_run_steep_wall_potential(tmp_path, capsys):
+    # The wall 1e5 (r - 1)^2 beyond 1 runs to its report: no resolvent of
+    # the piecewise formula is refused (exit 3).
+    cfg_file = tmp_path / "wall.cfg"
+    cfg_file.write_text("experiment.kind = energy\n"
+                        "space.preset = path_16\n"
+                        "potential.kind = piecewise\n"
+                        "potential.knots = 0, 1\n"
+                        "potential.pieces = 0:0:0, 0:0:0, "
+                        "100000:-200000:100000\n"
+                        "noise.kind = diagonal\n"
+                        "noise.sigma = 0.2\n"
+                        "run.epsilon = 0.1\n"
+                        "run.steps = 32\n"
+                        "run.paths = 20\n"
+                        "run.x0 = constant:1.5\n")
+    assert main(["run", str(cfg_file), "--out-dir",
+                 str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report_energy_eps0p1.txt").exists()
+
+
 def test_cli_run_crash_has_its_own_exit_status(tmp_path, monkeypatch,
                                                capsys):
     # A crash is not a failed check (status 1): one stderr line, status 3.
@@ -500,6 +521,9 @@ CONCAVE = ("space.preset = path_4\n"
            "potential.kind = piecewise\n"
            "potential.knots = 0\n"
            "potential.pieces = 1:0:0, -1:0:0\n")
+LADDERS = (("energy", "0.1"), ("energy", "0.1000001"),
+           ("regularity", "0.1000001"), ("svi", "0.1000001"),
+           ("eps_convergence", "0.1000001"), ("norms", "0.1"))
 
 
 @pytest.mark.parametrize("text, override, message", [
@@ -512,15 +536,21 @@ CONCAVE = ("space.preset = path_4\n"
     *((f"experiment.kind = {kind}\n" + CONCAVE, None,
        "potential: pieces must be convex: a quadratic coefficient is negative")
       for kind in ("energy", "assumptions", "norms")),
+    *((f"experiment.kind = {kind}\nspace.preset = path_4\n"
+       f"run.epsilon_list = {level}, 0.1\n", None,
+       f"run.epsilon_list: levels {level} and 0.1 share the artifact tag "
+       "eps0p1") for kind, level in LADDERS),
 ], ids=["paths_override_0", "seed_override_-1", "norms_seed_-1",
         "energy_concave_potential", "assumptions_concave_potential",
-        "norms_concave_potential"])
+        "norms_concave_potential",
+        *(f"{kind}_levels_{level}_0.1" for kind, level in LADDERS)])
 def test_run_refuses_what_validate_refuses(tmp_path, capsys, text, override,
                                            message):
     # Overrides are config lines, and validation builds what the run uses,
     # so no config passes validation only to crash in the run.  A concave
     # potential is refused by every experiment, those without a resolvent
-    # too.
+    # too, and so are ladder levels whose reports, trajectories and
+    # eps_pair labels would share one tag and overwrite each other.
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(text + ("run.{} = {}\n".format(*override)
                                 if override else ""))

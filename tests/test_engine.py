@@ -849,6 +849,19 @@ def test_simulate_zero_noise_zero_initial():
     assert np.allclose(ens.states, 0.0, atol=1e-14)
 
 
+def test_simulate_against_a_steep_wall():
+    # The wall 1e5 (r - 1)^2 beyond 1: each step's resolvents are the
+    # piecewise formula, which no residual check refuses.
+    pot = piecewise_quadratic([0.0, 1.0], [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                           (1e5, -2e5, 1e5)])
+    cfg = base_config(space=path_space(16), potential=pot,
+                      noise=diagonal_noise(16, 0.2), horizon=1.0,
+                      step_count=32, path_count=20, initial=np.full(16, 1.5))
+    ens = simulate(cfg)
+    bound = _SOLVER_TOL * (1.0 + np.abs(ens.states).max() * 4)
+    assert ens.residuals.max() <= bound
+
+
 def test_simulate_residuals_and_iterations_bounded():
     cfg = base_config(path_count=16)
     ens = simulate(cfg)

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from oracles import (
     breakpoints,
+    check_residual,
+    piecewise_resolvent_exact,
+    piecewise_rounding_ulp,
     power_root_bisection,
     power_values,
     sampled_convexity_margins,
@@ -100,7 +103,7 @@ def test_zhang_closed_form_is_within_the_gap_tolerance(eps):
                   np.nextafter(eps, np.inf), np.nextafter(eps, -np.inf)])
     my = MoreauYosida(zhang(), eps)
     s = my.resolvent(r)
-    my._check_residual(r, s)
+    check_residual(my, r, s)
     assert np.array_equal(np.signbit(s[2:4]), [True, False])
 
 
@@ -212,6 +215,27 @@ def test_sublinear_resolvent_extreme_magnitudes():
             assert np.all(y >= lo - tol) and np.all(y <= hi + tol)
 
 
+def steep_wall(a):
+    # Flat up to 1, then the wall a (r - 1)^2.
+    return piecewise_quadratic([0.0, 1.0], [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                                            (a, -2.0 * a, a)])
+
+
+@pytest.mark.parametrize("a", [1e5, 1e7])
+def test_steep_wall_resolvent_against_exact_arithmetic(a):
+    # On the wall the slope 2 a s + b is the difference of two terms of
+    # size 2 a, so a residual check at 1e-12 (1 + |r|) falls below its own
+    # roundoff eps |2 a s + b| and refuses these roots, which the
+    # resolvent returns as computed.
+    pot = steep_wall(a)
+    assert all(check.passed for check in check_assumptions(pot))
+    r = np.linspace(1.0, 3.0)
+    s = MoreauYosida(pot, 0.1).resolvent(r)
+    exact = piecewise_resolvent_exact(pot, 0.1, r)
+    assert np.all(np.abs(s - exact)
+                  <= 4.0 * piecewise_rounding_ulp(pot, 0.1, r, exact))
+
+
 def test_resolvent_requires_convexity():
     # The constructor refuses a concave piece, so no resolvent meets one.
     with pytest.raises(ValueError, match="convex"):
@@ -238,7 +262,8 @@ def test_resolvent_refuses_a_log_solve_that_misses(monkeypatch):
 def test_resolvent_refuses_nan_at_a_finite_argument(monkeypatch):
     # A NaN gap at a finite argument misses the tolerance: a NaN from the
     # plain solve is solved again in logarithms, and a NaN from there too
-    # is refused.  The other kinds refuse a NaN resolvent the same way.
+    # is refused.  The residual oracle refuses a NaN zhang resolvent the
+    # same way; the resolvent returns that closed form unchecked.
     r = np.array([0.5, -3.0, 1e10])
     my = MoreauYosida(porous_medium(2.5), 0.05)
     cold = my.resolvent(r)
@@ -251,13 +276,13 @@ def test_resolvent_refuses_nan_at_a_finite_argument(monkeypatch):
         my.resolvent(r)
     sandpile = MoreauYosida(zhang(), 0.05)
     with pytest.raises(ResolventError, match="resolvent residual nan"):
-        sandpile._check_residual(r, np.full(3, np.nan))
-    sandpile._check_residual(np.array([np.nan, np.inf]), np.full(2, np.nan))
+        check_residual(sandpile, r, np.full(3, np.nan))
+    check_residual(sandpile, np.array([np.nan, np.inf]), np.full(2, np.nan))
 
 
 def test_smoothing_parameter_validation():
-    # A NaN level would give NaN resolvents that pass the residual check,
-    # since a NaN gap compares false.
+    # A NaN level would give the zhang and piecewise kinds NaN resolvents,
+    # which they return unchecked.
     for eps in (0.0, np.nan, np.inf, [[0.1], [np.nan]]):
         with pytest.raises(ValueError, match="positive"):
             MoreauYosida(zhang(), eps)

@@ -7,7 +7,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from oracles import sampled_convexity_margins  # noqa: E402
+from oracles import (  # noqa: E402
+    check_residual,
+    piecewise_resolvent_exact,
+    piecewise_rounding_ulp,
+    sampled_convexity_margins,
+)
 
 from graphspde import monotone  # noqa: E402
 from graphspde.monotone import (  # noqa: E402
@@ -67,7 +72,7 @@ def test_resolvent_properties_over_the_float_range(name, args, eps):
         odd = my.resolvent(-r)
         assert np.array_equal(odd.view(np.int64), (-s).view(np.int64))
     else:
-        my._check_residual(r, s)
+        check_residual(my, r, s)
     order = np.argsort(r, kind="stable")
     assert np.all(np.diff(s[order]) >= 0.0)
     separate = (my.resolvent(r), my.yosida(r), my.yosida_slope(r),
@@ -145,3 +150,33 @@ def test_constructor_refuses_what_the_sampled_checks_find_non_convex(
     assert min(margins) >= -1e-12
     for level in (eps, np.array(levels)[:, None]):
         assert np.all(np.diff(MoreauYosida(pot, level)._piecewise_bands) >= 0)
+
+
+@st.composite
+def scaled_piecewise_quadratics(draw):
+    # A drawn potential times 10^u, u in [-3, 8], as steep as a wall.
+    knots, pieces = draw(piecewise_quadratics())
+    return knots, pieces * _power_of_ten(draw(st.floats(-3.0, 8.0)))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
+@hypothesis.given(scaled_piecewise_quadratics(), EPSILONS, ARGUMENTS)
+def test_piecewise_resolvent_against_exact_arithmetic(drawn, eps, args):
+    # The resolvent returns the piecewise formula unchecked: it is within
+    # 4 ulp of the size of the terms it rounds of the rational resolvent,
+    # at the band edges and their neighbours, across the knots and over
+    # the float range.  Scaling rounds each coefficient, which can break
+    # continuity or a zero slope jump at a knot; the constructor refuses
+    # such draws, and they are skipped.
+    try:
+        pot = piecewise_quadratic(*drawn)
+    except ValueError:
+        hypothesis.reject()
+    my = MoreauYosida(pot, eps)
+    bands = my._piecewise_bands
+    r = np.concatenate([args, bands, np.nextafter(bands, -np.inf),
+                        np.nextafter(bands, np.inf), np.linspace(-5, 5, 21)])
+    s = my.resolvent(r)
+    exact = piecewise_resolvent_exact(pot, eps, r)
+    ulp = piecewise_rounding_ulp(pot, eps, r, exact)
+    assert np.all(np.abs(s - exact) <= 4.0 * ulp)
