@@ -141,13 +141,19 @@ class ConvexPotential:
         if self.kind == "zhang":
             p = np.fmax(r, 0.0)  # 0 at NaN, as at -inf
             return 0.5 * p**2 + p
-        coeff = np.asarray(self.pieces)[self._piece_index(r)]
+        index = self._piece_index(r)
+        coeff = np.asarray(self.pieces)[index]
         a, b, c = coeff[..., 0], coeff[..., 1], coeff[..., 2]
+        # Each piece about the knot at its left edge, the first about the
+        # first knot and a lone piece about 0: a r^2 + b r + c cancels near
+        # a knot, on a steep wall by far more than the Armijo slack.
+        k = np.asarray(self.knots + (0.0,))[np.maximum(index - 1, 0)]
+        d = r - k
         with np.errstate(invalid="ignore"):
-            v = a * r**2 + b * r + c
-            # Near the top of the float range a r^2 and b r can overflow
-            # with opposite signs, inf - inf; the nested form cannot read
-            # NaN there.  At r = +-inf, where 0 inf reads NaN too, the
+            v = (a * d + (2.0 * a * k + b)) * d + ((a * k + b) * k + c)
+            # Where the terms about the knot overflow to inf - inf, near
+            # the top of the float range, the nested form about 0 is read
+            # instead.  At r = +-inf, where 0 inf reads NaN too, the
             # value is the limit of the outer piece, whose a is not negative.
             nan = np.isnan(v) & ~np.isnan(r)
             if nan.any():

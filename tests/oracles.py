@@ -45,6 +45,33 @@ def sampled_convexity_margins(knots, pieces, grid) -> tuple[float, float]:
     return convexity, float((-step).min(initial=0.0))
 
 
+def sampled_space_invariants(space, rng=None, n_witness: int = 64) -> None:
+    """Raise ``SpaceError`` where sampling refutes what the exact rules of
+    ``check_space_invariants`` imply: the witness inequality
+    ``sum(|u| g mu) <= energy(u)**0.5`` on ``n_witness`` standard normal
+    functions drawn from ``rng`` (seed ``0x5EED`` by default), and entrywise
+    positivity plus sup-norm contractivity of the semigroup at four times,
+    each a dense transition matrix."""
+    from graphspde.dirichlet import SpaceError
+
+    mu = space.measure
+    rng = np.random.default_rng(0x5EED) if rng is None else rng
+    u = rng.standard_normal((n_witness, space.node_count))
+    lhs = np.abs(u) @ (space.witness * mu)
+    rhs = space.energy_norm(u)
+    if np.any(lhs > rhs * (1 + 1e-10) + 1e-12):
+        raise SpaceError("witness inequality fails on sampled functions")
+
+    # Signs of M^(1/2) P M^(-1/2), scale-free unlike the roundoff of P.
+    for t in (0.1, 0.5, 1.0, 2.0):
+        P = space.transition_matrix(t)
+        S = np.sqrt(mu)[:, None] * P / np.sqrt(mu)
+        if S.min() < -1e-12 * S.max():
+            raise SpaceError(f"semigroup not entrywise nonnegative at t={t}")
+        if np.abs(P).sum(axis=1).max() > 1 + 1e-10:
+            raise SpaceError(f"semigroup not sup-norm contractive at t={t}")
+
+
 def gap_bound_pointwise(functional, eps: float, v) -> np.ndarray:
     """Integrated bound ``eps * minimal_section**2`` for the smoothing gap
     of an ``EnergyFunctional``."""

@@ -11,13 +11,13 @@ from graphspde.dirichlet import (
     DirichletSpace,
     SpaceError,
     build_graph_space,
-    check_space_invariants,
     complete_space,
     gamma_transform_quadrature,
     path_space,
     single_node_space,
     subordinate,
 )
+from oracles import sampled_space_invariants
 
 RNG = np.random.default_rng(20240817)
 
@@ -91,11 +91,26 @@ def test_negative_weight_and_diagonal_rejected():
         build_graph_space([[1.0, 1.0], [1.0, 0.0]], [1.0, 1.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("argument", ["edge weights", "killing rates",
+                                      "measure"])
+def test_non_finite_graph_data_rejected(argument, value):
+    # Refused before the eigensolver runs: NaN data made it fail to
+    # converge, and an infinite killing rate read as a missing one.
+    data = {"edge weights": np.array([[0.0, 1.0], [1.0, 0.0]]),
+            "killing rates": np.ones(2), "measure": np.ones(2)}
+    data[argument][-1] = value
+    if argument == "edge weights":
+        data[argument][0, 1] = value
+    with pytest.raises(SpaceError, match=f"{argument} must be finite"):
+        build_graph_space(*data.values())
+
+
 def test_structural_invariants_on_random_spaces():
     for seed in range(6):
         space = random_space(np.random.default_rng(seed), n=4 + seed)
-        check_space_invariants(space, rng=np.random.default_rng(seed + 1),
-                               n_witness=1000)
+        sampled_space_invariants(space, rng=np.random.default_rng(seed + 1),
+                                 n_witness=1000)
         mu, L = space.measure, space.generator
         sym = np.abs(mu[:, None] * L - (mu[:, None] * L).T).max()
         assert sym <= 1e-12 * max(np.abs(L).max(), 1.0)
@@ -120,27 +135,85 @@ def test_semigroup_sign_check_accepts_uneven_measure():
     assert n == 35 and 2387 < mu.max() / mu.min() < 2388
     W = np.diag(weights, 1) + np.diag(weights, -1)
     space = build_graph_space(W, np.append(killing, np.zeros(n - 1)), mu)
-    check_space_invariants(space)
+    sampled_space_invariants(space)
 
 
 def test_semigroup_sign_check_refuses_negative_entries():
     # A Markov generator whose spectral data belong to [[2, 1], [1, 2]]:
-    # every earlier check passes, and the semigroup the spectral data give
-    # has negative off-diagonal entries.
+    # the semigroup those data give has negative off-diagonal entries.  The
+    # constructor refuses them as not the generator's own.
     basis = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-    space = DirichletSpace(np.ones(2), np.array([[-2.0, 1.0], [1.0, -2.0]]),
-                           np.array([1.0, 3.0]), basis, np.full(2, 1e-3))
-    with pytest.raises(SpaceError, match="not entrywise nonnegative"):
-        check_space_invariants(space)
+    with pytest.raises(SpaceError, match="eigen-decomposition residual"):
+        DirichletSpace(np.ones(2), np.array([[-2.0, 1.0], [1.0, -2.0]]),
+                       np.array([1.0, 3.0]), basis)
 
 
-def test_witness_inequality_many_samples(preset_spaces):
-    rng = np.random.default_rng(7)
-    for space in preset_spaces:
-        u = rng.standard_normal((1000, space.node_count)) * 3.0
-        lhs = np.abs(u) @ (space.witness * space.measure)
-        rhs = space.energy_norm(u)
-        assert np.all(lhs <= rhs * (1 + 1e-10) + 1e-12)
+@pytest.mark.parametrize("generator, match", [
+    ([[-2.0, 1.0], [0.5, -2.0]], "mu-symmetry"),
+    ([[-1.0, 1.5], [1.5, -4.0]], "positive generator row sum"),
+    ([[-2.0, -0.5], [-0.5, -2.0]], "negative off-diagonal"),
+], ids=["asymmetric", "positive_row_sum", "negative_off_diagonal"])
+def test_constructor_refuses_a_generator_that_breaks_a_rule(generator,
+                                                            match):
+    # Each spectrum is positive and the spectral data are the generator's
+    # own, so only the named rule fails.
+    L = np.array(generator)
+    lam, basis = np.linalg.eig(-L)
+    with pytest.raises(SpaceError, match=match):
+        DirichletSpace(np.ones(2), L, lam, basis)
+
+
+@pytest.mark.parametrize("field", ["generator", "basis"])
+def test_constructor_refuses_non_finite_spectral_data(field):
+    # A NaN entry made every tolerance NaN, which no comparison refused.
+    space = path_space(2)
+    data = {name: getattr(space, name)
+            for name in ("measure", "generator", "eigenvalues", "basis")}
+    data[field] = np.where(np.eye(2, dtype=bool), np.nan, data[field])
+    with pytest.raises(SpaceError, match="must be finite"):
+        DirichletSpace(**data)
+
+
+def test_constructor_refuses_empty_or_scalar_measure():
+    # Refused as a SpaceError, not by numpy's empty reduction or indexing.
+    with pytest.raises(SpaceError, match="nonempty"):
+        DirichletSpace(np.ones(0), np.zeros((0, 0)), np.ones(0),
+                       np.zeros((0, 0)))
+    with pytest.raises(SpaceError, match="shapes must agree"):
+        DirichletSpace(1.0, -np.ones((1, 1)), np.ones(1), np.ones((1, 1)))
+
+
+ORACLE_SPACES = {
+    "path_2": lambda: path_space(2),
+    "path_16": lambda: path_space(16),
+    "complete_3": lambda: complete_space(3),
+    "complete_8": lambda: complete_space(8),
+    "single": lambda: single_node_space(),
+    "single_killing_4": lambda: single_node_space(4.0),
+    **{f"path_16|{kind}({alpha})":
+       lambda kind=kind, alpha=alpha: subordinate(
+           path_space(16), BernsteinFunction(kind, alpha))
+       for kind in ("power", "shifted_power") for alpha in (0.3, 0.5, 0.8)},
+    **{f"random_{seed}":
+       lambda seed=seed: random_space(np.random.default_rng(seed), n=4 + seed)
+       for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("build", ORACLE_SPACES.values(), ids=ORACLE_SPACES)
+def test_spaces_hold_to_sampled_oracles(build):
+    # Construction checks only exact rules; the facts they imply are
+    # sampled here, at the default draw and at 1000 functions.
+    space = build()
+    sampled_space_invariants(space)
+    sampled_space_invariants(space, rng=np.random.default_rng(7),
+                             n_witness=1000)
+    # The witness constant is exact: u = K^-1 g attains dual_norm(g).
+    g = space.witness
+    u = space.solve_generator(g)
+    attained = space.integrate(np.abs(u) * g) / space.energy_norm(u)
+    assert abs(attained - space.dual_norm(g)) <= 1e-14
+    assert abs(space.dual_norm(g) - 1.0) <= 1e-14
 
 
 # -- energy -----------------------------------------------------------------

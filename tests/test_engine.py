@@ -850,16 +850,23 @@ def test_simulate_zero_noise_zero_initial():
 
 
 def test_simulate_against_a_steep_wall():
-    # The wall 1e5 (r - 1)^2 beyond 1: each step's resolvents are the
-    # piecewise formula, which no residual check refuses.
-    pot = piecewise_quadratic([0.0, 1.0], [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
-                                           (1e5, -2e5, 1e5)])
-    cfg = base_config(space=path_space(16), potential=pot,
-                      noise=diagonal_noise(16, 0.2), horizon=1.0,
-                      step_count=32, path_count=20, initial=np.full(16, 1.5))
-    ens = simulate(cfg)
-    bound = _SOLVER_TOL * (1.0 + np.abs(ens.states).max() * 4)
-    assert ens.residuals.max() <= bound
+    # The wall a (r - 1)^2 beyond 1: each step's resolvents are the
+    # piecewise formula, which no residual check refuses.  Its value read
+    # as a r^2 - 2 a r + a cancelled near the knot, by 1e-9 at 1 + 1e-6
+    # when a = 1e7, far above the Armijo slack, and the line search
+    # stalled: at a = 1e7 with tag w at step 11, at a = 1e9 at step 14.
+    for a, tag in ((1e5, "test"), (1e7, "w"), (1e9, "test")):
+        pot = piecewise_quadratic([0.0, 1.0], [(0.0, 0.0, 0.0),
+                                               (0.0, 0.0, 0.0),
+                                               (a, -2.0 * a, a)])
+        cfg = base_config(space=path_space(16), potential=pot,
+                          noise=diagonal_noise(16, 0.2), horizon=1.0,
+                          step_count=32, path_count=20,
+                          initial=np.full(16, 1.5), coupling_tag=tag)
+        ens = simulate(cfg)
+        bound = _SOLVER_TOL * (1.0 + np.abs(ens.states).max() * 4)
+        assert ens.residuals.max() <= bound
+        assert ens.newton_iterations.max() <= 4
 
 
 def test_simulate_residuals_and_iterations_bounded():
