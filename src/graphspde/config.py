@@ -401,10 +401,11 @@ def _build(entries: dict, provided: frozenset,
             problems.append("run.y0: contraction experiment needs a second "
                             "initial state")
         if exp == "eps_convergence" and eps_values is not None and (
-                len(eps_values) < 2
+                len(eps_values) < 3
                 or any(b >= a for a, b in zip(eps_values, eps_values[1:]))):
+            # Two levels give one pair, and a slope through one point.
             problems.append("run.epsilon_list: eps_convergence needs at "
-                            "least two strictly decreasing levels")
+                            "least three strictly decreasing levels")
 
     potential = attempt("potential", _build_potential, entries)
     if (potential is not None and exp == "eps_convergence"

@@ -4,31 +4,34 @@ One step solves the drift-implicit, noise-explicit system
 
     X+ - dt * L(slope_eps(X+) + eps * X+) = X + B(X) dW,
 
-where ``slope_eps`` is the Yosida slope of the potential.  The map on the
-left is strongly monotone in the dual-norm geometry (minus the generator is
-positive definite and the smoothed slope plus ``eps`` times the identity is
-strongly monotone), so the step is the gradient of a strongly convex
-objective and a damped semismooth Newton iteration converges for any step
-size.  With ``K`` minus the generator and ``d`` the slope derivative plus
-``eps``, each Newton direction solves ``(1/d + dt K) z = -F`` and takes
-``delta = z / d``.  Weighted by ``M = diag(mu)`` that system is
-``(M/d + dt E) z = -M F`` with ``E = M K``, symmetric positive definite
-with the sparsity of the generator; on path graphs it is tridiagonal and
-solved by an LDL^T factorization with no pivoting (``dptsv``).  On dense
-generators every product with an n x n matrix is one matrix-matrix
-product over all paths.  A path whose ``d`` is one number at every node
-is solved in the eigenbasis of the space, where the system is diagonal,
-in O(n^2); the other paths take Jacobi-preconditioned conjugate
-gradients, O(n^2) per iteration, whose iteration count does not grow with
-the spread of ``d``; the Newton equation also gives the line search its
-gradient, with no dual solve.
-Consecutive steps differ by one noise increment.  Where the Yosida slope
-is piecewise linear (zhang and piecewise potentials), each step after the
-first starts with one Newton step from the previous solution, taken with
-that solution's own linearization, which is the next solution unless a
-node crosses a knot; it counts as a Newton iteration.  The power kinds
-start from the right side plus the previous step's drift increment, and a
-Newton-solved resolvent from the values it had at the previous point.
+where ``slope_eps`` is the Yosida slope of the potential.  With ``K`` minus
+the generator and ``psi = slope_eps + eps id``, the step is solved for the
+drift ``w = psi(X+)``, and ``X+ = rhs - dt K w``.  For any ``c > 0``,
+``w = psi(x)`` holds exactly when ``w = psi_c(x + c w)``, with ``psi_c`` the
+Yosida approximation of ``psi`` at ``c``; so the step is the root of
+``R(w) = w - psi_c(rhs - dt K w + c w)``, the forward-backward residual of
+the dual problem ``min_w dt/2 <K w, w>_mu - <rhs, w>_mu + sum mu psi*(w)``
+at step ``1/c`` (Bauschke and Combettes, *Convex Analysis and Monotone
+Operator Theory in Hilbert Spaces*, 2017).  With ``c = dt lambda_max(K)``
+the forward-backward step ``w - R`` never increases ``|R|_mu``, and full
+semismooth Newton steps on ``R`` need no line search (Stella, Themelis and
+Patrinos, Comput. Optim. Appl. 67, 2017); a Newton step that does not halve
+``|R|_mu`` is replaced by the forward-backward step.  ``psi_c`` is read off
+the potential's Moreau-Yosida smoothing at ``lambda = eps + c / (1 + c
+eps)``, one resolvent solve per pass.  Each Newton direction solves
+``(a + dt K) z = b`` with ``a > 0``; weighted by ``M = diag(mu)`` that
+system is ``(M a + dt E) z = M b`` with ``E = M K``, symmetric positive
+definite with the sparsity of the generator; on path graphs it is
+tridiagonal and solved by an LDL^T factorization with no pivoting
+(``dptsv``).  On dense generators every product with an n x n matrix is
+one matrix-matrix product over all paths.  A path whose ``a`` is one
+number at every node is solved in the eigenbasis of the space, where the
+system is diagonal, in O(n^2); the other paths take Jacobi-preconditioned
+conjugate gradients, O(n^2) per iteration, whose iteration count does not
+grow with the spread of ``a``.
+Consecutive steps differ by one noise increment, so each step after the
+first starts from the previous drift, and a Newton-solved resolvent from
+the values it had at the previous point.
 Paths evolve independently and are solved as one batch.
 Coupled runs (a smoothing ladder, a pair of initial states) share their
 increments, so ``simulate_coupled`` steps all their paths as one batch
@@ -46,7 +49,6 @@ from dataclasses import dataclass, replace
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -68,10 +70,13 @@ __all__ = [
 ]
 
 
-# Newton stops once a row's residual is at most _SOLVER_TOL (1 + |rhs|) in
-# the mu-norm, and fails after _MAX_NEWTON passes.
+# Newton stops once c times a row's drift residual is at most
+# _SOLVER_TOL (1 + |rhs|) in the mu-norm, and fails after _MAX_NEWTON passes.
 _SOLVER_TOL = 1e-10
 _MAX_NEWTON = 100
+# A Newton trial that does not bring c |R|_mu to at most _DECREASE times its
+# value is replaced by the forward-backward step.
+_DECREASE = 0.5
 # A dense Newton row's conjugate gradients stop once the preconditioned
 # residual r.P^-1 r is at most _CG_TOL times b.P^-1 b, 1e-15 relative.
 _CG_TOL = 1e-30
@@ -184,47 +189,50 @@ def _coupled(a: SimulationConfig, b: SimulationConfig) -> bool:
 class _NewtonSystem:
     """Linear algebra of the implicit step for one space and step size.
 
-    The Newton equation ``(I + dt K D) delta = -F``, with ``K`` minus the
-    generator and ``D = diag(d)``, ``d`` the slope derivative plus ``eps``
-    (so ``d >= eps > 0``), is solved as ``(1/d + dt K) z = -F``,
-    ``delta = z / d``.  Multiplied by ``M = diag(mu)`` it is
-    ``(M/d + dt E) z = -M F`` with ``E = M K``, symmetric because ``K`` is
-    mu-self-adjoint, and strictly diagonally dominant with a positive
-    diagonal for a sub-Markovian generator, so positive definite.  For
-    tridiagonal generators all paths form one block-diagonal system of
-    that form with zero couplings between blocks, solved by one ``dptsv``
-    call, an LDL^T factorization that needs no pivoting; each block's
-    recurrence is its own.  Other generators apply ``K`` to all rows as
-    one matrix-matrix product (gemm), which keeps the n x n operand in
-    cache for every row.  A row whose ``d`` is one number ``c`` at every
-    node has the direction
-    ``-Phi (Phi^T M F) / (1 + dt c lambda)`` in the mu-orthonormal
-    eigenbasis ``Phi`` of ``K``, two such products, O(n^2).  The other
-    rows take conjugate gradients in the mu inner product, where ``K`` is
-    self-adjoint, preconditioned by the diagonal ``1/d + dt K_ii``.  In
-    the symmetric form ``M/d + dt E``, ``E = M K``, that is Jacobi
-    scaling, and the preconditioned matrix has a condition number of at
-    most that of ``J = diag(E)^-1/2 E diag(E)^-1/2``, whatever ``d`` and
-    ``dt`` are (van der Sluis 1969): a Rayleigh quotient of ``dt E``
-    against ``dt diag(E)`` lies between the extreme eigenvalues of ``J``,
-    which bracket 1 as ``J`` has a unit diagonal, and ``M/d`` adds the
-    same term to both quadratic forms.  ``cond(J)`` is 2.2 on
-    ``path_n|power(0.5)``, 4.3 with power 0.9 and 2.0 on ``complete_n``,
-    so rows converge to 1e-15 in about 6 to 21 iterations.  A row still
-    unconverged after ``n`` iterations falls back to a dense LU solve of
-    its own, so the fallback holds one n x n matrix at a time.  Which route
-    a row takes, and when its iteration stops, depend on its own ``d`` and
-    ``F`` alone.  The products keep that independence: with at least two
-    rows, each output row of OpenBLAS's dgemm is its input row's own dot
-    products, summed in a fixed order whatever the other rows are (checked
-    bit for bit for subsets of 1 to 599 rows at n = 16 to 256, with one
-    and two BLAS threads), while a lone row goes to gemv, which sums in
-    another order, so ``_row_products`` doubles it.  So every path's
-    arithmetic is independent of the rest of the batch.
+    ``solve`` returns ``z`` with ``(a + dt K) z = b`` for each row of ``b``
+    and ``a > 0``, ``K`` minus the generator.  Multiplied by
+    ``M = diag(mu)`` the system is ``(M a + dt E) z = M b`` with
+    ``E = M K``, symmetric because ``K`` is mu-self-adjoint, and strictly
+    diagonally dominant with a positive diagonal for a sub-Markovian
+    generator, so positive definite.  For tridiagonal generators all paths
+    form one block-diagonal system of that form with zero couplings between
+    blocks, solved by one ``dptsv`` call, an LDL^T factorization that needs
+    no pivoting; each block's recurrence is its own.  Other generators apply
+    ``K`` to all rows as one matrix-matrix product (gemm), which keeps the
+    n x n operand in cache for every row.  A row whose ``a`` is one number
+    ``a0`` at every node has the solution
+    ``Phi (Phi^T M b) / (a0 + dt lambda)`` in the mu-orthonormal eigenbasis
+    ``Phi`` of ``K``, two such products, O(n^2).  The other rows take
+    conjugate gradients in the mu inner product, where ``K`` is
+    self-adjoint, preconditioned by the diagonal ``a + dt K_ii``.  In the
+    symmetric form ``M a + dt E`` that is Jacobi scaling, and the
+    preconditioned matrix has a condition number of at most that of
+    ``J = diag(E)^-1/2 E diag(E)^-1/2``, whatever ``a`` and ``dt`` are (van
+    der Sluis 1969): a Rayleigh quotient of ``dt E`` against ``dt diag(E)``
+    lies between the extreme eigenvalues of ``J``, which bracket 1 as ``J``
+    has a unit diagonal, and ``M a`` adds the same term to both quadratic
+    forms.  ``cond(J)`` is 2.2 on ``path_n|power(0.5)``, 4.3 with power 0.9
+    and 2.0 on ``complete_n``, so rows converge to 1e-15 in about 6 to 21
+    iterations.  A row still unconverged after ``n`` iterations falls back
+    to a dense LU solve of its own, so the fallback holds one n x n matrix
+    at a time.  Which route a row takes, and when its iteration stops,
+    depend on its own ``a`` and ``b`` alone.  The products keep that
+    independence: with at least two rows, each output row of OpenBLAS's
+    dgemm is its input row's own dot products, summed in a fixed order
+    whatever the other rows are (checked bit for bit for subsets of 1 to
+    599 rows at n = 16 to 256, with one and two BLAS threads), while a lone
+    row goes to gemv, which sums in another order, so ``_row_products``
+    doubles it.  So every path's arithmetic is independent of the rest of
+    the batch.
+
+    ``c = dt lambda_max(K)`` is the step's Yosida parameter, at which
+    ``dt K <= c``, and ``level(eps)`` the smoothing level
+    ``eps + c / (1 + c eps)`` at which the step evaluates the potential.
     """
 
     def __init__(self, space: DirichletSpace, dt: float):
         self.dt = dt
+        self.c = dt * float(np.max(space.eigenvalues))
         self.tridiagonal = space.is_tridiagonal
         self.mu = mu = space.measure
         K = -space.generator
@@ -234,12 +242,10 @@ class _NewtonSystem:
             self._diag = np.diag(K).copy()
             self._upper = np.append(np.diag(K, 1), 0.0)
             self._lower = np.append(np.diag(K, -1), 0.0)
-            # The symmetric form M/d + dt E, E = M K: its diagonal less
-            # M/d, its off-diagonal band and minus the measure, which
-            # weights the right side.
+            # The symmetric form M a + dt E, E = M K: its diagonal less
+            # M a, and its off-diagonal band.
             self._spd_diag = dt * mu * self._diag
             self._spd_band = dt * mu * self._upper
-            self._minus_mu = -mu
         else:
             # K^T in row-major order, the right operand of apply_k's
             # product; the LU fallback builds its matrices from it.
@@ -248,6 +254,10 @@ class _NewtonSystem:
             self._lam = space.eigenvalues
             self._to_spectral = space.basis * mu[:, None]
             self._from_spectral = space.basis.T.copy()
+
+    def level(self, eps):
+        """The smoothing level of the step at ``eps``."""
+        return eps + self.c / (1.0 + self.c * eps)
 
     def apply_k(self, y: np.ndarray) -> np.ndarray:
         """Minus the generator applied to each row of ``y``."""
@@ -258,64 +268,61 @@ class _NewtonSystem:
         out[:, 1:] += self._lower[:-1] * y[:, :-1]
         return out
 
-    def direction(self, F: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Newton direction ``delta`` with ``(I + dt K diag(d)) delta = -F``
-        for each row of ``F`` and ``d``."""
-        paths, n = F.shape
+    def solve(self, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """``z`` with ``(a + dt K) z = b`` for each row of ``b`` and ``a``."""
+        paths, n = b.shape
         if self.tridiagonal:
-            if F.size == 1:
+            if b.size == 1:
                 # LAPACK solves a 1 x 1 system as b * (1/d) and larger ones
                 # by division, so a lone equation is doubled.
-                return self.direction(np.concatenate([F, F]),
-                                      np.concatenate([d, d]))[:1]
+                return self.solve(np.concatenate([b, b]),
+                                  np.concatenate([a, a]))[:1]
             if self._spd_band.size < paths * n:
                 # The band, tiled for the most rows seen so far.
                 self._spd_band = np.tile(self._spd_band[:n], paths)
-            inv_d = 1.0 / d
-            diag = self.mu * inv_d
+            diag = self.mu * a
             diag += self._spd_diag
             _, _, z, info = lapack.dptsv(
                 diag.ravel(), self._spd_band[:paths * n - 1],
-                (F * self._minus_mu).reshape(-1, 1), overwrite_d=True,
+                (b * self.mu).reshape(-1, 1), overwrite_d=True,
                 overwrite_b=True)
             if info != 0:
                 raise StepSolverError(f"LAPACK dptsv failed with info = {info} "
                                       "in the Newton linear algebra")
-            return z.reshape(paths, n) * inv_d
-        delta = np.empty_like(F)
-        # Rows with one slope derivative at every node: the eigenbasis.
-        uniform = (d == d[:, :1]).all(axis=1)
+            return z.reshape(paths, n)
+        z = np.empty_like(b)
+        # Rows with one coefficient at every node: the eigenbasis.
+        uniform = (a == a[:, :1]).all(axis=1)
         if uniform.any():
-            delta[uniform] = self._eigenbasis(F[uniform], d[uniform, :1])
+            z[uniform] = self._eigenbasis(b[uniform], a[uniform, :1])
         rest = np.flatnonzero(~uniform)
         if rest.size:
-            inv_d = 1.0 / d[rest]
-            z, unsolved = self._cg(-F[rest], inv_d)
+            z_rest, unsolved = self._cg(b[rest], a[rest])
             for row in unsolved:
-                z[row] = self._lu(-F[rest[row]], inv_d[row])
-            delta[rest] = z * inv_d
-        return delta
+                z_rest[row] = self._lu(b[rest[row]], a[rest[row]])
+            z[rest] = z_rest
+        return z
 
-    def _eigenbasis(self, F: np.ndarray, c: np.ndarray) -> np.ndarray:
-        # delta = -Phi (Phi^T M F) / (1 + dt c lambda), c a (rows, 1) column.
-        coef = _row_products(F, self._to_spectral)
-        coef /= 1.0 + self.dt * c * self._lam
-        return -_row_products(coef, self._from_spectral)
+    def _eigenbasis(self, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+        # z = Phi (Phi^T M b) / (a + dt lambda), a a (rows, 1) column.
+        coef = _row_products(b, self._to_spectral)
+        coef /= a + self.dt * self._lam
+        return _row_products(coef, self._from_spectral)
 
-    def _cg(self, b: np.ndarray, inv_d: np.ndarray):
-        # Jacobi-preconditioned conjugate gradients for (1/d + dt K) z = b,
+    def _cg(self, b: np.ndarray, a: np.ndarray):
+        # Jacobi-preconditioned conjugate gradients for (a + dt K) z = b,
         # row by row in the mu inner product, where the matrix is
-        # self-adjoint, on the system divided by dt, (c + K) z = b / dt
-        # with c = 1 / (d dt); the preconditioner is its diagonal
-        # c + K_ii.  Each row is first scaled by a power of two near its
-        # largest entry, so that no inner product overflows.  A row leaves
-        # the working arrays once r.P^-1 r is at most _CG_TOL b.P^-1 b; a
-        # NaN row never does.  Returns z and the rows still unconverged
-        # after n iterations, CG's bound in exact arithmetic.
+        # self-adjoint, on the system divided by dt, (a/dt + K) z = b / dt;
+        # the preconditioner is its diagonal a/dt + K_ii.  Each row is
+        # first scaled by a power of two near its largest entry, so that no
+        # inner product overflows.  A row leaves the working arrays once
+        # r.P^-1 r is at most _CG_TOL b.P^-1 b; a NaN row never does.
+        # Returns z and the rows still unconverged after n iterations, CG's
+        # bound in exact arithmetic.
         mu, n, dt = self.mu, b.shape[1], self.dt
         exponent = np.frexp(np.abs(b).max(axis=1))[1][:, None]
         b = np.ldexp(b, -exponent) / dt
-        c = inv_d / dt
+        c = a / dt
         precond = c + self._k_diag
 
         def dot(u, v):
@@ -351,65 +358,47 @@ class _NewtonSystem:
             p += y
         return np.ldexp(out, exponent), live
 
-    def _lu(self, b: np.ndarray, inv_d: np.ndarray) -> np.ndarray:
-        # Dense solve of (1/d + dt K) z = b for one row.
+    def _lu(self, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+        # Dense solve of (a + dt K) z = b for one row.
         A = self.dt * self._k_t.T
-        A[np.diag_indices_from(A)] += inv_d
+        A[np.diag_indices_from(A)] += a
         return np.linalg.solve(A, b)
 
 
-class _StepStart(NamedTuple):
-    """The end of one implicit step, from which the next one starts."""
-
-    x: np.ndarray           # the solution
-    rhs: np.ndarray         # its right side
-    F: np.ndarray           # its residual x + dt K drift - rhs
-    drift: np.ndarray       # slope plus eps x, at x
-    d: np.ndarray           # slope derivative plus eps, at x
-    g: np.ndarray           # dual(x - rhs), as the Newton loop tracked it
-    previous: tuple         # (x, resolvent, slope derivative at x), which
-                            # the power kinds' next resolvent starts from
-
-
-def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
+def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida, eps,
                          rhs: np.ndarray, row_name="path {}".format,
-                         start: _StepStart | None = None):
+                         start=None):
     """Solve the implicit system for a (paths, nodes) batch of right sides.
 
-    Newton on the residual ``F = x + dt K drift(x) - rhs`` equals Newton on
-    the strongly convex dual-norm objective, so Armijo backtracking on that
-    objective is globally convergent from any start; for piecewise-linear
-    slopes the iteration is finite.  Each direction solves
-    ``(1/d + dt K) z = -F`` and takes ``delta = z / d`` (see
-    ``_NewtonSystem``, which also fixes ``dt``).  With ``dual`` the dual
-    metric ``M K^-1``, the objective ``x.(dual(x)/2 - dual(rhs))`` plus
-    ``dt`` times a local sum is never evaluated, only its changes, free of
-    cancellation: a step ``t`` changes it by ``t delta.g + t^2/2
-    delta.dual(delta)`` plus the local change, with ``g = dual(x - rhs)``.
-    As ``delta + dt K z = -F`` with ``z = d delta`` and ``F = x - rhs +
-    dt K drift``, ``dual(delta) = -(g + dt M (z + drift))``.  So a pass
-    makes no dual-metric solve and each trial one Moreau-Yosida solve,
-    whose values the accepted trial hands to the next pass; each trial's
-    resolvent starts from the values at the current iterate.  Converged
-    rows get no direction and keep their state and values bit for bit
-    while other rows iterate, so every row is independent of the batch; a
-    row that does not converge is named by ``row_name(row)``.
+    Full-step semismooth Newton in the drift ``w`` on
+    ``R(w) = w - psi_c(x + c w)``, ``x = rhs - dt K w``, with ``c`` and
+    ``dt`` from ``system`` and ``eps`` a number or a column of rows.  With
+    ``g = 1 + c eps`` and ``c' = c / g``, ``smoother`` is the potential's
+    smoothing at ``lambda = system.level(eps) = eps + c'``.  One
+    ``evaluate`` at ``y = (x + c w) / g`` gives its resolvent ``p``, slope
+    and slope derivative ``D_l``; the resolvent of ``psi`` at ``c`` is then
+    ``s = (eps y + c' p) / lambda`` and ``R = (s - x) / c``.  The derivative
+    ``D`` of ``psi_c`` has ``1/D = g^2 / (eps g + D_l)``, and the direction
+    solves ``(1/d + dt K) dw = -R / D`` with
+    ``1/d = 1/D - c = (g - c D_l) / (eps g + D_l)``, positive for eps > 0.
+    Where a Newton trial does not halve a row's ``|R|_mu``, that row takes
+    the forward-backward step ``w - R`` instead.  A row stops once
+    ``c |R|_mu <= _SOLVER_TOL (1 + |rhs|_mu)`` and returns ``s``, whose
+    state residual ``(c - dt K) R`` is no larger, as ``0 < dt K <= c``; the
+    residual recorded is the computed ``|s + dt K (slope + eps s) - rhs|_mu``,
+    the slope being ``evaluate``'s.  Converged rows get no direction and
+    keep their drift and values bit for bit while other rows iterate, so
+    every row is independent of the batch; a row that does not converge is
+    named by ``row_name(row)``.
 
-    Without a ``start`` the iteration starts at ``rhs`` with ``g`` zero.
-    With the ``_StepStart`` of the step before, it starts where that step
-    predicts.  Where the Yosida slope is piecewise linear (zhang and
-    piecewise), the start is one Newton step from the previous solution
-    ``x_k`` with its own linearization: ``x_k + delta`` with
-    ``(I + dt K D_k) delta = -(F_k - (rhs - rhs_k))``, which lands on the
-    solution unless a node crosses a knot.  The Newton equation gives its
-    ``g = -dt M (drift_k + d_k delta)`` exactly, and the step counts as the
-    first Newton iteration, in the counts and toward ``_MAX_NEWTON``.  The
-    power kinds start at ``rhs + (x_k - rhs_k)`` with the previous ``g``:
-    consecutive steps differ by one noise increment, so the last drift
-    increment predicts the next.  Returns the solution, residuals,
-    iteration counts and the ``_StepStart`` for the next step.
+    Without a ``start`` the iteration starts at ``w = 0``.  A step returns
+    the next one's start: its drift ``w_k`` and the resolvent values the
+    next ``evaluate`` starts from.  Returns the solution, residuals,
+    iteration counts and the next step's start.
     """
-    mu, dt, eps = system.mu, system.dt, smoother.eps
+    mu, dt, c, lam = system.mu, system.dt, system.c, smoother.eps
+    g = 1.0 + c * eps
+    c_prime = c / g
     paths = rhs.shape[0]
 
     def mu_norm(a):
@@ -422,82 +411,52 @@ def _implicit_step_batch(system: _NewtonSystem, smoother: MoreauYosida,
             norm[over] = m[:, 0] * np.sqrt(((a[over] / m) ** 2 * mu).sum(-1))
         return norm
 
-    def newton_terms(x, previous):
-        # The start point that x gives the next resolvent, which alone
-        # decides whether to use it, and the drift, slope derivative and
-        # local objective terms, from one solve.
-        my = smoother.evaluate(x, previous)
-        return ((x, my.resolvent, my.slope_derivative), my.slope + eps * x,
-                my.slope_derivative + eps, my.envelope + 0.5 * eps * x**2)
+    def linearize(w, previous):
+        # s, R, c |R|, R / D, 1/d, the slope at s and the values the next
+        # evaluate starts from, from one solve.
+        x = rhs - dt * system.apply_k(w)
+        y = (x + c * w) / g
+        my = smoother.evaluate(y, previous)
+        s = (eps * y + c_prime * my.resolvent) / lam
+        R = (s - x) / c
+        den = eps * g + my.slope_derivative
+        return (s, R, c * mu_norm(R), R * (g * g / den),
+                (g - c * my.slope_derivative) / den, my.slope,
+                (y, my.resolvent, my.slope_derivative))
 
-    predicted, previous = 0, None
-    if start is None:
-        x, g = rhs, np.zeros_like(rhs)
-    elif smoother.potential.kind in ("zhang", "piecewise"):
-        delta = system.direction(start.F - (rhs - start.rhs), start.d)
-        x, predicted = start.x + delta, 1
-        g = -dt * mu * (start.drift + start.d * delta)
-    else:
-        x, g = rhs + (start.x - start.rhs), start.g.copy()
-        previous = start.previous
-    point, drift, slope, local = newton_terms(x, previous)
+    w, point = (np.zeros_like(rhs), None) if start is None else start
+    s, R, size, R_D, a, slope, point = linearize(w, point)
     tol_vec = _SOLVER_TOL * (1.0 + mu_norm(rhs))
-    iterations = np.full(paths, predicted)
+    iterations = np.zeros(paths, dtype=int)
 
-    for it in range(predicted, _MAX_NEWTON + 1):
-        F = x + dt * system.apply_k(drift) - rhs
-        residual = mu_norm(F)
+    for it in range(_MAX_NEWTON + 1):
         # A NaN residual never counts as converged.
-        active = ~(residual <= tol_vec)
+        active = ~(size <= tol_vec)
         if not active.any():
             break
         if it == _MAX_NEWTON:
-            worst = int(np.argmax(residual - tol_vec))
+            worst = int(np.argmax(size - tol_vec))
             raise StepSolverError(
                 f"implicit step did not converge: {row_name(worst)}, "
-                f"residual {residual[worst]:.3e} after {it} iterations")
+                f"residual {size[worst]:.3e} after {it} iterations")
         iterations[active] += 1
-
-        all_active = active.all()
-        if all_active:
-            delta = system.direction(F, slope)
+        if active.all():
+            trial = w - system.solve(R_D, a)
         else:
             # Minus zero leaves a converged row exactly as it is, zero signs
             # included.
-            delta = np.full_like(F, -0.0)
-            delta[active] = system.direction(F[active], slope[active])
-        # M K^-1 delta = -(g + dt M (slope delta + drift)); minus zero on
-        # converged rows, whose g keeps its bits.
-        dual_delta = -(g + dt * mu * (slope * delta + drift))
-        if not all_active:
-            dual_delta[~active] = -0.0
-        curvature, linear = np.vecdot(delta, dual_delta), np.vecdot(delta, g)
-        # Gradient of the objective is M K^-1 F; along the Newton direction
-        # its slope is minus the quadratic form of the Newton matrix.
-        slope_dir = -(curvature + dt * np.vecdot(slope * delta**2, mu))
-        # Near the solution the predicted decrease sits below the roundoff
-        # of the change, and the slack keeps full Newton steps acceptable
-        # there so the final quadratic phase is never rejected.  The
-        # quadratic terms of the change are O(|delta|); only the local
-        # change carries roundoff of the objective's size.
-        slack = 1e-14 * (1.0 + dt * np.vecdot(np.abs(local), mu))
-        step = np.ones(paths)
-        for halvings in range(41):
-            trial = x + step[:, None] * delta
-            t_point, t_drift, t_slope, t_local = newton_terms(trial, point)
-            change = (step * linear + 0.5 * step**2 * curvature
-                      + dt * np.vecdot(t_local - local, mu))
-            bad = active & (change > 1e-4 * step * slope_dir + slack)
-            # Out of halvings, the last halved step is taken as it is.
-            if halvings == 40 or not bad.any():
-                break
-            step[bad] *= 0.5
-        x, point, drift, slope, local = (trial, t_point, t_drift, t_slope,
-                                         t_local)
-        g += step[:, None] * dual_delta
+            step = np.zeros_like(w)
+            step[active] = system.solve(R_D[active], a[active])
+            trial = w - step
+        values = linearize(trial, point)
+        worse = active & ~(values[2] <= _DECREASE * size)
+        if worse.any():
+            trial = np.where(worse[:, None], w - R, trial)
+            values = linearize(trial, point)
+        w, (s, R, size, R_D, a, slope, point) = trial, values
 
-    return x, residual, iterations, _StepStart(x, rhs, F, drift, slope, g,
-                                               point)
+    F = s + dt * system.apply_k(slope + eps * s) - rhs
+    return s, mu_norm(F), iterations, (w, point)
 
 
 def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
@@ -528,8 +487,8 @@ def simulate_coupled(configs) -> list[TrajectoryEnsemble]:
     space, noise, dt = first.space, first.noise, first.dt
     R, P, N, n = len(configs), first.path_count, first.step_count, space.node_count
     eps = np.repeat([config.eps for config in configs], P)[:, None]
-    smoother = MoreauYosida(first.potential, eps)
     system = _NewtonSystem(space, dt)
+    smoother = MoreauYosida(first.potential, system.level(eps))
 
     def row_name(row):
         run, path = divmod(row, P)
@@ -551,7 +510,7 @@ def simulate_coupled(configs) -> list[TrajectoryEnsemble]:
         rhs = current + noise.apply(current, dW[path_of_row, k])
         try:
             nxt, res, its, start = _implicit_step_batch(
-                system, smoother, rhs, row_name, start)
+                system, smoother, eps, rhs, row_name, start)
         except StepSolverError as err:
             raise StepSolverError(f"step {k} (t = {k * dt:g}): {err}") from err
         states[:, k + 1] = nxt

@@ -368,8 +368,9 @@ def epsilon_convergence(ensembles,
     ``config.eps``; ``decay_rate`` defaults to ``default_decay_rate`` of the
     first run's config.
     """
-    if len(ensembles) < 2:
-        raise ValueError("need at least two smoothing levels")
+    if len(ensembles) < 3:
+        # Two levels give one pair, and a slope through one point.
+        raise ValueError("need at least three smoothing levels")
     config = ensembles[0].config
     if config.potential.slope_bound is None:
         raise ValueError(

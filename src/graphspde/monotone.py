@@ -5,14 +5,15 @@ the origin.  Its subdifferential is an interval-valued monotone graph; the
 resolvent of the graph, the single-valued Lipschitz slope and the smoothed
 envelope are available in closed form for the built-in kinds and through a
 scalar Newton solve, started above the root, for the other power exponents.
-``MoreauYosida.resolvent`` and ``evaluate`` can start that solve from the
-tangent of the resolvent at an earlier argument; without one ``evaluate``
-equals the separate methods bit for bit.  A result is checked only where
-an iteration can miss.  The power-law solves use plain arithmetic; each
-element whose residual misses the tolerance, as where that arithmetic
-overflows near the top of the float range, is solved again in logarithms,
-from a cold or a warm start alike, and a miss there is refused.  The zhang
-and piecewise formulas are returned as computed.
+``MoreauYosida.evaluate`` gives the resolvent, slope and slope derivative,
+what the implicit stepper reads, from one solve.  It and ``resolvent`` can
+start that solve from the tangent of the resolvent at an earlier argument;
+without one ``evaluate`` equals the separate methods bit for bit.  A result
+is checked only where an iteration can miss.  The power-law solves use
+plain arithmetic; each element whose residual misses the tolerance, as
+where that arithmetic overflows near the top of the float range, is solved
+again in logarithms, from a cold or a warm start alike, and a miss there is
+refused.  The zhang and piecewise formulas are returned as computed.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class ConvexPotential:
         a, b, c = coeff[..., 0], coeff[..., 1], coeff[..., 2]
         # Each piece about the knot at its left edge, the first about the
         # first knot and a lone piece about 0: a r^2 + b r + c cancels near
-        # a knot, on a steep wall by far more than the Armijo slack.
+        # a knot, on a steep wall by 1e-9 at 1 + 1e-6 when a = 1e7.
         k = np.asarray(self.knots + (0.0,))[np.maximum(index - 1, 0)]
         d = r - k
         with np.errstate(invalid="ignore"):
@@ -366,7 +367,6 @@ class MoreauYosidaValues(NamedTuple):
     resolvent: np.ndarray
     slope: np.ndarray
     slope_derivative: np.ndarray
-    envelope: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -463,9 +463,9 @@ class MoreauYosida:
         return np.where(on_knot, ends[1:][idx // 2], s)
 
     def evaluate(self, r, previous=None) -> MoreauYosidaValues:
-        """Resolvent, slope, slope derivative and envelope from one
-        resolvent solve, with ``previous`` as in ``resolvent``.  Without
-        ``previous`` each equals the matching method bit for bit."""
+        """Resolvent, slope and slope derivative from one resolvent solve,
+        with ``previous`` as in ``resolvent``.  Without ``previous`` each
+        equals the matching method bit for bit."""
         r = np.asarray(r, dtype=float)
         s = self.resolvent(r, previous)
         pot, eps = self.potential, self.eps
@@ -473,7 +473,7 @@ class MoreauYosida:
         # resolvent point; the zhang and piecewise formulas read r alone.
         if pot.kind in ("fast_diffusion", "porous_medium"):
             # p |s|^(p - 1) from the slope's |s|^p, with |s| and |s|^p taken
-            # once for the slope, its derivative and the envelope.
+            # once for the slope and its derivative.
             p, a = pot.exponent, np.abs(s)
             power = a**p
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -485,11 +485,9 @@ class MoreauYosida:
                     # s = 0, 1 / eps for p < 1 and 0 for p > 1.
                     derivative = np.where(finite, derivative, np.where(
                         (a > 0) | (p < 1.0), 1.0 / eps, 0.0))
-            slope, product = self._slope(r, s, power), a * power
-            # No part outlives its use into the envelope's temporaries.
-            del a, power, t, finite
+            slope = self._slope(r, s, power)
         else:
-            slope, product = self._slope(r, s), None
+            slope = self._slope(r, s)
             if pot.kind == "zhang":
                 derivative = np.where(r <= 0, 0.0, np.where(
                     r <= eps, 1.0 / eps, 1.0 / (1.0 + eps)))
@@ -498,8 +496,7 @@ class MoreauYosida:
                 t = 2.0 * np.asarray(pot.pieces)[idx // 2][..., 0]
                 derivative = np.where(idx % 2 == 1, 1.0 / eps,
                                       t / (1.0 + eps * t))
-        return MoreauYosidaValues(s, slope, derivative,
-                                  self._envelope(r, s, product))
+        return MoreauYosidaValues(s, slope, derivative)
 
     def _slope(self, r, s, power=None):
         # A power kind's slope is sign(s) |s|^p, which the root satisfies;
@@ -509,19 +506,6 @@ class MoreauYosida:
         if self.potential.kind in ("fast_diffusion", "porous_medium"):
             return np.sign(s) * (np.abs(s) ** p if power is None else power)
         return (r - s) / self.eps
-
-    def _envelope(self, r, s, product=None):
-        # Transport cost plus the potential at s; a power kind's value
-        # |s|^(p + 1) / (p + 1) is taken as |s| |s|^p / (p + 1), with
-        # ``product`` = |s| |s|^p where the caller has it.
-        pot = self.potential
-        if pot.kind in ("fast_diffusion", "porous_medium"):
-            if product is None:
-                product = np.abs(s) * np.abs(s) ** pot.exponent
-            value = product / (pot.exponent + 1.0)
-        else:
-            value = pot.value(s)
-        return (r - s) ** 2 / (2.0 * self.eps) + value
 
     def yosida(self, r):
         """Single-valued Lipschitz slope, ``(r - resolvent(r)) / eps`` in
@@ -535,7 +519,14 @@ class MoreauYosida:
         point plus the potential there.  Bounded between the potential at
         the resolvent point and the potential itself."""
         r = np.asarray(r, dtype=float)
-        return self._envelope(r, self.resolvent(r))
+        s, pot = self.resolvent(r), self.potential
+        if pot.kind in ("fast_diffusion", "porous_medium"):
+            # |s|^(p + 1) / (p + 1) as |s| |s|^p / (p + 1).
+            a = np.abs(s)
+            value = a * a**pot.exponent / (pot.exponent + 1.0)
+        else:
+            value = pot.value(s)
+        return (r - s) ** 2 / (2.0 * self.eps) + value
 
     def yosida_slope(self, r):
         """Almost-everywhere derivative of the Lipschitz slope, the Newton

@@ -244,11 +244,6 @@ def dual_metric(space):
                           @ (basis.T * mu))
 
 
-def dual_rows(space, a):
-    """Rows of ``a`` times the dense dual metric ``M K^-1``."""
-    return a @ dual_metric(space)
-
-
 def replayed_test_process(ensemble):
     """``build_test_process(ensemble, ensemble.config.initial,
     drift=ensemble)`` with the replayed drift from whole (paths, steps,

@@ -117,9 +117,11 @@ def test_all_violations_reported_together():
     ("space.bernstein = shifted_power(0)",
      "space.bernstein: alpha must lie in (0, 1), got 0.0"),
     ("experiment.kind = eps_convergence\nrun.epsilon_list = 0.1, 0.2",
-     "run.epsilon_list: eps_convergence needs at least two strictly"),
+     "run.epsilon_list: eps_convergence needs at least three strictly"),
     ("experiment.kind = eps_convergence\nrun.epsilon_list = 0.1, 0.1",
-     "run.epsilon_list: eps_convergence needs at least two strictly"),
+     "run.epsilon_list: eps_convergence needs at least three strictly"),
+    ("experiment.kind = eps_convergence\nrun.epsilon_list = 0.2, 0.1",
+     "run.epsilon_list: eps_convergence needs at least three strictly"),
     ("run.horizon = nan", "run.horizon: expected a finite number, got 'nan'"),
     ("run.horizon = inf", "run.horizon: expected a finite number, got 'inf'"),
     ("run.horizon = 1e400",

@@ -52,11 +52,10 @@ def test_parse_config_raises_only_config_errors(entries):
 # A runnable config of each experiment kind, for the drawn lines to edit.
 RUNNABLE = ("experiment.kind = {}\n"
             "noise.kind = diagonal\n"
-            "run.epsilon_list = 0.2, 0.1\n"
+            "run.epsilon_list = 0.2, 0.1, 0.05\n"
             "run.y0 = constant:1.5\n")
 
 
-@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=400)
 @hypothesis.given(st.sampled_from(EXPERIMENTS),
                   st.dictionaries(st.sampled_from(KEYS), VALUES, max_size=4))

@@ -507,7 +507,8 @@ def test_ladder_and_pair_estimators_refuse_uncoupled_runs(change):
     with pytest.raises(ValueError, match="not coupled"):
         pairwise_smoothing_gap(ens, off, decay_rate=1.0)
     with pytest.raises(ValueError, match="not coupled"):
-        epsilon_convergence([ens, off], decay_rate=1.0)
+        epsilon_convergence([ens, off, simulate(other.with_eps(0.025))],
+                            decay_rate=1.0)
     with pytest.raises(ValueError, match="not coupled"):
         contraction_experiment(ens, off, decay_rate=1.0)
 
@@ -526,10 +527,13 @@ def test_epsilon_convergence_deterministic_scalar():
 
 def test_epsilon_convergence_validation():
     cfg = make_config(path_space(3), zhang(), paths=2)
-    with pytest.raises(ValueError, match="two smoothing"):
-        epsilon_convergence(simulate_ladder(cfg, [0.1]), decay_rate=1.0)
+    # Two levels give one pair, and a slope through one point.
+    for levels in ([0.1], [0.2, 0.1]):
+        with pytest.raises(ValueError, match="three smoothing"):
+            epsilon_convergence(simulate_ladder(cfg, levels), decay_rate=1.0)
     with pytest.raises(ValueError, match="decreasing"):
-        epsilon_convergence(simulate_ladder(cfg, [0.1, 0.2]), decay_rate=1.0)
+        epsilon_convergence(simulate_ladder(cfg, [0.1, 0.2, 0.05]),
+                            decay_rate=1.0)
 
 
 def test_epsilon_convergence_refuses_unbounded_slope_kind():
@@ -537,7 +541,8 @@ def test_epsilon_convergence_refuses_unbounded_slope_kind():
 
     cfg = make_config(path_space(3), porous_medium(2.0), paths=2)
     with pytest.raises(ValueError, match="minimal-section"):
-        epsilon_convergence(simulate_ladder(cfg, [0.2, 0.1]), decay_rate=1.0)
+        epsilon_convergence(simulate_ladder(cfg, [0.2, 0.1, 0.05]),
+                            decay_rate=1.0)
 
 
 # -- regularity and uniformity ----------------------------------------------------
